@@ -99,8 +99,7 @@ void ConservativeReplica::on_to_deliver(const MsgId& id, TOIndex index) {
   // site's rebuilt store already holds the commit (index <= durable floor).
   TxnRecord* txn = txns_.lookup_if_present(id);
   if (txn == nullptr) {
-    OTPDB_CHECK_MSG(index <= replay_floor_, "TO-delivery without prior Opt-delivery");
-    queries_.advance_to_index(index);
+    OTPDB_CHECK_MSG(index <= queries_.durable_floor(), "TO-delivery without prior Opt-delivery");
     return;
   }
   txn->to_index = index;
@@ -277,8 +276,7 @@ void ConservativeReplica::crash_recover_reset() {
 void ConservativeReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
                                             TOIndex durable_floor) {
   crash_recover_reset();  // volatile state is equally gone on a cold restart
-  queries_.restore_watermarks(class_watermarks);
-  replay_floor_ = durable_floor;
+  queries_.restore_watermarks(class_watermarks, durable_floor);
 }
 
 }  // namespace otpdb

@@ -44,7 +44,7 @@ class ConservativeReplica final : public ReplicaBase {
   void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
   void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
   std::size_t in_flight() const override {
-    return buffered_ + queued_ + (metrics_.queries_started - metrics_.queries_done);
+    return buffered_ + queued_ + metrics_.queries_in_flight();
   }
   const ReplicaMetrics& metrics() const override { return metrics_; }
   SiteId site() const override { return self_; }
@@ -86,7 +86,6 @@ class ConservativeReplica final : public ReplicaBase {
   const PartitionCatalog& catalog_;
   const ProcedureRegistry& registry_;
   SiteId self_;
-  TOIndex replay_floor_ = 0;  ///< tombstone ceiling during cold-restart catch-up
 
   std::vector<ClassQueue> queues_;
   TxnTable txns_;

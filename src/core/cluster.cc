@@ -110,7 +110,7 @@ void Cluster::recover_site(SiteId site) {
   abcast->begin_recovery();
 }
 
-void Cluster::restart_site_from_disk(SiteId site, bool full_body_replay) {
+RecoveredState Cluster::restart_site_from_disk(SiteId site, bool full_body_replay) {
   OTPDB_CHECK(site < config_.n_sites);
   auto* abcast = dynamic_cast<OptAbcast*>(abcasts_[site].get());
   OTPDB_CHECK_MSG(abcast != nullptr, "recovery requires the optimistic broadcast");
@@ -123,6 +123,7 @@ void Cluster::restart_site_from_disk(SiteId site, bool full_body_replay) {
   // keep already-durable work from re-executing, but the replica sees every
   // body and can rebuild its per-class virtual service clock.
   abcast->begin_recovery(full_body_replay ? 0 : recovered.durable_floor);
+  return recovered;
 }
 
 void Cluster::load_everywhere(ObjectId obj, Value value) {

@@ -171,7 +171,10 @@ class Cluster {
   /// tombstones carry none - without bodies a cold-restarted site cannot
   /// re-derive pre-crash drop decisions for the tail. Costlier (the whole
   /// history is resent) and off by default.
-  void restart_site_from_disk(SiteId site, bool full_body_replay = false);
+  ///
+  /// Returns what the durable tier recovered; queries at the site start at
+  /// its `durable_floor`.
+  RecoveredState restart_site_from_disk(SiteId site, bool full_body_replay = false);
 
   /// Runs until every replica reports zero in-flight work or `deadline_span`
   /// elapses. Returns true if the cluster quiesced.

@@ -77,7 +77,7 @@ class LockTableReplica final : public ReplicaBase {
   void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
   void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
   std::size_t in_flight() const override {
-    return txns_.live() + (metrics_.queries_started - metrics_.queries_done);
+    return txns_.live() + metrics_.queries_in_flight();
   }
   const ReplicaMetrics& metrics() const override { return metrics_; }
   SiteId site() const override { return self_; }

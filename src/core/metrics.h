@@ -40,8 +40,14 @@ struct ReplicaMetrics {
   // Query path (Section 5).
   std::uint64_t queries_started = 0;
   std::uint64_t queries_done = 0;
+  std::uint64_t queries_dropped = 0;  ///< unanswered when the site crashed (died with RAM)
   std::uint64_t query_retries = 0;  ///< re-runs because a snapshot version was in flight
   OnlineStats query_latency_ns;
+
+  /// Queries accepted here and neither answered nor dropped yet.
+  std::uint64_t queries_in_flight() const {
+    return queries_started - queries_done - queries_dropped;
+  }
 };
 
 }  // namespace otpdb

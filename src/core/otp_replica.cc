@@ -143,8 +143,7 @@ void OtpReplica::on_to_deliver(const MsgId& id, TOIndex index) {
   // site already holds the commit's versions from its own checkpoint + WAL.
   TxnRecord* txn = txns_.lookup_if_present(id);
   if (txn == nullptr) {
-    OTPDB_CHECK_MSG(index <= replay_floor_, "TO-delivery without prior Opt-delivery");
-    queries_.advance_to_index(index);
+    OTPDB_CHECK_MSG(index <= queries_.durable_floor(), "TO-delivery without prior Opt-delivery");
     return;
   }
   txn->to_index = index;
@@ -325,8 +324,7 @@ void OtpReplica::crash_recover_reset() {
 void OtpReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
                                    TOIndex durable_floor) {
   crash_recover_reset();  // volatile state is equally gone on a cold restart
-  queries_.restore_watermarks(class_watermarks);
-  replay_floor_ = durable_floor;
+  queries_.restore_watermarks(class_watermarks, durable_floor);
 }
 
 void OtpReplica::correctness_check_module(TxnRecord* txn) {

@@ -98,7 +98,7 @@ class OtpReplica final : public ReplicaBase {
 
   /// Transactions not yet committed plus queries not yet answered.
   std::size_t in_flight() const override {
-    return txns_.live() + (metrics_.queries_started - metrics_.queries_done);
+    return txns_.live() + metrics_.queries_in_flight();
   }
 
   /// Introspection for tests: the class queue of `klass`.
@@ -129,8 +129,8 @@ class OtpReplica final : public ReplicaBase {
 
   /// Cold restart over the durable tier: the store was already rebuilt from
   /// checkpoint + WAL; this winds the query watermarks back to the durable
-  /// marks and accepts body-less TO-delivery tombstones up to `durable_floor`
-  /// during catch-up.
+  /// marks, starts query snapshots at `durable_floor` and accepts body-less
+  /// TO-delivery tombstones up to it during catch-up.
   void restart_from_disk(std::span<const TOIndex> class_watermarks,
                          TOIndex durable_floor) override;
 
@@ -187,9 +187,6 @@ class OtpReplica final : public ReplicaBase {
   const ProcedureRegistry& registry_;
   SiteId self_;
   OtpReplicaConfig config_;
-  /// Commits at or below this index arrive as body-less tombstones during a
-  /// cold-restart catch-up (they are already applied from disk).
-  TOIndex replay_floor_ = 0;
 
   std::vector<ClassQueue> queues_;
   TxnTable txns_;

@@ -19,8 +19,7 @@ QueryEngine::QueryEngine(Simulator& sim, const VersionedStore& store, std::size_
       domain_of_(std::move(domain_of)),
       metrics_(metrics),
       to_history_(domain_count),
-      last_committed_(domain_count, 0),
-      restored_floor_(domain_count, 0) {}
+      last_committed_(domain_count, 0) {}
 
 QueryEngine::QuerySlot QueryEngine::acquire_slot() {
   if (!free_slots_.empty()) {
@@ -35,6 +34,7 @@ QueryEngine::QuerySlot QueryEngine::acquire_slot() {
 void QueryEngine::release_slot(QuerySlot slot) {
   pool_[slot].fn = nullptr;  // drop closures now; the slot object is recycled
   pool_[slot].done = nullptr;
+  pool_[slot].live = false;
   free_slots_.push_back(slot);
 }
 
@@ -46,12 +46,14 @@ void QueryEngine::submit(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
   query.snapshot = last_to_index_;  // the "i" of the paper's index "i.5"
   query.submitted_at = sim_.now();
   query.attempts = 0;
+  query.live = true;
   ++metrics_.queries_started;
   ++active_snapshots_[query.snapshot];
-  sim_.schedule_after(exec_duration, [this, slot] { run(slot); });
+  query.first_run = sim_.schedule_after(exec_duration, [this, slot] { run(slot); });
 }
 
 void QueryEngine::advance_to_index(TOIndex index) {
+  if (index <= durable_floor_) return;  // catch-up below the restored floor
   OTPDB_CHECK(index > last_to_index_);
   last_to_index_ = index;
 }
@@ -85,17 +87,25 @@ void QueryEngine::wake_waiters(TOIndex index) {
 
 void QueryEngine::reset_volatile() {
   for (auto& history : to_history_) history.clear();
-  last_to_index_ = 0;
-  for (const Waiter& w : waiters_) release_slot(w.slot);  // parked queries are dropped
+  last_to_index_ = durable_floor_;
+  for (QuerySlot slot = 0; slot < pool_.size(); ++slot) {
+    if (!pool_[slot].live) continue;
+    sim_.cancel(pool_[slot].first_run);  // no-op for parked queries: it fired
+    ++metrics_.queries_dropped;
+    release_slot(slot);
+  }
   waiters_.clear();
   active_snapshots_.clear();
 }
 
-void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain) {
+void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain,
+                                     TOIndex durable_floor) {
   for (std::size_t d = 0; d < last_committed_.size(); ++d) {
     last_committed_[d] = d < per_domain.size() ? per_domain[d] : 0;
-    restored_floor_[d] = last_committed_[d];
+    OTPDB_ASSERT(last_committed_[d] >= durable_floor);
   }
+  durable_floor_ = durable_floor;
+  last_to_index_ = durable_floor;
 }
 
 TOIndex QueryEngine::gc_horizon() const {
@@ -113,13 +123,13 @@ TOIndex QueryEngine::snapshot_bound(Domain domain, TOIndex snapshot) const {
   const auto& history = to_history_[domain];
   auto it = std::upper_bound(history.begin(), history.end(), snapshot);
   const TOIndex from_history = it == history.begin() ? 0 : *std::prev(it);
-  // After a cold restart, indices at or below the restored watermark were
+  // After a cold restart, indices at or below the durable floor were
   // TO-delivered as body-less tombstones and never entered the history, but
-  // their versions were rebuilt from checkpoint + WAL, so the watermark is an
-  // equally valid lower bound on the snapshot's youngest covering
-  // transaction. restored_floor_ is 0 outside durable restarts, making this
-  // exactly the pre-storage-tier bound in normal operation.
-  return std::max(from_history, std::min(snapshot, restored_floor_[domain]));
+  // their versions were rebuilt from checkpoint + WAL and every domain's
+  // watermark covers the floor, so the floor safely stands in for them.
+  // durable_floor_ is 0 outside durable restarts, making this exactly the
+  // pre-storage-tier bound in normal operation.
+  return std::max(from_history, std::min(snapshot, durable_floor_));
 }
 
 Value QueryEngine::read(ObjectId obj, TOIndex snapshot) const {

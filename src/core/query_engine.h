@@ -51,7 +51,8 @@ class QueryEngine {
   void note_to_delivered(Domain domain, TOIndex index);
 
   /// Advances the site's highest processed definitive index (call exactly
-  /// once per TO-delivery, before the per-domain notifications).
+  /// once per TO-delivery, before the per-domain notifications). Indices at
+  /// or below durable_floor() were applied from disk and leave it unchanged.
   void advance_to_index(TOIndex index);
 
   /// Engine notification: a transaction covering `domain` committed with
@@ -75,15 +76,24 @@ class QueryEngine {
   TOIndex last_committed(Domain domain) const { return last_committed_[domain]; }
 
   /// Crash recovery: clears volatile state (TO-delivery history, snapshot
-  /// index, waiting queries) while keeping the per-domain durable commit
-  /// watermarks. The history is rebuilt by the redo replay.
+  /// index back to durable_floor()) while keeping the per-domain durable
+  /// commit watermarks. The history is rebuilt by the redo replay. Queries
+  /// not yet answered - parked or still scheduled - die with the site: they
+  /// are dropped unanswered and counted in ReplicaMetrics::queries_dropped.
   void reset_volatile();
 
   /// Cold restart: overwrites the per-domain commit watermarks with the
   /// durable tier's recovered marks (possibly LOWER than before the crash -
-  /// the unflushed group-commit tail died with RAM). Domains beyond the span
+  /// the unflushed group-commit tail died with RAM) and starts snapshots at
+  /// `durable_floor` (the min of those marks): the rebuilt store holds no
+  /// version that only an older snapshot could read. Domains beyond the span
   /// reset to 0. Call after reset_volatile().
-  void restore_watermarks(std::span<const TOIndex> per_domain);
+  void restore_watermarks(std::span<const TOIndex> per_domain, TOIndex durable_floor);
+
+  /// The floor of the last cold restart (0 without one): every definitive
+  /// index at or below it is applied from disk, and during catch-up arrives
+  /// as a body-less tombstone.
+  TOIndex durable_floor() const { return durable_floor_; }
 
   /// The oldest version index any present or future snapshot read can still
   /// require: min(active query snapshots, last_to_index). Safe argument for
@@ -103,6 +113,8 @@ class QueryEngine {
     TOIndex snapshot = 0;
     SimTime submitted_at = 0;
     std::uint32_t attempts = 0;
+    EventId first_run;  ///< the scheduled first run (stale once it fired)
+    bool live = false;  ///< submitted and not yet answered
   };
   using QuerySlot = std::uint32_t;
 
@@ -125,9 +137,10 @@ class QueryEngine {
 
   std::vector<std::vector<TOIndex>> to_history_;  // per domain, ascending
   std::vector<TOIndex> last_committed_;           // per domain
-  /// Per-domain floor set by a cold restart: indices <= it were restored from
-  /// disk without re-entering to_history_. 0 everywhere in normal operation.
-  std::vector<TOIndex> restored_floor_;
+  /// Set by a cold restart: indices <= it were restored from disk without
+  /// entering to_history_, and no snapshot starts below it. 0 in normal
+  /// operation.
+  TOIndex durable_floor_ = 0;
   TOIndex last_to_index_ = 0;
   std::vector<RunningQuery> pool_;       // slot-indexed, recycled
   std::vector<QuerySlot> free_slots_;

@@ -96,7 +96,8 @@ class ReplicaBase {
   /// per-class durable marks (possibly LOWER than before the crash - the
   /// unflushed tail died with RAM). Commits at or below `durable_floor` will
   /// be TO-delivered as body-less tombstones during catch-up and must be
-  /// acknowledged without re-execution.
+  /// acknowledged without re-execution; query snapshots start at it, since
+  /// the checkpoint keeps no version only an older snapshot could read.
   virtual void restart_from_disk(std::span<const TOIndex> class_watermarks,
                                  TOIndex durable_floor) {
     (void)class_watermarks;

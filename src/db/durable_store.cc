@@ -218,10 +218,15 @@ void DurableStore::do_checkpoint() {
     return;
   }
 
+  // A cold restart from this checkpoint recovers a floor at least this high
+  // (replay only raises watermarks) and reads no snapshot below it, so each
+  // chain is saved from its newest version at or below the floor: the file
+  // holds the live state, not the history.
+  const TOIndex floor = durable_floor();
   wal::CheckpointData data;
   data.class_watermarks = durable_watermark_;
   data.max_index = durable_max_index_;
-  store_.for_each_chain([&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
+  store_.for_each_chain(floor, [&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
     std::vector<std::pair<TOIndex, Value>> versions;
     versions.reserve(chain.size());
     for (const auto& v : chain) versions.emplace_back(v.index, v.value);
@@ -240,9 +245,13 @@ void DurableStore::do_checkpoint() {
   // Seal the active segment so truncation below the new floor can consider
   // everything written so far.
   roll_segment();
+  truncate_below(floor);
+}
+
+TOIndex DurableStore::durable_floor() const {
   TOIndex floor = durable_max_index_;
   for (TOIndex w : durable_watermark_) floor = std::min(floor, w);
-  truncate_below(floor);
+  return floor;
 }
 
 void DurableStore::truncate_below(TOIndex floor) {
@@ -371,8 +380,7 @@ RecoveredState DurableStore::restart_from_disk() {
   RecoveredState rs;
   rs.class_watermarks = std::move(watermarks);
   rs.max_index = max_index;
-  rs.durable_floor = max_index;
-  for (TOIndex w : rs.class_watermarks) rs.durable_floor = std::min(rs.durable_floor, w);
+  rs.durable_floor = durable_floor();
   return rs;
 }
 

@@ -20,9 +20,11 @@
 // Lifecycle per segment directory (site-<id>/):
 //   wal-<seq>.log ...   sealed + active segments
 //   checkpoint.bin      latest durable snapshot (atomic rename)
-// A checkpoint flushes the pending buffer, snapshots all committed chains +
-// per-class watermarks, rolls the active segment, then deletes every sealed
-// segment whose records all fall at or below the new watermark floor.
+// A checkpoint flushes the pending buffer, saves the per-class watermarks
+// and, per object, the versions a snapshot at or above the durable floor can
+// read (the live state, not the history - see do_checkpoint), rolls the
+// active segment, then deletes every sealed segment whose records all fall
+// at or below the floor.
 //
 // I/O failure policy (all I/O goes through an IoEnv - injectable, see
 // db/io_shim.h): a failed write or fsync may have persisted a garbage prefix
@@ -109,6 +111,9 @@ class DurableStore final : public StorageBackend {
   void note_flush_failure(bool tail_clean);
   void schedule_checkpoint();
   void do_checkpoint();
+  /// min(durable_max_index_, per-class durable watermarks): every index at
+  /// or below it is fsynced, so it bounds checkpoints and WAL truncation.
+  TOIndex durable_floor() const;
   void truncate_below(TOIndex floor);
   void roll_segment();
   std::filesystem::path segment_path(std::uint64_t seq) const;

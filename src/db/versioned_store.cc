@@ -23,14 +23,19 @@ void VersionedStore::load(ObjectId obj, Value value) {
   ++live_objects_;
 }
 
+std::size_t VersionedStore::dead_prefix(std::span<const Version> chain, TOIndex floor) {
+  // Chains are ascending by index; `newer` is the first version a snapshot
+  // at `floor` cannot see, so the one before it is what that snapshot reads.
+  const auto newer = std::upper_bound(chain.begin(), chain.end(), floor,
+                                      [](TOIndex f, const Version& v) { return f < v.index; });
+  return newer == chain.begin() ? 0 : static_cast<std::size_t>(newer - chain.begin()) - 1;
+}
+
 const Value* VersionedStore::read_snapshot_ptr(ObjectId obj, TOIndex max_index) const {
   const Chain* chain = chain_of(obj);
   if (chain == nullptr || chain->empty()) return nullptr;
-  // Chains are ascending by index; find the last version with index <= max.
-  auto pos = std::upper_bound(chain->begin(), chain->end(), max_index,
-                              [](TOIndex m, const Version& v) { return m < v.index; });
-  if (pos == chain->begin()) return nullptr;  // object born after the snapshot
-  return &std::prev(pos)->value;
+  const Version& v = (*chain)[dead_prefix(*chain, max_index)];
+  return v.index <= max_index ? &v.value : nullptr;  // else born after the snapshot
 }
 
 const Value* VersionedStore::read_for_txn_ptr(TxnId txn, ObjectId obj) const {
@@ -103,9 +108,12 @@ void VersionedStore::install_version(ObjectId obj, TOIndex index, Value value) {
 }
 
 void VersionedStore::for_each_chain(
-    const std::function<void(ObjectId, std::span<const Version>)>& fn) const {
+    TOIndex floor, const std::function<void(ObjectId, std::span<const Version>)>& fn) const {
+  const auto visit = [&](ObjectId obj, std::span<const Version> chain) {
+    fn(obj, chain.subspan(dead_prefix(chain, floor)));
+  };
   for (ObjectId obj = 0; obj < dense_chains_.size(); ++obj) {
-    if (!dense_chains_[obj].empty()) fn(obj, dense_chains_[obj]);
+    if (!dense_chains_[obj].empty()) visit(obj, dense_chains_[obj]);
   }
   // Canonical ascending-ObjectId traversal of the sparse tail. This feeds
   // checkpoint serialization (DurableStore::do_checkpoint), so hash-order
@@ -120,7 +128,7 @@ void VersionedStore::for_each_chain(
     if (!chain.empty()) sparse_ids.push_back(obj);
   }
   std::sort(sparse_ids.begin(), sparse_ids.end());
-  for (ObjectId obj : sparse_ids) fn(obj, sparse_chains_.at(obj));
+  for (ObjectId obj : sparse_ids) visit(obj, sparse_chains_.at(obj));
 }
 
 void VersionedStore::reset_in_place() {
@@ -147,17 +155,14 @@ std::size_t VersionedStore::total_versions() const {
 }
 
 std::size_t VersionedStore::prune(TOIndex horizon) {
+  if (horizon == 0) return 0;  // no version is older than index 0
   std::size_t dropped = 0;
   const auto prune_chain = [&](Chain& chain) {
-    // Keep the newest version with index < horizon (still visible at horizon)
-    // plus everything >= horizon.
-    auto first_kept = std::lower_bound(
-        chain.begin(), chain.end(), horizon,
-        [](const Version& v, TOIndex h) { return v.index < h; });
-    if (first_kept == chain.begin()) return;
-    auto erase_end = std::prev(first_kept);  // newest pre-horizon version survives
-    dropped += static_cast<std::size_t>(std::distance(chain.begin(), erase_end));
-    chain.erase(chain.begin(), erase_end);
+    // Keep what snapshots from horizon - 1 on can read: the newest version
+    // with index < horizon plus everything >= horizon.
+    const std::size_t dead = dead_prefix(chain, horizon - 1);
+    dropped += dead;
+    chain.erase(chain.begin(), chain.begin() + static_cast<std::ptrdiff_t>(dead));
   };
   for (auto& chain : dense_chains_) prune_chain(chain);
   // DETLINT(order-insensitive): each chain is pruned independently against

@@ -100,10 +100,12 @@ class VersionedStore {
   /// overlaps the checkpoint re-applies harmlessly.
   void install_version(ObjectId obj, TOIndex index, Value value);
 
-  /// Visits every non-empty committed chain (versions ascending by index).
-  /// Dense ids first in ascending order, then sparse ids in map order -
-  /// checkpoint writers sort the result themselves.
+  /// Visits every non-empty committed chain in ascending ObjectId order,
+  /// trimmed to the versions a snapshot at or above `floor` can read
+  /// (ascending by index; floor 0 = whole chains). The durable checkpoint
+  /// writer saves exactly this.
   void for_each_chain(
+      TOIndex floor,
       const std::function<void(ObjectId, std::span<const Version>)>& fn) const;
 
   /// Drops all committed and provisional state, keeping allocations and -
@@ -129,6 +131,12 @@ class VersionedStore {
   static constexpr std::uint64_t kDefaultDenseObjects = 1 << 16;
 
   using Chain = std::vector<Version>;
+
+  /// The keep-rule behind snapshot reads, prune() and checkpoints: the
+  /// number of leading versions of `chain` that no snapshot at or above
+  /// `floor` can read. Everything from the newest version with index <=
+  /// floor onwards survives (the whole chain when no version is that old).
+  static std::size_t dead_prefix(std::span<const Version> chain, TOIndex floor);
 
   struct WriteSet {
     std::vector<WriteEntry> entries;  // unique objects, insertion order

@@ -129,7 +129,9 @@ class SegmentWriter {
 bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
                    IoEnv& io = IoEnv::real());
 
-/// Serialized checkpoint payload: per-class watermarks + full version chains.
+/// Serialized checkpoint payload: per-class watermarks + per-object version
+/// chains, ascending by index. DurableStore writes only the versions readable
+/// at or above its durable floor; whole chains restore just the same.
 struct CheckpointData {
   std::vector<TOIndex> class_watermarks;
   TOIndex max_index = 0;

@@ -9,6 +9,7 @@
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
+#include "core/otp_replica.h"
 #include "db/durable_store.h"
 #include "workload/workload.h"
 
@@ -146,6 +147,41 @@ TEST(Recovery, QueriesWorkAfterRecovery) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(as_int(reports[0].reads[0].second), 30)
       << "snapshot query at the recovered site must see the full replayed state";
+}
+
+TEST(Recovery, ParkedQueryDroppedByCrashLeavesNothingInFlight) {
+  // A query parks behind an update whose execution is still running; the
+  // crash drops it unanswered, and the drop must be counted or in_flight()
+  // never drains and quiesce() can never succeed.
+  Cluster cluster(recovery_config(8, 3));
+  const ProcId rmw = register_rmw_procedure(cluster.procedures(), cluster.catalog());
+  const ObjectId obj = cluster.catalog().object(0, 0);
+  cluster.sim().schedule_at(0, [&cluster, rmw] {
+    TxnArgs args;
+    args.ints = {1, 0};
+    cluster.replica(0).submit_update(rmw, 0, args, 200 * kMillisecond);
+  });
+  bool answered = false;
+  cluster.sim().schedule_at(20 * kMillisecond, [&cluster, &answered, obj] {
+    cluster.replica(1).submit_query([obj](QueryContext& ctx) { (void)ctx.read(obj); },
+                                    kMillisecond, [&answered](const QueryReport&) {
+                                      answered = true;
+                                    });
+  });
+  cluster.sim().schedule_at(50 * kMillisecond, [&cluster] {
+    EXPECT_EQ(cluster.replica(1).in_flight(), 2u) << "the update runs, the query is parked";
+    cluster.crash_site(1);
+  });
+  cluster.sim().schedule_at(60 * kMillisecond, [&] { cluster.recover_site(1); });
+  cluster.run_for(100 * kMillisecond);
+
+  ASSERT_TRUE(cluster.quiesce(10 * kSecond));
+  EXPECT_FALSE(answered);
+  EXPECT_EQ(cluster.replica(1).metrics().queries_dropped, 1u);
+  EXPECT_EQ(cluster.replica(1).in_flight(), 0u);
+  for (SiteId s = 0; s < 3; ++s) {
+    EXPECT_EQ(cluster.store(s).read_latest(obj), Value{std::int64_t{1}}) << "site " << s;
+  }
 }
 
 TEST(Recovery, RepeatedCrashRecoverCycles) {
@@ -335,6 +371,78 @@ TEST(Recovery, DurableRestartFromDiskConservativeEngine) {
   const auto& abcast = dynamic_cast<OptAbcast&>(cluster.abcast(2));
   EXPECT_FALSE(abcast.recovering());
   EXPECT_GT(abcast.stats().recovery_tombstones, 0u);
+}
+
+ReplicaFactory otp_factory() {
+  return [](const ReplicaDeps& d) {
+    return std::make_unique<OtpReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
+                                        d.site);
+  };
+}
+
+/// Cold-restarts site 2 under load after several checkpoints. A query
+/// submitted right after the restart must read at or above the recovered
+/// durable floor (the checkpoint keeps no older versions) and see what a
+/// live peer holds at its snapshot; a query in flight across the restart
+/// died with the site's RAM and is dropped, never answered.
+void expect_cold_restart_queries_start_at_floor(ReplicaFactory factory, std::uint64_t seed) {
+  ClusterConfig config = durable_recovery_config(seed, 3);
+  config.storage.checkpoint_interval = 100 * kMillisecond;
+  Cluster cluster(config, std::move(factory));
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 100;
+  wl.mean_exec_time = 2 * kMillisecond;
+  wl.duration = 1200 * kMillisecond;
+  WorkloadDriver driver(cluster, wl, 7);
+  driver.start();
+
+  const auto read_all_classes = [&cluster](QueryContext& ctx) {
+    for (ClassId c = 0; c < cluster.catalog().class_count(); ++c) {
+      for (std::uint64_t k = 0; k < 4; ++k) (void)ctx.read(cluster.catalog().object(c, k));
+    }
+  };
+  bool stale_answered = false;
+  cluster.sim().schedule_at(590 * kMillisecond, [&] {
+    cluster.replica(2).submit_query(read_all_classes, 400 * kMillisecond,
+                                    [&stale_answered](const QueryReport&) {
+                                      stale_answered = true;
+                                    });
+  });
+  cluster.sim().schedule_at(600 * kMillisecond, [&] { cluster.crash_site(2); });
+  RecoveredState recovered;
+  std::vector<QueryReport> reports;
+  cluster.sim().schedule_at(800 * kMillisecond, [&] {
+    recovered = cluster.restart_site_from_disk(2);
+    cluster.replica(2).submit_query(read_all_classes, kMillisecond,
+                                    [&reports](const QueryReport& r) { reports.push_back(r); });
+  });
+  cluster.run_for(wl.duration);
+  ASSERT_TRUE(cluster.quiesce(120 * kSecond));
+
+  ASSERT_EQ(cluster.wal_stats(2)->checkpoint_restores, 1u);
+  ASSERT_GT(recovered.durable_floor, 0u) << "checkpoints must have advanced the floor";
+  ASSERT_EQ(reports.size(), 1u);
+  const QueryReport& report = reports.front();
+  EXPECT_GE(report.snapshot_index, recovered.durable_floor);
+  ASSERT_EQ(report.reads.size(), cluster.catalog().class_count() * 4);
+  for (const auto& [obj, value] : report.reads) {
+    // Queries read a never-written object as 0.
+    const Value peer = cluster.store(0)
+                           .read_snapshot(obj, report.snapshot_index)
+                           .value_or(Value{std::int64_t{0}});
+    EXPECT_EQ(peer, value) << "object " << obj << " at snapshot " << report.snapshot_index;
+  }
+  EXPECT_FALSE(stale_answered) << "a query in flight across the restart must not answer";
+  EXPECT_EQ(cluster.replica(2).metrics().queries_dropped, 1u);
+  EXPECT_EQ(cluster.replica(2).in_flight(), 0u);
+}
+
+TEST(Recovery, ColdRestartQueriesStartAtDurableFloorOtp) {
+  expect_cold_restart_queries_start_at_floor(otp_factory(), 25);
+}
+
+TEST(Recovery, ColdRestartQueriesStartAtDurableFloorConservative) {
+  expect_cold_restart_queries_start_at_floor(conservative_factory(), 26);
 }
 
 TEST(Recovery, ConservativeWarmRecoveryConverges) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <vector>
 
 #include "db/durable_store.h"
@@ -382,6 +383,113 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
   const RecoveredState recovered = store.restart_from_disk();
   EXPECT_EQ(recovered.durable_floor, 60u);
   EXPECT_EQ(stats->checkpoint_restores, 1u);
+}
+
+/// Every committed version per object, ascending by index (index 0 = load).
+using History = std::map<ObjectId, std::vector<std::pair<TOIndex, Value>>>;
+
+/// Loads 8 objects, then commits `rounds` single-write transactions, one per
+/// millisecond, over checkpoints every 50 ms. Class 0 (objects 0-3) takes
+/// four indices in five, class 1 (objects 4-7) every fifth, so the durable
+/// floor is class 1's watermark and class 0's newer versions sit above it.
+/// Returns the ground truth of what was committed.
+History commit_rounds(Simulator& sim, DurableStore& store, int rounds) {
+  History truth;
+  for (ObjectId obj = 0; obj < 8; ++obj) {
+    store.load(obj, Value{std::int64_t{0}});
+    truth[obj].emplace_back(0, Value{std::int64_t{0}});
+  }
+  for (int i = 1; i <= rounds; ++i) {
+    const ClassId klass = i % 5 == 0 ? 1 : 0;
+    const ObjectId obj = klass == 1 ? 4 + (i / 5) % 4 : i % 4;
+    truth[obj].emplace_back(i, Value{std::int64_t{i}});
+    sim.schedule_at(i * kMillisecond, [&store, i, klass, obj] {
+      const TxnId txn = 0;
+      store.memory().write(txn, obj, Value{std::int64_t{i}});
+      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+    });
+  }
+  sim.run_until(sim.now() + (rounds + 200) * kMillisecond);  // incl. a final checkpoint
+  return truth;
+}
+
+StorageConfig frequent_checkpoints() {
+  StorageConfig config = durable_config();
+  config.checkpoint_interval = 50 * kMillisecond;
+  return config;
+}
+
+/// The newest version of `chain` with index <= `snapshot`.
+const Value& truth_at(const std::vector<std::pair<TOIndex, Value>>& chain, TOIndex snapshot) {
+  auto it = std::upper_bound(chain.begin(), chain.end(), snapshot,
+                             [](TOIndex s, const auto& v) { return s < v.first; });
+  return std::prev(it)->second;
+}
+
+TEST(DurableStore, CheckpointHoldsOnlyVersionsReadableAtItsFloor) {
+  TempDir tmp;
+  const fs::path dir = tmp.dir / "site-0";
+  Simulator sim;
+  DurableStore store(sim, frequent_checkpoints(), dir, 2, 8);
+  const History truth = commit_rounds(sim, store, 403);
+  EXPECT_GE(store.wal_stats()->checkpoints, 5u);
+
+  wal::CheckpointData ckpt;
+  ASSERT_TRUE(wal::read_checkpoint(dir / "checkpoint.bin", ckpt));
+  ASSERT_EQ(ckpt.class_watermarks, (std::vector<TOIndex>{403, 400}));
+  const TOIndex floor = 400;  // min(max_index, class watermarks)
+  ASSERT_EQ(ckpt.max_index, 403u);
+  ASSERT_EQ(ckpt.chains.size(), truth.size());
+  std::size_t above_floor = 0;
+  for (const auto& [obj, versions] : ckpt.chains) {
+    // Expected: the newest version at or below the floor, then every later one.
+    const auto& all = truth.at(obj);
+    auto later = std::upper_bound(all.begin(), all.end(), floor,
+                                  [](TOIndex f, const auto& v) { return f < v.first; });
+    const std::vector<std::pair<TOIndex, Value>> expected(std::prev(later), all.end());
+    EXPECT_EQ(versions, expected) << "object " << obj;
+    above_floor += static_cast<std::size_t>(all.end() - later);
+  }
+  EXPECT_EQ(above_floor, 3u) << "indices 401-403 sit above the floor";
+
+  // Restarting from the trimmed checkpoint serves every snapshot from the
+  // floor up exactly as the full history would.
+  store.crash();
+  EXPECT_EQ(store.restart_from_disk().durable_floor, floor);
+  for (const auto& [obj, chain] : truth) {
+    for (TOIndex s = floor; s <= 403; ++s) {
+      EXPECT_EQ(store.memory().read_snapshot(obj, s), truth_at(chain, s))
+          << "object " << obj << " snapshot " << s;
+    }
+  }
+
+  // A checkpoint written before trimming holds whole chains in the same
+  // format; restarting from one restores every snapshot.
+  ckpt.chains.assign(truth.begin(), truth.end());
+  ASSERT_TRUE(wal::write_checkpoint(dir / "checkpoint.bin", ckpt));
+  store.crash();
+  EXPECT_EQ(store.restart_from_disk().durable_floor, floor);
+  for (const auto& [obj, chain] : truth) {
+    for (TOIndex s = 0; s <= 403; ++s) {
+      EXPECT_EQ(store.memory().read_snapshot(obj, s), truth_at(chain, s))
+          << "object " << obj << " snapshot " << s;
+    }
+  }
+}
+
+TEST(DurableStore, CheckpointSizeDoesNotGrowWithHistory) {
+  // Same objects, same final phase (the run lengths are multiples of 20), 10x
+  // the history: a checkpoint of the live state is no larger.
+  const auto checkpoint_bytes = [](int rounds) {
+    TempDir tmp;
+    Simulator sim;
+    DurableStore store(sim, frequent_checkpoints(), tmp.dir / "site-0", 2, 8);
+    commit_rounds(sim, store, rounds);
+    return fs::file_size(tmp.dir / "site-0" / "checkpoint.bin");
+  };
+  const std::uintmax_t short_run = checkpoint_bytes(400);
+  const std::uintmax_t long_run = checkpoint_bytes(4000);
+  EXPECT_LE(long_run, short_run);
 }
 
 }  // namespace
