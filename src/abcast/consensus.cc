@@ -41,26 +41,13 @@ ConsensusHost::ConsensusHost(Simulator& sim, Network& net, FailureDetector& fd, 
 
 ConsensusHost::Instance& ConsensusHost::instance(std::uint64_t inst) { return instances_[inst]; }
 
-bool ConsensusHost::decided(std::uint64_t inst) const {
-  auto it = instances_.find(inst);
-  return it != instances_.end() && it->second.decided;
-}
-
 void ConsensusHost::crash_reset() {
   // Cancel round timers in ascending instance order: TimerWheel recycles
   // cancelled slots through a LIFO pool, so the cancel sequence dictates the
   // slot (and intra-bucket position) of every timer armed after the restart.
-  // Hash-order cancellation would make the post-recovery wheel layout a
-  // function of unordered_map internals.
-  std::vector<std::uint64_t> armed;
-  armed.reserve(instances_.size());
-  // DETLINT(order-insensitive): keys are collected then sorted; only the
-  // sorted order reaches wheel_.cancel below.
-  for (auto& [inst, in] : instances_) {
-    if (in.timer_armed) armed.push_back(inst);
+  for (Instance& in : instances_) {
+    if (in.timer_armed) wheel_.cancel(in.round_timer);
   }
-  std::sort(armed.begin(), armed.end());
-  for (std::uint64_t inst : armed) wheel_.cancel(instances_[inst].round_timer);
   instances_.clear();
 }
 
@@ -249,7 +236,14 @@ void ConsensusHost::decide(std::uint64_t inst, const Value& value, bool fast, bo
   }
   OTPDB_TRACE("consensus") << "site " << self_ << " decides inst " << inst << " ("
                            << (fast ? "fast" : "round") << ", " << value.size() << " msgs)";
-  if (on_decide_) on_decide_(inst, value);
+  // `value` may alias a proposal payload or coord_value: hand out the copy,
+  // and release the round state only once the callback has returned.
+  if (on_decide_) on_decide_(inst, in.decision);
+  in.est = {};
+  in.proposals = {};
+  in.estimates.clear();
+  in.acks.clear();
+  in.coord_value.clear();
 }
 
 void ConsensusHost::arm_round_timer(std::uint64_t inst) {

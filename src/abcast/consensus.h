@@ -34,13 +34,13 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "abcast/failure_detector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "sim/timer_wheel.h"
+#include "util/dense_deque.h"
 #include "util/types.h"
 
 namespace otpdb {
@@ -78,7 +78,6 @@ class ConsensusHost {
   /// Registers the decision callback (invoked exactly once per instance).
   void set_on_decide(DecideFn fn) { on_decide_ = std::move(fn); }
 
-  bool decided(std::uint64_t inst) const;
   const ConsensusStats& stats() const { return stats_; }
 
   /// Drops all per-instance state (crash recovery: consensus participation is
@@ -86,9 +85,15 @@ class ConsensusHost {
   void crash_reset();
 
  private:
+  /// Once decided, an instance keeps only `proposed`, `decided` and
+  /// `decision` (late messages and a late propose() read them); decide()
+  /// releases the round state.
   struct Instance {
     bool proposed = false;
     bool decided = false;
+    bool coord_proposed_round0 = false;
+    bool timer_armed = false;
+    TimerWheel::TimerId round_timer{};
     Value est;
     std::uint64_t ts = 0;  // round in which est was adopted (+1); 0 = initial
     std::uint64_t round = 0;
@@ -98,9 +103,6 @@ class ConsensusHost {
     std::map<std::uint64_t, std::map<SiteId, std::pair<std::uint64_t, Value>>> estimates;
     std::map<std::uint64_t, std::set<SiteId>> acks;
     std::map<std::uint64_t, Value> coord_value;  // what this site proposed as coordinator
-    bool coord_proposed_round0 = false;
-    TimerWheel::TimerId round_timer{};
-    bool timer_armed = false;
     Value decision;
   };
 
@@ -132,7 +134,8 @@ class ConsensusHost {
   /// arm/cancel and a single pending simulator event however many instances
   /// are in flight.
   TimerWheel wheel_{sim_};
-  std::unordered_map<std::uint64_t, Instance> instances_;  // node-based: refs stable
+  /// Indexed by instance number; growth keeps references stable.
+  DenseDeque<Instance> instances_;
   DecideFn on_decide_;
   ConsensusStats stats_;
 };

@@ -14,7 +14,8 @@ OptAbcast::OptAbcast(Simulator& sim, Network& net, FailureDetector& fd, SiteId s
       net_(net),
       self_(self),
       config_(config),
-      consensus_(sim, net, fd, self, config.consensus) {
+      consensus_(sim, net, fd, self, config.consensus),
+      msgs_(net.site_count()) {
   net_.subscribe(self_, kChannelData, [this](const Message& m) { on_data(m); });
   net_.subscribe(self_, kChannelRecovery, [this](const Message& m) { on_recovery_message(m); });
   consensus_.set_on_decide(
@@ -29,8 +30,10 @@ MsgId OptAbcast::broadcast(PayloadPtr payload) {
 
 void OptAbcast::set_callbacks(AbcastCallbacks callbacks) { callbacks_ = std::move(callbacks); }
 
+OptAbcast::MsgState& OptAbcast::state(const MsgId& id) { return msgs_[id.sender][id.seq]; }
+
 void OptAbcast::on_data(const Message& msg) {
-  MsgState& st = msgs_[msg.id];  // single hash probe for the whole event
+  MsgState& st = state(msg.id);  // single lookup for the whole event
   if (st.arrived) return;        // late retransmit of a fetched body
   st.arrived = true;
   st.body = msg.payload;
@@ -50,7 +53,7 @@ void OptAbcast::on_data(const Message& msg) {
 
 void OptAbcast::consider_stage() {
   if (stage_timer_armed_ || pending_.empty()) return;
-  if (next_propose_ - next_apply_ >= config_.max_outstanding_stages) return;
+  if (next_propose_ - next_apply() >= config_.max_outstanding_stages) return;
   if (config_.batch_delay > 0) {
     stage_timer_armed_ = true;
     // Epoch-aligned batching: open stages at global multiples of batch_delay
@@ -67,7 +70,7 @@ void OptAbcast::consider_stage() {
 
 void OptAbcast::start_stage() {
   if (pending_.empty()) return;
-  if (next_propose_ - next_apply_ >= config_.max_outstanding_stages) return;
+  if (next_propose_ - next_apply() >= config_.max_outstanding_stages) return;
   // Propose aged messages (arrived before cutoff) not already sitting in an
   // undecided stage; fresher arrivals wait so all sites propose the same set.
   const SimTime cutoff = sim_.now() - config_.alignment_window;
@@ -76,6 +79,7 @@ void OptAbcast::start_stage() {
     if (proposal.size() >= config_.max_batch) break;
     if (st->opt_time > cutoff) break;  // arrival order: the rest is fresher
     if (st->in_proposal) continue;
+    st->in_proposal = true;
     proposal.push_back(id);
   }
   if (proposal.empty()) {
@@ -93,7 +97,6 @@ void OptAbcast::start_stage() {
     return;
   }
   const std::uint64_t inst = next_propose_++;
-  for (const MsgId& id : proposal) msgs_[id].in_proposal = true;
   my_proposals_[inst] = proposal;
   OTPDB_TRACE("optabcast") << "site " << self_ << " proposes stage " << inst << " with "
                            << proposal.size() << " msgs";
@@ -105,28 +108,36 @@ void OptAbcast::on_decide(std::uint64_t inst, const std::vector<MsgId>& sequence
   // A decision may arrive twice on a recovering site: once through the
   // catch-up response and once through its own consensus participation.
   // Consensus agreement guarantees both carry the same sequence; apply once.
-  if (inst < next_apply_) return;
-  decided_buffer_.emplace(inst, sequence);
-  while (true) {
-    auto it = decided_buffer_.find(next_apply_);
-    if (it == decided_buffer_.end()) break;
-    apply_decision(next_apply_, it->second);
-    decided_buffer_.erase(it);
-    ++next_apply_;
+  if (inst < next_apply()) return;
+  if (inst == next_apply()) {
+    apply_decision(sequence);  // in order: no need to buffer it
+  } else {
+    decided_buffer_.emplace(inst, sequence);
   }
+  apply_buffered();
   drain_decided();
   consider_stage();
 }
 
-void OptAbcast::apply_decision(std::uint64_t inst, const std::vector<MsgId>& sequence) {
-  decision_log_[inst] = sequence;
+void OptAbcast::apply_buffered() {
+  // Every buffered stage is >= next_apply(), so the map's first entry is the
+  // only candidate.
+  auto it = decided_buffer_.begin();
+  while (it != decided_buffer_.end() && it->first == next_apply()) {
+    apply_decision(std::move(it->second));
+    it = decided_buffer_.erase(it);
+  }
+}
+
+void OptAbcast::apply_decision(std::vector<MsgId> sequence) {
+  const std::uint64_t inst = next_apply();
   for (const MsgId& id : sequence) {
     // With pipelined stages a message can appear in two decided sequences
     // (proposed for stage r+1 at this site while stage r's decision, formed
     // elsewhere, already contained it). Deliver on first occurrence only;
     // this is deterministic because every site applies decisions in stage
     // order.
-    MsgState& st = msgs_[id];  // may create: decision can precede the body
+    MsgState& st = state(id);  // may create: decision can precede the body
     if (st.ordered) continue;
     st.ordered = true;
     st.in_proposal = false;
@@ -137,7 +148,7 @@ void OptAbcast::apply_decision(std::uint64_t inst, const std::vector<MsgId>& seq
   auto mine = my_proposals_.find(inst);
   if (mine != my_proposals_.end()) {
     for (const MsgId& id : mine->second) {
-      MsgState& st = msgs_[id];
+      MsgState& st = state(id);
       if (!st.ordered) st.in_proposal = false;
     }
     my_proposals_.erase(mine);
@@ -147,6 +158,7 @@ void OptAbcast::apply_decision(std::uint64_t inst, const std::vector<MsgId>& seq
   // Drop ordered messages from the local pending list (they may sit at any
   // position if the tentative order disagreed with the decision).
   std::erase_if(pending_, [](const MsgRef& p) { return p.second->ordered; });
+  decision_log_.push_back(std::move(sequence));
 }
 
 void OptAbcast::drain_decided() {
@@ -217,10 +229,9 @@ constexpr std::size_t kBodyBatch = 64;
 void OptAbcast::crash_reset() {
   pending_.clear();
   decided_queue_.clear();
-  msgs_.clear();  // after the queues: they hold pointers into it
+  for (auto& table : msgs_) table.clear();  // after the queues: they point into it
   decided_buffer_.clear();
   my_proposals_.clear();
-  next_apply_ = 0;
   next_propose_ = 0;
   next_index_ = 1;
   own_inflight_ = 0;
@@ -245,7 +256,7 @@ void OptAbcast::send_catch_up_request() {
   ++catch_up_round_;
   auto request = std::make_shared<RecoveryPayload>();
   request->kind = RecoveryKind::catch_up_request;
-  request->from_stage = next_apply_;
+  request->from_stage = next_apply();
   net_.multicast(self_, kChannelRecovery, std::move(request));
   // Retry until caught up: responses are idempotent, and load may be idle.
   sim_.schedule_after(100 * kMillisecond, [this] { send_catch_up_request(); });
@@ -277,7 +288,7 @@ void OptAbcast::request_missing_bodies() {
 }
 
 void OptAbcast::deliver_fetched_body(const MsgId& id, PayloadPtr payload) {
-  MsgState& st = msgs_[id];
+  MsgState& st = state(id);
   if (st.arrived) return;
   st.arrived = true;
   st.body = payload;
@@ -299,9 +310,8 @@ void OptAbcast::on_recovery_message(const Message& msg) {
       // requester it is already caught up.
       auto response = std::make_shared<RecoveryPayload>();
       response->kind = RecoveryKind::catch_up_response;
-      for (auto it = decision_log_.lower_bound(p->from_stage); it != decision_log_.end();
-           ++it) {
-        response->decisions.emplace_back(it->first, it->second);
+      for (std::uint64_t stage = p->from_stage; stage < decision_log_.size(); ++stage) {
+        response->decisions.emplace_back(stage, decision_log_[stage]);
       }
       net_.unicast(self_, msg.from, kChannelRecovery, std::move(response));
       break;
@@ -309,17 +319,11 @@ void OptAbcast::on_recovery_message(const Message& msg) {
     case RecoveryKind::catch_up_response: {
       bool progressed = false;
       for (const auto& [stage, sequence] : p->decisions) {
-        if (stage < next_apply_ || decided_buffer_.contains(stage)) continue;
+        if (stage < next_apply() || decided_buffer_.contains(stage)) continue;
         decided_buffer_.emplace(stage, sequence);
         progressed = true;
       }
-      while (true) {
-        auto it = decided_buffer_.find(next_apply_);
-        if (it == decided_buffer_.end()) break;
-        apply_decision(next_apply_, it->second);
-        decided_buffer_.erase(it);
-        ++next_apply_;
-      }
+      apply_buffered();
       drain_decided();
       consider_stage();
       // Caught up once a response brings nothing new and no delivery blocks.
@@ -331,10 +335,8 @@ void OptAbcast::on_recovery_message(const Message& msg) {
       auto response = std::make_shared<RecoveryPayload>();
       response->kind = RecoveryKind::body_response;
       for (const MsgId& id : p->subjects) {
-        auto it = msgs_.find(id);
-        if (it != msgs_.end() && it->second.body) {
-          response->bodies.emplace_back(id, it->second.body);
-        }
+        const MsgState* st = msgs_[id.sender].find(id.seq);
+        if (st != nullptr && st->body) response->bodies.emplace_back(id, st->body);
       }
       OTPDB_DEBUG("optabcast") << "site " << self_ << " serves " << response->bodies.size()
                                << "/" << p->subjects.size() << " bodies to " << msg.from;

@@ -32,8 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "abcast/abcast.h"
@@ -41,6 +39,7 @@
 #include "net/network.h"
 #include "sim/timer_wheel.h"
 #include "sim/simulator.h"
+#include "util/dense_deque.h"
 
 namespace otpdb {
 
@@ -88,12 +87,6 @@ class OptAbcast final : public AtomicBroadcast {
   /// Next definitive index this site will assign (== TO-delivered count + 1).
   TOIndex next_index() const { return next_index_; }
 
-  /// Applied decisions by stage (also the recovery catch-up source). Exposed
-  /// for chaos-test forensics: agreement means these match across sites.
-  const std::map<std::uint64_t, std::vector<MsgId>>& decision_log() const {
-    return decision_log_;
-  }
-
   // -- Crash recovery (paper model: sites always recover) -------------------
   //
   // A crash wipes this endpoint's volatile protocol state (arrived bodies,
@@ -119,7 +112,12 @@ class OptAbcast final : public AtomicBroadcast {
   void consider_stage();
   void start_stage();
   void on_decide(std::uint64_t inst, const std::vector<MsgId>& sequence);
-  void apply_decision(std::uint64_t inst, const std::vector<MsgId>& sequence);
+  /// Lowest stage this site has not applied yet (the log is append-only).
+  std::uint64_t next_apply() const { return decision_log_.size(); }
+  /// Applies (and logs) the decision for stage next_apply().
+  void apply_decision(std::vector<MsgId> sequence);
+  /// Applies buffered decisions while the next stage in order is among them.
+  void apply_buffered();
   void drain_decided();
   void on_recovery_message(const Message& msg);
   void request_missing_bodies();
@@ -127,9 +125,10 @@ class OptAbcast final : public AtomicBroadcast {
   void deliver_fetched_body(const MsgId& id, PayloadPtr payload);
 
   /// Everything this site knows about one message, consolidated so each
-  /// protocol event costs a single MsgId hash probe instead of one per
-  /// bookkeeping structure. Entries are never erased outside crash_reset, so
-  /// pointers into the map stay valid and the hot queues carry them directly.
+  /// protocol event costs a single table lookup instead of one per
+  /// bookkeeping structure. Entries live in per-sender tables indexed by
+  /// sequence number (msgs_) and are never erased outside crash_reset, so
+  /// pointers to them stay valid and the hot queues carry them directly.
   struct MsgState {
     SimTime opt_time = 0;  // arrival time: alignment cutoff + gap statistic
     PayloadPtr body;       // cached to serve recovering peers
@@ -139,6 +138,9 @@ class OptAbcast final : public AtomicBroadcast {
   };
   using MsgRef = std::pair<MsgId, MsgState*>;
 
+  /// The state of `id`, created if this site has not seen it yet.
+  MsgState& state(const MsgId& id);
+
   Simulator& sim_;
   Network& net_;
   SiteId self_;
@@ -147,12 +149,14 @@ class OptAbcast final : public AtomicBroadcast {
   ConsensusHost consensus_;
   AbcastCallbacks callbacks_;
 
-  std::unordered_map<MsgId, MsgState> msgs_;
+  /// Per sender, indexed by sequence number. The network numbers a sender's
+  /// messages densely across all channels, so the slots of its consensus,
+  /// failure-detector and recovery messages stay default (32 B each).
+  std::vector<DenseDeque<MsgState>> msgs_;
   std::deque<MsgRef> pending_;        // arrived, not yet definitively ordered
   std::deque<MsgRef> decided_queue_;  // decided, awaiting TO-delivery
   std::map<std::uint64_t, std::vector<MsgId>> decided_buffer_;  // out-of-order decisions
   std::map<std::uint64_t, std::vector<MsgId>> my_proposals_;    // per in-flight stage
-  std::uint64_t next_apply_ = 0;    // lowest undecided stage at this site
   std::uint64_t next_propose_ = 0;  // next stage this site will propose for
   bool stage_timer_armed_ = false;
   TOIndex next_index_ = 1;
@@ -165,7 +169,9 @@ class OptAbcast final : public AtomicBroadcast {
   std::vector<ToDelivery> drain_scratch_;  // reused burst buffer (drain_decided)
 
   // Recovery support (message bodies are cached in msgs_[].body).
-  std::map<std::uint64_t, std::vector<MsgId>> decision_log_;     // stage -> decided sequence
+  /// Decided sequences by stage. Append-only: after every reset, decisions
+  /// are applied in stage order from 0.
+  std::vector<std::vector<MsgId>> decision_log_;
   bool recovering_ = false;
   bool body_request_outstanding_ = false;
   /// Retransmission timer on wheel_ (cancelled by the body_response in the

@@ -146,8 +146,8 @@ void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
     // still advance past the empty slot, with a wake for waiting queries.
     const TOIndex index = txn->to_index;
     ++metrics_.deadline_expired_queue;
-    for (ClassId c : classes) queries_.note_committed(c, index, /*wake=*/false);
-    queries_.wake_waiters(index);
+    for (ClassId c : classes) queries_.note_committed(c, index);
+    queries_.finish_commit(index);
     txns_.retire(txn);
     return;
   }
@@ -232,7 +232,7 @@ void ConservativeReplica::on_complete(TxnRecord* txn) {
     record.reads = txn->last_reads;
   }
 
-  backend_.commit(txn->tid, txn->to_index, classes);
+  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
   for (ClassId c : classes) queues_[c].remove_head(txn);
   --queued_;
 
@@ -252,8 +252,8 @@ void ConservativeReplica::on_complete(TxnRecord* txn) {
   }
   // Advance every covered watermark before waking waiters (multi-domain
   // commit protocol of the QueryEngine).
-  for (ClassId c : classes) queries_.note_committed(c, committed_index, /*wake=*/false);
-  queries_.wake_waiters(committed_index);
+  for (ClassId c : classes) queries_.note_committed(c, committed_index);
+  queries_.finish_commit(committed_index);
   txns_.retire(txn);  // the record slot is recycled by the next acquire
 }
 

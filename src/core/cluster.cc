@@ -95,10 +95,6 @@ void Cluster::build(ReplicaFactory factory) {
   }
 }
 
-OtpReplica* Cluster::otp(SiteId site) {
-  return dynamic_cast<OtpReplica*>(replicas_[site].get());
-}
-
 void Cluster::recover_site(SiteId site) {
   OTPDB_CHECK(site < config_.n_sites);
   auto* abcast = dynamic_cast<OptAbcast*>(abcasts_[site].get());
@@ -147,14 +143,6 @@ std::uint64_t Cluster::total_committed() const {
   std::uint64_t n = 0;
   for (const auto& replica : replicas_) n += replica->metrics().committed;
   return n;
-}
-
-std::size_t Cluster::prune_all_versions() {
-  std::size_t dropped = 0;
-  for (SiteId s = 0; s < config_.n_sites; ++s) {
-    if (OtpReplica* replica = otp(s)) dropped += replica->prune_versions();
-  }
-  return dropped;
 }
 
 }  // namespace otpdb

@@ -130,9 +130,6 @@ class Cluster {
     return total;
   }
 
-  /// The OTP view of a replica, or nullptr if a different engine runs there.
-  OtpReplica* otp(SiteId site);
-
   /// Loads an initial value at every site's store (index-0 version).
   void load_everywhere(ObjectId obj, Value value);
 
@@ -182,10 +179,6 @@ class Cluster {
 
   /// Sum of committed transactions across sites / per-site metrics access.
   std::uint64_t total_committed() const;
-
-  /// Runs version garbage collection at every OTP site. Returns total
-  /// versions dropped (non-OTP engines are skipped).
-  std::size_t prune_all_versions();
 
  private:
   void build(ReplicaFactory factory);

@@ -258,8 +258,8 @@ void LockTableReplica::commit(TxnRecord* txn) {
     record.reads = txn->last_reads;
   }
 
-  backend_.commit(txn->tid, txn->to_index,
-                  std::span<const ClassId>(&txn->request->klass, 1));
+  backend_.commit(txn->tid, txn->to_index, std::span<const ClassId>(&txn->request->klass, 1),
+                  queries_.gc_horizon());
   const std::vector<ObjectId> objects = txn->request->access_set;
   for (ObjectId obj : objects) {
     ObjectQueue& queue = queues_[obj];
@@ -267,9 +267,9 @@ void LockTableReplica::commit(TxnRecord* txn) {
     queue.erase(queue.begin());
     // Multi-domain commit protocol: advance every covered watermark first,
     // wake waiters once below (so no query observes a half-committed state).
-    queries_.note_committed(QueryEngine::Domain{obj}, txn->to_index, /*wake=*/false);
+    queries_.note_committed(QueryEngine::Domain{obj}, txn->to_index);
   }
-  queries_.wake_waiters(txn->to_index);
+  queries_.finish_commit(txn->to_index);
 
   ++metrics_.committed;
   if (txn->request->origin == self_) {

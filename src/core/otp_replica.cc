@@ -272,8 +272,8 @@ void OtpReplica::retire_expired(TxnRecord* txn) {
   // wake): a query waiting on this index would otherwise block forever, and
   // the recovery replay relies on the watermark covering dropped slots. Reads
   // at this index fall back to the predecessor version - a drop is a no-op.
-  for (ClassId c : classes) queries_.note_committed(c, index, /*wake=*/false);
-  queries_.wake_waiters(index);
+  for (ClassId c : classes) queries_.note_committed(c, index);
+  queries_.finish_commit(index);
   cancel_ticket_watchdog(txn);
   promote_heads(classes);  // before retire: `classes` views the request
   txns_.retire(txn);
@@ -444,7 +444,7 @@ void OtpReplica::commit(TxnRecord* txn) {
     record.reads = txn->last_reads;
   }
 
-  backend_.commit(txn->tid, txn->to_index, classes);
+  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
   for (ClassId c : classes) queues_[c].remove_head(txn);
 
   ++metrics_.committed;
@@ -462,8 +462,8 @@ void OtpReplica::commit(TxnRecord* txn) {
 
   // Advance every covered class watermark before waking waiters, so a query
   // spanning several covered classes never observes a half-committed state.
-  for (ClassId c : classes) queries_.note_committed(c, committed_index, /*wake=*/false);
-  queries_.wake_waiters(committed_index);
+  for (ClassId c : classes) queries_.note_committed(c, committed_index);
+  queries_.finish_commit(committed_index);
   if (config_.paranoid_checks) check_invariants(txn);
   cancel_ticket_watchdog(txn);
   // E3/CC4: removing txn may promote the next head of every covered queue to

@@ -108,10 +108,6 @@ class OtpReplica final : public ReplicaBase {
   /// Introspection for tests: the MsgId -> TxnId interner.
   const TxnIdInterner& interner() const { return txns_.interner(); }
 
-  /// Garbage-collects versions no active or future snapshot can reach.
-  /// Returns the number of versions dropped. Safe to call at any time.
-  std::size_t prune_versions() { return store_.prune(queries_.gc_horizon()); }
-
   // Direct event entry points (public so unit tests can drive the modules
   // without a network; production wiring goes through the abcast callbacks).
   void on_opt_deliver(const Message& msg);

@@ -53,9 +53,23 @@ void QueryEngine::submit(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
 }
 
 void QueryEngine::advance_to_index(TOIndex index) {
-  if (index <= durable_floor_) return;  // catch-up below the restored floor
+  if (index <= committed_floor_) return;  // replay below the snapshot floor
   OTPDB_CHECK(index > last_to_index_);
+  // The engines deliver indices contiguously; any skipped over (only unit
+  // tests do that) stay outstanding, so the floor never passes an index it
+  // has not seen finish.
+  done_.resize(index - committed_floor_, false);
   last_to_index_ = index;
+}
+
+void QueryEngine::mark_done(TOIndex index) {
+  if (index <= committed_floor_) return;
+  OTPDB_CHECK_MSG(index <= last_to_index_, "finished an index never TO-delivered");
+  done_[index - committed_floor_ - 1] = true;
+  while (!done_.empty() && done_.front()) {
+    done_.pop_front();
+    ++committed_floor_;
+  }
 }
 
 void QueryEngine::note_to_delivered(Domain domain, TOIndex index) {
@@ -63,15 +77,16 @@ void QueryEngine::note_to_delivered(Domain domain, TOIndex index) {
   auto& history = to_history_[domain];
   OTPDB_ASSERT(history.empty() || history.back() < index);
   history.push_back(index);
+  if (index <= last_committed_[domain]) mark_done(index);  // replay: committed pre-crash
 }
 
-void QueryEngine::note_committed(Domain domain, TOIndex index, bool wake) {
+void QueryEngine::note_committed(Domain domain, TOIndex index) {
   OTPDB_ASSERT(last_committed_[domain] < index);
   last_committed_[domain] = index;
-  if (wake) wake_waiters(index);
 }
 
-void QueryEngine::wake_waiters(TOIndex index) {
+void QueryEngine::finish_commit(TOIndex index) {
+  mark_done(index);
   const auto first = std::lower_bound(
       waiters_.begin(), waiters_.end(), index,
       [](const Waiter& w, TOIndex idx) { return w.index < idx; });
@@ -87,7 +102,10 @@ void QueryEngine::wake_waiters(TOIndex index) {
 
 void QueryEngine::reset_volatile() {
   for (auto& history : to_history_) history.clear();
-  last_to_index_ = durable_floor_;
+  // Everything at or below the committed floor is in the store, and GC kept
+  // the versions a snapshot there reads.
+  last_to_index_ = committed_floor_;
+  done_.clear();
   for (QuerySlot slot = 0; slot < pool_.size(); ++slot) {
     if (!pool_[slot].live) continue;
     sim_.cancel(pool_[slot].first_run);  // no-op for parked queries: it fired
@@ -105,17 +123,20 @@ void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain,
     OTPDB_ASSERT(last_committed_[d] >= durable_floor);
   }
   durable_floor_ = durable_floor;
+  committed_floor_ = durable_floor;
   last_to_index_ = durable_floor;
+  done_.clear();
 }
 
 TOIndex QueryEngine::gc_horizon() const {
-  // The oldest snapshot still readable is q_min = min(active, last_to_index);
-  // a read at q_min needs the newest version with index <= q_min, which
-  // VersionedStore::prune(h) preserves when h = q_min + 1 (it keeps the
-  // newest version strictly below the horizon).
+  // Future snapshots start at last_to_index, and a warm recovery restarts
+  // them at the committed floor, so the oldest snapshot a read can still use
+  // is q_min = min(active, committed floor). A read at q_min needs the newest
+  // version with index <= q_min, which VersionedStore::commit keeps when the
+  // horizon is q_min + 1.
   const TOIndex q_min = active_snapshots_.empty()
-                            ? last_to_index_
-                            : std::min(last_to_index_, active_snapshots_.begin()->first);
+                            ? committed_floor_
+                            : std::min(committed_floor_, active_snapshots_.begin()->first);
   return q_min + 1;
 }
 
@@ -123,13 +144,14 @@ TOIndex QueryEngine::snapshot_bound(Domain domain, TOIndex snapshot) const {
   const auto& history = to_history_[domain];
   auto it = std::upper_bound(history.begin(), history.end(), snapshot);
   const TOIndex from_history = it == history.begin() ? 0 : *std::prev(it);
-  // After a cold restart, indices at or below the durable floor were
-  // TO-delivered as body-less tombstones and never entered the history, but
-  // their versions were rebuilt from checkpoint + WAL and every domain's
-  // watermark covers the floor, so the floor safely stands in for them.
-  // durable_floor_ is 0 outside durable restarts, making this exactly the
-  // pre-storage-tier bound in normal operation.
-  return std::max(from_history, std::min(snapshot, durable_floor_));
+  // Indices at or below the committed floor may be missing from the history
+  // (a recovery cleared it, or they arrived as tombstones), but every one of
+  // them is committed or dropped here, so the domain's youngest is at most
+  // its commit watermark. Capped there, the floor stands in for them and an
+  // idle domain never waits. The stand-in never exceeds the watermark, so in
+  // normal operation the bound waits exactly when the history alone would.
+  return std::max(from_history,
+                  std::min({snapshot, committed_floor_, last_committed_[domain]}));
 }
 
 Value QueryEngine::read(ObjectId obj, TOIndex snapshot) const {

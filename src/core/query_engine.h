@@ -10,9 +10,15 @@
 // observes the version written by the youngest domain transaction with
 // definitive index <= i, waiting for that transaction's local commit when it
 // is still in flight.
+//
+// It also tracks the site's *committed floor*: every definitive index at or
+// below it is committed (or dropped) here. A warm recovery restarts
+// snapshots there, and together with the oldest live snapshot it bounds
+// which versions the store must keep (gc_horizon).
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,23 +53,24 @@ class QueryEngine {
 
   /// Engine notification: a transaction covering `domain` was TO-delivered
   /// with `index`. For multi-domain transactions call once per domain after a
-  /// single advance_to_index().
+  /// single advance_to_index(). An index at or below the domain's commit
+  /// watermark is a recovery replay and counts as done for the floor.
   void note_to_delivered(Domain domain, TOIndex index);
 
   /// Advances the site's highest processed definitive index (call exactly
   /// once per TO-delivery, before the per-domain notifications). Indices at
-  /// or below durable_floor() were applied from disk and leave it unchanged.
+  /// or below committed_floor() are replays and leave it unchanged.
   void advance_to_index(TOIndex index);
 
-  /// Engine notification: a transaction covering `domain` committed with
-  /// `index`. Wakes queries that were waiting on that commit. A multi-domain
-  /// commit passes wake = false per domain (so no query observes a state
-  /// where only some covered watermarks moved) and calls wake_waiters(index)
-  /// once afterwards.
-  void note_committed(Domain domain, TOIndex index, bool wake = true);
-  /// Wakes queries waiting on `index` without touching domain watermarks
-  /// (multi-domain commit: call after per-domain note_committed calls).
-  void wake_waiters(TOIndex index);
+  /// Engine notification: a transaction covering `domain` committed (or was
+  /// dropped) with `index`. Call once per covered domain, then
+  /// finish_commit(index) once, so no query observes a state where only
+  /// some covered watermarks moved.
+  void note_committed(Domain domain, TOIndex index);
+  /// Finishes the commit (or drop) of `index`, once per index: raises the
+  /// committed floor past it when nothing older is outstanding and wakes
+  /// the queries waiting on it.
+  void finish_commit(TOIndex index);
 
   /// Highest definitive index processed at this site.
   TOIndex last_to_index() const { return last_to_index_; }
@@ -76,18 +83,19 @@ class QueryEngine {
   TOIndex last_committed(Domain domain) const { return last_committed_[domain]; }
 
   /// Crash recovery: clears volatile state (TO-delivery history, snapshot
-  /// index back to durable_floor()) while keeping the per-domain durable
-  /// commit watermarks. The history is rebuilt by the redo replay. Queries
-  /// not yet answered - parked or still scheduled - die with the site: they
-  /// are dropped unanswered and counted in ReplicaMetrics::queries_dropped.
+  /// index back to committed_floor(), never below) while keeping the
+  /// per-domain commit watermarks. The history is rebuilt by the redo
+  /// replay. Queries not yet answered - parked or still scheduled - die with
+  /// the site: they are dropped unanswered and counted in
+  /// ReplicaMetrics::queries_dropped.
   void reset_volatile();
 
   /// Cold restart: overwrites the per-domain commit watermarks with the
   /// durable tier's recovered marks (possibly LOWER than before the crash -
-  /// the unflushed group-commit tail died with RAM) and starts snapshots at
-  /// `durable_floor` (the min of those marks): the rebuilt store holds no
-  /// version that only an older snapshot could read. Domains beyond the span
-  /// reset to 0. Call after reset_volatile().
+  /// the unflushed group-commit tail died with RAM) and starts snapshots and
+  /// the committed floor at `durable_floor` (the min of those marks): the
+  /// rebuilt store holds no version that only an older snapshot could read.
+  /// Domains beyond the span reset to 0. Call after reset_volatile().
   void restore_watermarks(std::span<const TOIndex> per_domain, TOIndex durable_floor);
 
   /// The floor of the last cold restart (0 without one): every definitive
@@ -95,10 +103,15 @@ class QueryEngine {
   /// as a body-less tombstone.
   TOIndex durable_floor() const { return durable_floor_; }
 
-  /// The oldest version index any present or future snapshot read can still
-  /// require: min(active query snapshots, last_to_index). Safe argument for
-  /// VersionedStore::prune (versions strictly older than the horizon are
-  /// unreachable except the newest one per object, which prune keeps).
+  /// One below the lowest TO-delivered index not yet committed or dropped
+  /// here (last_to_index() when nothing is outstanding). Only rises, except
+  /// that a cold restart winds it back to the durable floor.
+  TOIndex committed_floor() const { return committed_floor_; }
+
+  /// GC horizon for VersionedStore::commit: min(oldest live query snapshot,
+  /// committed floor) + 1. Every present or future snapshot is at or above
+  /// horizon - 1, so a chain only needs its newest version below the
+  /// horizon plus everything newer.
   TOIndex gc_horizon() const;
 
  private:
@@ -127,6 +140,9 @@ class QueryEngine {
 
   QuerySlot acquire_slot();
   void release_slot(QuerySlot slot);
+  /// Marks `index` committed or dropped and raises the committed floor over
+  /// the done prefix.
+  void mark_done(TOIndex index);
   void run(QuerySlot slot);
   Value read(ObjectId obj, TOIndex snapshot) const;  // throws detail::SnapshotNotReady
 
@@ -137,15 +153,19 @@ class QueryEngine {
 
   std::vector<std::vector<TOIndex>> to_history_;  // per domain, ascending
   std::vector<TOIndex> last_committed_;           // per domain
-  /// Set by a cold restart: indices <= it were restored from disk without
-  /// entering to_history_, and no snapshot starts below it. 0 in normal
-  /// operation.
+  /// Set by a cold restart: indices <= it were restored from disk and may
+  /// arrive as tombstones. 0 in normal operation.
   TOIndex durable_floor_ = 0;
+  TOIndex committed_floor_ = 0;
+  /// Indices (committed_floor_, last_to_index_]: true once committed or
+  /// dropped. The front is always false, so the window spans only what is
+  /// still in flight.
+  std::deque<bool> done_;
   TOIndex last_to_index_ = 0;
   std::vector<RunningQuery> pool_;       // slot-indexed, recycled
   std::vector<QuerySlot> free_slots_;
   std::vector<Waiter> waiters_;          // sorted by index, FIFO within ties
-  std::vector<QuerySlot> wake_scratch_;  // reused by wake_waiters
+  std::vector<QuerySlot> wake_scratch_;  // reused by finish_commit
   std::map<TOIndex, std::size_t> active_snapshots_;  // snapshot -> live queries
 };
 

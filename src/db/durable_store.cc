@@ -57,7 +57,8 @@ void DurableStore::load(ObjectId obj, Value value) {
   schedule_flush();
 }
 
-void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> classes) {
+void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
+                          TOIndex horizon) {
   if (health_ != StorageHealth::failed) {
     // Encode from the provisional write-set BEFORE the in-memory commit
     // consumes it. The span is already sorted by object, so the record bytes
@@ -75,7 +76,9 @@ void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> cla
     }
     pending_max_index_ = std::max(pending_max_index_, index);
   }
-  store_.commit(txn, index);
+  // The next checkpoint saves each chain from its newest version at or below
+  // the durable floor (which only rises), so GC must keep that version.
+  store_.commit(txn, index, std::min(horizon, durable_floor() + 1));
   schedule_flush();
   schedule_checkpoint();
 }

@@ -83,7 +83,8 @@ class DurableStore final : public StorageBackend {
   ~DurableStore() override;
 
   void load(ObjectId obj, Value value) override;
-  void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes) override;
+  void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
+              TOIndex horizon) override;
   void crash() override;
   void reopen() override;
   RecoveredState restart_from_disk() override;

@@ -103,10 +103,13 @@ class StorageBackend {
 
   /// Promotes `txn`'s provisional writes to committed versions at `index`.
   /// `classes` names the conflict classes the transaction covers (ascending)
-  /// - the durable backend advances one watermark per class.
-  virtual void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes) {
+  /// - the durable backend advances one watermark per class. `horizon` is
+  /// the engine's GC horizon (see VersionedStore::commit); the durable
+  /// backend caps it so checkpoints still find what they save.
+  virtual void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
+                      TOIndex horizon) {
     (void)classes;
-    store_.commit(txn, index);
+    store_.commit(txn, index, horizon);
   }
 
   /// Discards `txn`'s provisional writes (undo - never hits the log).

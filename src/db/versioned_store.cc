@@ -71,7 +71,7 @@ void VersionedStore::WriteSet::ensure_sorted() {
   sorted = true;
 }
 
-void VersionedStore::commit(TxnId txn, TOIndex index) {
+void VersionedStore::commit(TxnId txn, TOIndex index, TOIndex horizon) {
   OTPDB_CHECK(index > 0);
   if (txn >= provisional_.size()) return;  // read-only or write-free transaction
   WriteSet& ws = provisional_[txn];
@@ -82,6 +82,12 @@ void VersionedStore::commit(TxnId txn, TOIndex index) {
                     "commit indices must ascend per object");
     if (chain.empty()) ++live_objects_;
     chain.push_back(Version{index, std::move(value)});
+    // Keep what snapshots from horizon - 1 on can read: the newest version
+    // with index < horizon plus everything newer.
+    if (horizon > 0) {
+      const std::size_t dead = dead_prefix(chain, horizon - 1);
+      chain.erase(chain.begin(), chain.begin() + static_cast<std::ptrdiff_t>(dead));
+    }
   }
   ws.entries.clear();  // keeps capacity: the TxnId slot is recycled
   ws.sorted = false;
@@ -152,24 +158,6 @@ std::size_t VersionedStore::total_versions() const {
   // send, or cross-site-compared stat sees the visitation order.
   for (const auto& [obj, chain] : sparse_chains_) n += chain.size();
   return n;
-}
-
-std::size_t VersionedStore::prune(TOIndex horizon) {
-  if (horizon == 0) return 0;  // no version is older than index 0
-  std::size_t dropped = 0;
-  const auto prune_chain = [&](Chain& chain) {
-    // Keep what snapshots from horizon - 1 on can read: the newest version
-    // with index < horizon plus everything >= horizon.
-    const std::size_t dead = dead_prefix(chain, horizon - 1);
-    dropped += dead;
-    chain.erase(chain.begin(), chain.begin() + static_cast<std::ptrdiff_t>(dead));
-  };
-  for (auto& chain : dense_chains_) prune_chain(chain);
-  // DETLINT(order-insensitive): each chain is pruned independently against
-  // the same horizon and `dropped` is a commutative sum; the final store
-  // state and return value are identical for every visitation order.
-  for (auto& [obj, chain] : sparse_chains_) prune_chain(chain);
-  return dropped;
 }
 
 }  // namespace otpdb

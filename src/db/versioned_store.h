@@ -85,7 +85,12 @@ class VersionedStore {
   /// stamped `index`. Per-object version indices must remain ascending (the
   /// OTP engine guarantees this: commits within a class follow the definitive
   /// order and classes own disjoint objects).
-  void commit(TxnId txn, TOIndex index);
+  ///
+  /// Garbage-collects each written chain on the way: versions no snapshot at
+  /// or above `horizon - 1` can read are dropped (all versions older than
+  /// the newest one with index < horizon). Engines pass
+  /// QueryEngine::gc_horizon(); 0 keeps every version.
+  void commit(TxnId txn, TOIndex index, TOIndex horizon = 0);
 
   /// Discards the transaction's provisional writes (undo).
   void abort(TxnId txn);
@@ -122,17 +127,12 @@ class VersionedStore {
   std::size_t object_count() const { return live_objects_; }
   std::size_t total_versions() const;
 
-  /// Garbage-collects versions no snapshot can reach: for each object, drops
-  /// all versions with index < horizon except the newest such version (which
-  /// a snapshot at `horizon` may still read). Returns versions dropped.
-  std::size_t prune(TOIndex horizon);
-
  private:
   static constexpr std::uint64_t kDefaultDenseObjects = 1 << 16;
 
   using Chain = std::vector<Version>;
 
-  /// The keep-rule behind snapshot reads, prune() and checkpoints: the
+  /// The keep-rule behind snapshot reads, commit-time GC and checkpoints: the
   /// number of leading versions of `chain` that no snapshot at or above
   /// `floor` can read. Everything from the newest version with index <=
   /// floor onwards survives (the whole chain when no version is that old).

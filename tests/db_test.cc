@@ -120,20 +120,27 @@ TEST(VersionedStore, OverwriteWithinTransactionKeepsLast) {
   EXPECT_EQ(store.total_versions(), 1u) << "one version per object per txn";
 }
 
-TEST(VersionedStore, PruneKeepsSnapshotHorizon) {
+TEST(VersionedStore, CommitPrunesWrittenChainsBelowHorizon) {
   VersionedStore store;
   store.load(1, Value{std::int64_t{0}});
+  store.load(2, Value{std::int64_t{0}});
   for (TOIndex i = 1; i <= 10; ++i) {
     const TxnId txn = static_cast<TxnId>(i % 3);  // ids recycle across commits
     store.write(txn, 1, Value{static_cast<std::int64_t>(i)});
-    store.commit(txn, i);
+    store.write(txn, 2, Value{static_cast<std::int64_t>(i)});
+    store.commit(txn, i);  // horizon 0: keep every version
   }
-  EXPECT_EQ(store.total_versions(), 11u);
-  const std::size_t dropped = store.prune(8);
-  EXPECT_EQ(dropped, 7u);  // versions 0..6 dropped; 7 survives as horizon version
+  EXPECT_EQ(store.total_versions(), 22u);
+  store.write(0, 1, Value{std::int64_t{11}});
+  store.commit(0, 11, /*horizon=*/8);
+  // Object 1: versions 0..6 dropped, 7 survives as the horizon version, plus
+  // 8..11. Object 2 was not written, so its chain is untouched.
+  EXPECT_EQ(store.total_versions(), 5u + 11u);
   EXPECT_EQ(as_int(*store.read_snapshot(1, 8)), 8);
   EXPECT_EQ(as_int(*store.read_snapshot(1, 7)), 7) << "horizon snapshot still readable";
-  EXPECT_EQ(as_int(*store.read_latest(1)), 10);
+  EXPECT_FALSE(store.read_snapshot(1, 6).has_value()) << "below the horizon: pruned";
+  EXPECT_EQ(as_int(*store.read_snapshot(2, 0)), 0);
+  EXPECT_EQ(as_int(*store.read_latest(1)), 11);
 }
 
 TEST(VersionedStore, DoubleLoadDies) {

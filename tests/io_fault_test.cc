@@ -145,7 +145,7 @@ void commit_n(Simulator& sim, DurableStore& store, int n, SimTime spacing, int f
       const TxnId txn = 0;
       store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i * 3}});
       const ClassId klass = 0;
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
     });
   }
 }
@@ -215,7 +215,7 @@ TEST(DurableStoreFaults, ExhaustedRetriesFailHardButMemoryKeepsServing) {
   const TxnId txn = 0;
   store.memory().write(txn, 3, Value{std::int64_t{999}});
   const ClassId klass = 0;
-  store.commit(txn, 31, std::span<const ClassId>(&klass, 1));
+  store.commit(txn, 31, std::span<const ClassId>(&klass, 1), 0);
   sim.run_until(sim.now() + 5 * kSecond);
   EXPECT_EQ(store.durable_watermark(0), frozen);
   EXPECT_EQ(store.health(), StorageHealth::failed);

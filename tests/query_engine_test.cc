@@ -21,6 +21,7 @@ struct Fixture {
     store.commit(txn, index);
     engine.note_to_delivered(catalog.class_of(obj), index);
     engine.note_committed(catalog.class_of(obj), index);
+    engine.finish_commit(index);
   }
 
   Simulator sim;
@@ -74,6 +75,7 @@ TEST(QueryEngine, QueryWaitsForInFlightCommit) {
   f.store.write(txn, obj, Value{std::int64_t{44}});
   f.store.commit(txn, 4);
   f.engine.note_committed(0, 4);
+  f.engine.finish_commit(4);
   f.sim.run();
   EXPECT_EQ(seen, 44);
   EXPECT_EQ(f.metrics.query_retries, 1u);
@@ -108,6 +110,54 @@ TEST(QueryEngine, ResetVolatileKeepsWatermarks) {
   EXPECT_EQ(f.engine.snapshot_bound(0, 100), 0u) << "history is volatile";
 }
 
+TEST(QueryEngine, CommittedFloorFollowsTheFinishedPrefix) {
+  Fixture f;
+  // Indices 2 and 3 (class 1) finish before 1 (class 0): the floor waits.
+  f.engine.note_to_delivered(0, 1);
+  f.engine.note_to_delivered(1, 2);
+  f.engine.note_to_delivered(1, 3);
+  f.engine.note_committed(1, 2);
+  f.engine.finish_commit(2);
+  f.engine.note_committed(1, 3);
+  f.engine.finish_commit(3);
+  EXPECT_EQ(f.engine.committed_floor(), 0u);
+  EXPECT_EQ(f.engine.gc_horizon(), 1u);
+  f.engine.note_committed(0, 1);
+  f.engine.finish_commit(1);
+  EXPECT_EQ(f.engine.committed_floor(), 3u);
+  EXPECT_EQ(f.engine.gc_horizon(), 4u);
+
+  // A live query pins its snapshot below a rising floor.
+  f.engine.submit([](QueryContext&) {}, kMillisecond, nullptr);
+  f.engine.note_to_delivered(1, 4);
+  f.engine.note_committed(1, 4);
+  f.engine.finish_commit(4);
+  EXPECT_EQ(f.engine.committed_floor(), 4u);
+  EXPECT_EQ(f.engine.gc_horizon(), 4u) << "the query reads snapshot 3";
+  f.sim.run();
+  EXPECT_EQ(f.engine.gc_horizon(), 5u);
+
+  // Crash with 5 outstanding and 6 committed: snapshots restart at the
+  // floor, not at the highest delivered index.
+  f.engine.note_to_delivered(0, 5);
+  f.engine.note_to_delivered(1, 6);
+  f.engine.note_committed(1, 6);
+  f.engine.finish_commit(6);
+  f.engine.reset_volatile();
+  EXPECT_EQ(f.engine.last_to_index(), 4u);
+  EXPECT_EQ(f.engine.snapshot_bound(1, 4), 4u) << "the floor stands in for the history";
+  EXPECT_EQ(f.engine.snapshot_bound(0, 4), 1u) << "capped at the domain's watermark";
+
+  // Replay: indices at or below a watermark count as done without a commit.
+  for (TOIndex i = 1; i <= 4; ++i) f.engine.note_to_delivered(i == 1 ? 0 : 1, i);
+  f.engine.note_to_delivered(0, 5);
+  f.engine.note_to_delivered(1, 6);
+  EXPECT_EQ(f.engine.committed_floor(), 4u);
+  f.engine.note_committed(0, 5);
+  f.engine.finish_commit(5);
+  EXPECT_EQ(f.engine.committed_floor(), 6u);
+}
+
 TEST(QueryEngine, ObjectGranularDomains) {
   // The lock-table engine's configuration: one domain per object.
   Simulator sim;
@@ -122,6 +172,7 @@ TEST(QueryEngine, ObjectGranularDomains) {
   engine.advance_to_index(1);
   engine.note_to_delivered(2, 1);
   engine.note_committed(2, 1);
+  engine.finish_commit(1);
   EXPECT_EQ(engine.snapshot_bound(2, 5), 1u);
   EXPECT_EQ(engine.snapshot_bound(3, 5), 0u) << "other objects unaffected";
 
@@ -145,6 +196,7 @@ TEST(QueryEngine, MultipleWaitersOnSameCommit) {
   f.store.write(txn, f.catalog.object(0, 0), Value{std::int64_t{1}});
   f.store.commit(txn, 1);
   f.engine.note_committed(0, 1);
+  f.engine.finish_commit(1);
   f.sim.run();
   EXPECT_EQ(done, 3);
 }

@@ -5,6 +5,10 @@
 // below the durable watermark suppressed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
 #include "abcast/opt_abcast.h"
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
@@ -380,15 +384,31 @@ ReplicaFactory otp_factory() {
   };
 }
 
+/// Checks a query's reads against a site's commit log: each object reads the
+/// newest write at or below the snapshot (never-written objects read as 0).
+void expect_reads_match_log(const QueryReport& report, const std::vector<CommitRecord>& log) {
+  std::map<ObjectId, Value> expected;
+  for (const CommitRecord& r : log) {
+    if (r.index > report.snapshot_index) continue;
+    for (const auto& [obj, value] : r.writes) expected[obj] = value;
+  }
+  for (const auto& [obj, value] : report.reads) {
+    const auto it = expected.find(obj);
+    EXPECT_EQ(it == expected.end() ? Value{std::int64_t{0}} : it->second, value)
+        << "object " << obj << " at snapshot " << report.snapshot_index;
+  }
+}
+
 /// Cold-restarts site 2 under load after several checkpoints. A query
 /// submitted right after the restart must read at or above the recovered
-/// durable floor (the checkpoint keeps no older versions) and see what a
-/// live peer holds at its snapshot; a query in flight across the restart
-/// died with the site's RAM and is dropped, never answered.
+/// durable floor (the checkpoint keeps no older versions) and see what the
+/// committed history holds at its snapshot; a query in flight across the
+/// restart died with the site's RAM and is dropped, never answered.
 void expect_cold_restart_queries_start_at_floor(ReplicaFactory factory, std::uint64_t seed) {
   ClusterConfig config = durable_recovery_config(seed, 3);
   config.storage.checkpoint_interval = 100 * kMillisecond;
   Cluster cluster(config, std::move(factory));
+  HistoryRecorder recorder(cluster);  // site 0 never crashes: its log is complete
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 100;
   wl.mean_exec_time = 2 * kMillisecond;
@@ -425,13 +445,7 @@ void expect_cold_restart_queries_start_at_floor(ReplicaFactory factory, std::uin
   const QueryReport& report = reports.front();
   EXPECT_GE(report.snapshot_index, recovered.durable_floor);
   ASSERT_EQ(report.reads.size(), cluster.catalog().class_count() * 4);
-  for (const auto& [obj, value] : report.reads) {
-    // Queries read a never-written object as 0.
-    const Value peer = cluster.store(0)
-                           .read_snapshot(obj, report.snapshot_index)
-                           .value_or(Value{std::int64_t{0}});
-    EXPECT_EQ(peer, value) << "object " << obj << " at snapshot " << report.snapshot_index;
-  }
+  expect_reads_match_log(report, recorder.site_logs()[0]);
   EXPECT_FALSE(stale_answered) << "a query in flight across the restart must not answer";
   EXPECT_EQ(cluster.replica(2).metrics().queries_dropped, 1u);
   EXPECT_EQ(cluster.replica(2).in_flight(), 0u);
@@ -443,6 +457,68 @@ TEST(Recovery, ColdRestartQueriesStartAtDurableFloorOtp) {
 
 TEST(Recovery, ColdRestartQueriesStartAtDurableFloorConservative) {
   expect_cold_restart_queries_start_at_floor(conservative_factory(), 26);
+}
+
+/// Warm-recovers site 2 under load. A query submitted right after
+/// recover_site must start at or above the committed floor the site reached
+/// before the crash - versions below it may be garbage-collected - and read
+/// what the committed history holds at its snapshot. Long executions keep
+/// TO-delivered transactions outstanding, so other classes commit past the
+/// floor and prune chains a snapshot at the floor still reads.
+void expect_warm_recovery_queries_start_at_committed_floor(ReplicaFactory factory,
+                                                           std::uint64_t seed) {
+  Cluster cluster(recovery_config(seed, 3), std::move(factory));
+  HistoryRecorder recorder(cluster);
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 100;
+  wl.mean_exec_time = 30 * kMillisecond;
+  wl.duration = 1200 * kMillisecond;
+  WorkloadDriver driver(cluster, wl, 7);
+  driver.start();
+
+  TOIndex floor_at_crash = 0;
+  std::size_t committed_before_crash = 0;
+  cluster.sim().schedule_at(600 * kMillisecond, [&] {
+    cluster.crash_site(2);
+    // Nothing is dropped without deadlines, so the committed floor is the
+    // longest gap-free prefix of the indices site 2 committed.
+    std::vector<TOIndex> committed;
+    for (const CommitRecord& r : recorder.site_logs()[2]) committed.push_back(r.index);
+    committed_before_crash = committed.size();
+    std::sort(committed.begin(), committed.end());
+    while (floor_at_crash < committed.size() && committed[floor_at_crash] == floor_at_crash + 1) {
+      ++floor_at_crash;
+    }
+  });
+  const auto read_all_classes = [&cluster](QueryContext& ctx) {
+    for (ClassId c = 0; c < cluster.catalog().class_count(); ++c) {
+      for (std::uint64_t k = 0; k < 4; ++k) (void)ctx.read(cluster.catalog().object(c, k));
+    }
+  };
+  std::vector<QueryReport> reports;
+  cluster.sim().schedule_at(800 * kMillisecond, [&] {
+    cluster.recover_site(2);
+    cluster.replica(2).submit_query(read_all_classes, kMillisecond,
+                                    [&reports](const QueryReport& r) { reports.push_back(r); });
+  });
+  cluster.run_for(wl.duration);
+  ASSERT_TRUE(cluster.quiesce(120 * kSecond));
+
+  ASSERT_GT(floor_at_crash, 0u);
+  ASSERT_LT(floor_at_crash, committed_before_crash) << "commits must have passed the floor";
+  ASSERT_EQ(reports.size(), 1u);
+  const QueryReport& report = reports.front();
+  EXPECT_GE(report.snapshot_index, floor_at_crash);
+  ASSERT_EQ(report.reads.size(), cluster.catalog().class_count() * 4);
+  expect_reads_match_log(report, recorder.site_logs()[0]);
+}
+
+TEST(Recovery, WarmRecoveryQueriesStartAtCommittedFloorOtp) {
+  expect_warm_recovery_queries_start_at_committed_floor(otp_factory(), 27);
+}
+
+TEST(Recovery, WarmRecoveryQueriesStartAtCommittedFloorConservative) {
+  expect_warm_recovery_queries_start_at_committed_floor(conservative_factory(), 28);
 }
 
 TEST(Recovery, ConservativeWarmRecoveryConverges) {

@@ -1,6 +1,6 @@
 // Tests for the dense-identity hot path introduced in PR 1: the MsgId ->
 // TxnId interner, the flat provisional write-set semantics, and a randomized
-// prune() property check against a naive reference store.
+// commit-time GC property check against a naive reference store.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -180,10 +180,14 @@ TEST(VersionedStore, SparseObjectIdsUseHashFallback) {
   EXPECT_EQ(as_int(*store.read_latest(3)), 30);
   EXPECT_EQ(store.object_count(), 2u);
   EXPECT_EQ(store.total_versions(), 3u);
-  EXPECT_EQ(store.prune(2), 1u) << "sparse chain pruned too (initial version)";
+  store.write(0, sparse, Value{std::int64_t{3}});
+  store.commit(0, 2, /*horizon=*/2);
+  EXPECT_EQ(store.total_versions(), 3u) << "sparse chain pruned too (initial version)";
+  EXPECT_FALSE(store.read_snapshot(sparse, 0).has_value());
+  EXPECT_EQ(as_int(*store.read_snapshot(sparse, 1)), 2);
 }
 
-// --- Randomized prune() property test ---------------------------------------
+// --- Randomized commit-time GC property test --------------------------------
 
 // Naive reference: full version history per object, never pruned.
 struct ReferenceStore {
@@ -210,7 +214,7 @@ struct ReferenceStore {
   }
 };
 
-TEST(PruneProperty, RandomizedAgainstReference) {
+TEST(CommitPruneProperty, RandomizedAgainstReference) {
   // Mixed dense/sparse id space to exercise both chain tables.
   const std::vector<ObjectId> objects = {0,  1,  2,  3,  7,  15, 16, 63,
                                          100'000, 100'001, 5'000'000'123};
@@ -219,7 +223,7 @@ TEST(PruneProperty, RandomizedAgainstReference) {
   Rng rng(20260729);
 
   TOIndex next_index = 1;
-  TOIndex pruned_to = 0;  // highest horizon passed to prune()
+  TOIndex pruned_to = 0;  // highest horizon passed to commit()
   for (int step = 0; step < 400; ++step) {
     // Random multi-object transaction at the next index.
     const TxnId t = static_cast<TxnId>(rng.uniform_int(0, 3));
@@ -240,16 +244,15 @@ TEST(PruneProperty, RandomizedAgainstReference) {
         chain.erase(chain.end() - 2);
       }
     }
-    store.commit(t, next_index);
-    ++next_index;
-
+    // The horizon rises now and then, up to one past the commit's own index
+    // (keep only the newest version, as the lazy engine does).
     if (rng.uniform_int(0, 9) == 0) {
-      const auto horizon = static_cast<TOIndex>(
+      pruned_to = static_cast<TOIndex>(
           rng.uniform_int(static_cast<std::int64_t>(pruned_to),
-                          static_cast<std::int64_t>(next_index)));
-      store.prune(horizon);
-      pruned_to = std::max(pruned_to, horizon);
+                          static_cast<std::int64_t>(next_index + 1)));
     }
+    store.commit(t, next_index, pruned_to);
+    ++next_index;
 
     // Every snapshot at or above (pruned_to - 1) must still read exactly what
     // the never-pruned reference reads; the latest value must always agree.

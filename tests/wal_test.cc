@@ -257,7 +257,7 @@ TEST(DurableStore, GroupCommitBatchesMultipleCommitsPerFsync) {
       const TxnId txn = 0;
       store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i}});
       const ClassId klass = static_cast<ClassId>(i % 2);
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
     });
   }
   sim.run_until(sim.now() + kSecond);
@@ -279,7 +279,7 @@ TEST(DurableStore, RestartRebuildsExactCommittedState) {
       const TxnId txn = 0;
       store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i * 7}});
       const ClassId klass = static_cast<ClassId>(i % 2);
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
     });
   }
   sim.run_until(sim.now() + kSecond);
@@ -316,7 +316,7 @@ TEST(DurableStore, RestartSurvivesTornTailAndDropsLaterSegments) {
         store.memory().write(txn, static_cast<ObjectId>(i % 8),
                              Value{std::string(32, static_cast<char>('a' + i % 26))});
         const ClassId klass = 0;
-        store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+        store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
       });
     }
     sim.run_until(sim.now() + kSecond);
@@ -369,7 +369,7 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
       store.memory().write(txn, static_cast<ObjectId>(i % 8),
                            Value{std::string(32, static_cast<char>('a' + i % 26))});
       const ClassId klass = 0;
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
     });
   }
   sim.run_until(sim.now() + 5 * kSecond);
@@ -392,8 +392,9 @@ using History = std::map<ObjectId, std::vector<std::pair<TOIndex, Value>>>;
 /// millisecond, over checkpoints every 50 ms. Class 0 (objects 0-3) takes
 /// four indices in five, class 1 (objects 4-7) every fifth, so the durable
 /// floor is class 1's watermark and class 0's newer versions sit above it.
-/// Returns the ground truth of what was committed.
-History commit_rounds(Simulator& sim, DurableStore& store, int rounds) {
+/// With `gc`, every commit passes the most aggressive engine GC horizon (keep
+/// only the newest version). Returns the ground truth of what was committed.
+History commit_rounds(Simulator& sim, DurableStore& store, int rounds, bool gc = false) {
   History truth;
   for (ObjectId obj = 0; obj < 8; ++obj) {
     store.load(obj, Value{std::int64_t{0}});
@@ -403,10 +404,11 @@ History commit_rounds(Simulator& sim, DurableStore& store, int rounds) {
     const ClassId klass = i % 5 == 0 ? 1 : 0;
     const ObjectId obj = klass == 1 ? 4 + (i / 5) % 4 : i % 4;
     truth[obj].emplace_back(i, Value{std::int64_t{i}});
-    sim.schedule_at(i * kMillisecond, [&store, i, klass, obj] {
+    sim.schedule_at(i * kMillisecond, [&store, i, klass, obj, gc] {
       const TxnId txn = 0;
+      const auto index = static_cast<TOIndex>(i);
       store.memory().write(txn, obj, Value{std::int64_t{i}});
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1));
+      store.commit(txn, index, std::span<const ClassId>(&klass, 1), gc ? index + 1 : 0);
     });
   }
   sim.run_until(sim.now() + (rounds + 200) * kMillisecond);  // incl. a final checkpoint
@@ -475,6 +477,28 @@ TEST(DurableStore, CheckpointHoldsOnlyVersionsReadableAtItsFloor) {
           << "object " << obj << " snapshot " << s;
     }
   }
+}
+
+TEST(DurableStore, GcHorizonLeavesCheckpointBytesUnchanged) {
+  // The store caps the engine's GC horizon at its durable floor, so however
+  // hard the engine prunes, each checkpoint still finds the version at its
+  // floor and writes the same bytes.
+  struct Outcome {
+    std::vector<std::uint8_t> checkpoint;
+    std::size_t versions = 0;
+  };
+  const auto run = [](bool gc) {
+    TempDir tmp;
+    Simulator sim;
+    DurableStore store(sim, frequent_checkpoints(), tmp.dir / "site-0", 2, 8);
+    commit_rounds(sim, store, 403, gc);
+    return Outcome{read_file(tmp.dir / "site-0" / "checkpoint.bin"),
+                   store.memory().total_versions()};
+  };
+  const Outcome kept = run(false);
+  const Outcome pruned = run(true);
+  EXPECT_EQ(pruned.checkpoint, kept.checkpoint);
+  EXPECT_LT(pruned.versions, kept.versions / 10) << "RAM chains were pruned";
 }
 
 TEST(DurableStore, CheckpointSizeDoesNotGrowWithHistory) {
