@@ -73,9 +73,9 @@ BENCHMARK(BM_Scalability)
 // Parallel-driver sweep (wall-clock, not simulated, is the point here): the
 // same 8-site OTP cluster and offered load, driven by the classic loop
 // (threads=1) and by the site-sharded engine with 2/4/8 workers. Fixed work
-// per iteration, so real_time IS the serial-vs-parallel comparison;
-// tools/run_benches.py turns these rows into the speedup table. The load is
-// the high-throughput regime where parallelism pays: enough events per
+// per iteration, so real_time IS the serial-vs-parallel comparison (the
+// speedup is the threads=1 row's real_time over each other row's). The load
+// is the high-throughput regime where parallelism pays: enough events per
 // 150us lookahead window (serialization_time + base_delay) to amortize the
 // two barrier synchronizations each window costs.
 void BM_ScalabilityThreads(benchmark::State& state) {

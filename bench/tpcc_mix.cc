@@ -68,10 +68,9 @@ BENCHMARK(BM_TpccMix)
 // Parallel-driver sweep: the full TPC-C-lite mix (10% remote NewOrder /
 // 15% remote Payment included) on an 8-site OTP cluster, classic loop
 // (threads=1) vs the sharded engine with 2/4/8 workers. Fixed work per
-// iteration: real_time is the serial-vs-parallel wall-clock comparison and
-// tools/run_benches.py derives the speedup table from the threads counter.
-// The audit still runs per site - the parallel driver must not cost any
-// consistency.
+// iteration: real_time is the serial-vs-parallel wall-clock comparison, row
+// by row against threads=1. The audit still runs per site - the parallel
+// driver must not cost any consistency.
 void BM_TpccMixThreads(benchmark::State& state) {
   // threads arg: 1 = classic loop, N>=2 = sharded with N workers, 0 =
   // sharded with one worker (windowing overhead only, no barrier traffic).

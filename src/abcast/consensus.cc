@@ -17,7 +17,7 @@ struct ConsensusPayload final : Payload {
   std::uint64_t inst = 0;
   std::uint64_t round = 0;
   std::uint64_t ts = 0;
-  ConsensusHost::Value value;
+  ConsensusHost::Value value;  // null in acks
 };
 
 PayloadPtr make_payload(Kind kind, std::uint64_t inst, std::uint64_t round, std::uint64_t ts,
@@ -52,6 +52,7 @@ void ConsensusHost::crash_reset() {
 }
 
 void ConsensusHost::propose(std::uint64_t inst, Value value) {
+  OTPDB_CHECK(value != nullptr);
   Instance& in = instance(inst);
   OTPDB_CHECK_MSG(!in.proposed, "duplicate propose for consensus instance");
   in.proposed = true;
@@ -86,7 +87,10 @@ void ConsensusHost::on_message(const Message& msg) {
     case Kind::propose: {
       bool known = false;
       for (const auto& [site, payload] : in.proposals) known |= site == msg.from;
-      if (!known) in.proposals.emplace_back(msg.from, msg.payload);
+      if (!known) {
+        if (in.proposals.empty()) in.proposals.reserve(net_.site_count());
+        in.proposals.emplace_back(msg.from, msg.payload);
+      }
       // A proposal also serves as a round-0 estimate with timestamp 0.
       maybe_fast_decide(p->inst);
       if (!in.decided && coordinator(p->inst, 0) == self_ &&
@@ -119,7 +123,8 @@ void ConsensusHost::maybe_fast_decide(std::uint64_t inst) {
   };
   const Value& first = value_of(in.proposals.front().second);
   for (const auto& [site, payload] : in.proposals) {
-    if (value_of(payload) != first) return;
+    const Value& value = value_of(payload);
+    if (value != first && *value != *first) return;  // compares contents
   }
   // All n proposals identical: decide without any further coordination. No
   // announcement is needed - every correct site receives the same n proposals
@@ -235,9 +240,10 @@ void ConsensusHost::decide(std::uint64_t inst, const Value& value, bool fast, bo
     net_.multicast(self_, kChannelConsensus, make_payload(Kind::decision, inst, 0, 0, value));
   }
   OTPDB_TRACE("consensus") << "site " << self_ << " decides inst " << inst << " ("
-                           << (fast ? "fast" : "round") << ", " << value.size() << " msgs)";
-  // `value` may alias a proposal payload or coord_value: hand out the copy,
-  // and release the round state only once the callback has returned.
+                           << (fast ? "fast" : "round") << ", " << value->size() << " msgs)";
+  // `value` may alias a proposal payload or coord_value: hand out the
+  // instance's own reference, and release the round state only once the
+  // callback has returned.
   if (on_decide_) on_decide_(inst, in.decision);
   in.est = {};
   in.proposals = {};

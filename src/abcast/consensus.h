@@ -3,7 +3,8 @@
 //
 // One ConsensusHost per site multiplexes any number of numbered instances
 // (OptAbcast runs one instance per ordering stage). The value domain is a
-// sequence of MsgIds (a proposed delivery order).
+// sequence of MsgIds (a proposed delivery order), immutable once proposed:
+// payloads, estimates and decisions share it instead of copying it.
 //
 // Protocol (rotating coordinator, Chandra-Toueg style, majority quorums,
 // f < n/2 crash faults, eventually-accurate failure detector for liveness):
@@ -33,6 +34,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -65,7 +67,11 @@ struct ConsensusStats {
 /// Per-site consensus participant multiplexing numbered instances.
 class ConsensusHost {
  public:
-  using Value = std::vector<MsgId>;
+  /// A proposed delivery order.
+  using Sequence = std::vector<MsgId>;
+  /// One immutable sequence, built once by its proposer and then shared by
+  /// every payload, estimate, decision and log that holds it. Never null.
+  using Value = std::shared_ptr<const Sequence>;
   using DecideFn = std::function<void(std::uint64_t inst, const Value& value)>;
 
   ConsensusHost(Simulator& sim, Network& net, FailureDetector& fd, SiteId self,
@@ -87,7 +93,8 @@ class ConsensusHost {
  private:
   /// Once decided, an instance keeps only `proposed`, `decided` and
   /// `decision` (late messages and a late propose() read them); decide()
-  /// releases the round state.
+  /// releases the round state. `decision` shares its sequence with the
+  /// decider's log (OptAbcast), so each decision is held once.
   struct Instance {
     bool proposed = false;
     bool decided = false;

@@ -19,7 +19,7 @@ OptAbcast::OptAbcast(Simulator& sim, Network& net, FailureDetector& fd, SiteId s
   net_.subscribe(self_, kChannelData, [this](const Message& m) { on_data(m); });
   net_.subscribe(self_, kChannelRecovery, [this](const Message& m) { on_recovery_message(m); });
   consensus_.set_on_decide(
-      [this](std::uint64_t inst, const std::vector<MsgId>& seq) { on_decide(inst, seq); });
+      [this](std::uint64_t inst, const SharedSequence& seq) { on_decide(inst, seq); });
 }
 
 MsgId OptAbcast::broadcast(PayloadPtr payload) {
@@ -74,15 +74,16 @@ void OptAbcast::start_stage() {
   // Propose aged messages (arrived before cutoff) not already sitting in an
   // undecided stage; fresher arrivals wait so all sites propose the same set.
   const SimTime cutoff = sim_.now() - config_.alignment_window;
-  std::vector<MsgId> proposal;
+  std::vector<MsgId>& batch = proposal_scratch_;
+  batch.clear();
   for (const auto& [id, st] : pending_) {
-    if (proposal.size() >= config_.max_batch) break;
+    if (batch.size() >= config_.max_batch) break;
     if (st->opt_time > cutoff) break;  // arrival order: the rest is fresher
     if (st->in_proposal) continue;
     st->in_proposal = true;
-    proposal.push_back(id);
+    batch.push_back(id);
   }
-  if (proposal.empty()) {
+  if (batch.empty()) {
     // Everything proposable is too fresh (or already in flight); retry at a
     // later boundary.
     if (!stage_timer_armed_) {
@@ -97,14 +98,17 @@ void OptAbcast::start_stage() {
     return;
   }
   const std::uint64_t inst = next_propose_++;
+  // Built once, exactly sized: the proposal, and the decision when it wins,
+  // share this sequence for the rest of the run.
+  auto proposal = std::make_shared<const ConsensusHost::Sequence>(batch);
   my_proposals_[inst] = proposal;
   OTPDB_TRACE("optabcast") << "site " << self_ << " proposes stage " << inst << " with "
-                           << proposal.size() << " msgs";
+                           << proposal->size() << " msgs";
   consensus_.propose(inst, std::move(proposal));
   consider_stage();  // maybe pipeline another stage for the remaining backlog
 }
 
-void OptAbcast::on_decide(std::uint64_t inst, const std::vector<MsgId>& sequence) {
+void OptAbcast::on_decide(std::uint64_t inst, const SharedSequence& sequence) {
   // A decision may arrive twice on a recovering site: once through the
   // catch-up response and once through its own consensus participation.
   // Consensus agreement guarantees both carry the same sequence; apply once.
@@ -129,9 +133,9 @@ void OptAbcast::apply_buffered() {
   }
 }
 
-void OptAbcast::apply_decision(std::vector<MsgId> sequence) {
+void OptAbcast::apply_decision(SharedSequence sequence) {
   const std::uint64_t inst = next_apply();
-  for (const MsgId& id : sequence) {
+  for (const MsgId& id : *sequence) {
     // With pipelined stages a message can appear in two decided sequences
     // (proposed for stage r+1 at this site while stage r's decision, formed
     // elsewhere, already contained it). Deliver on first occurrence only;
@@ -147,7 +151,7 @@ void OptAbcast::apply_decision(std::vector<MsgId> sequence) {
   // back to proposable state (they will enter a later stage).
   auto mine = my_proposals_.find(inst);
   if (mine != my_proposals_.end()) {
-    for (const MsgId& id : mine->second) {
+    for (const MsgId& id : *mine->second) {
       MsgState& st = state(id);
       if (!st.ordered) st.in_proposal = false;
     }
@@ -216,7 +220,7 @@ enum class RecoveryKind : std::uint8_t {
 struct RecoveryPayload final : Payload {
   RecoveryKind kind = RecoveryKind::catch_up_request;
   std::uint64_t from_stage = 0;
-  std::vector<std::pair<std::uint64_t, std::vector<MsgId>>> decisions;
+  std::vector<std::pair<std::uint64_t, ConsensusHost::Value>> decisions;  // shared
   std::vector<MsgId> subjects;                         // body_request
   std::vector<std::pair<MsgId, PayloadPtr>> bodies;    // body_response
 };
@@ -310,6 +314,9 @@ void OptAbcast::on_recovery_message(const Message& msg) {
       // requester it is already caught up.
       auto response = std::make_shared<RecoveryPayload>();
       response->kind = RecoveryKind::catch_up_response;
+      if (p->from_stage < decision_log_.size()) {
+        response->decisions.reserve(decision_log_.size() - p->from_stage);
+      }
       for (std::uint64_t stage = p->from_stage; stage < decision_log_.size(); ++stage) {
         response->decisions.emplace_back(stage, decision_log_[stage]);
       }

@@ -108,14 +108,17 @@ class OptAbcast final : public AtomicBroadcast {
   bool recovering() const { return recovering_; }
 
  private:
+  /// A proposal or decision, shared with consensus (see ConsensusHost::Value).
+  using SharedSequence = ConsensusHost::Value;
+
   void on_data(const Message& msg);
   void consider_stage();
   void start_stage();
-  void on_decide(std::uint64_t inst, const std::vector<MsgId>& sequence);
+  void on_decide(std::uint64_t inst, const SharedSequence& sequence);
   /// Lowest stage this site has not applied yet (the log is append-only).
   std::uint64_t next_apply() const { return decision_log_.size(); }
   /// Applies (and logs) the decision for stage next_apply().
-  void apply_decision(std::vector<MsgId> sequence);
+  void apply_decision(SharedSequence sequence);
   /// Applies buffered decisions while the next stage in order is among them.
   void apply_buffered();
   void drain_decided();
@@ -155,8 +158,9 @@ class OptAbcast final : public AtomicBroadcast {
   std::vector<DenseDeque<MsgState>> msgs_;
   std::deque<MsgRef> pending_;        // arrived, not yet definitively ordered
   std::deque<MsgRef> decided_queue_;  // decided, awaiting TO-delivery
-  std::map<std::uint64_t, std::vector<MsgId>> decided_buffer_;  // out-of-order decisions
-  std::map<std::uint64_t, std::vector<MsgId>> my_proposals_;    // per in-flight stage
+  std::map<std::uint64_t, SharedSequence> decided_buffer_;  // out-of-order decisions
+  std::map<std::uint64_t, SharedSequence> my_proposals_;    // per in-flight stage
+  std::vector<MsgId> proposal_scratch_;                     // reused by start_stage
   std::uint64_t next_propose_ = 0;  // next stage this site will propose for
   bool stage_timer_armed_ = false;
   TOIndex next_index_ = 1;
@@ -169,9 +173,10 @@ class OptAbcast final : public AtomicBroadcast {
   std::vector<ToDelivery> drain_scratch_;  // reused burst buffer (drain_decided)
 
   // Recovery support (message bodies are cached in msgs_[].body).
-  /// Decided sequences by stage. Append-only: after every reset, decisions
-  /// are applied in stage order from 0.
-  std::vector<std::vector<MsgId>> decision_log_;
+  /// Decided sequences by stage, shared with the consensus instances that
+  /// decided them and with catch-up responses. Append-only: after every
+  /// reset, decisions are applied in stage order from 0.
+  std::vector<SharedSequence> decision_log_;
   bool recovering_ = false;
   bool body_request_outstanding_ = false;
   /// Retransmission timer on wheel_ (cancelled by the body_response in the

@@ -139,24 +139,18 @@ void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
 
   metrics_.opt_to_gap_ns.add(static_cast<double>(txn->to_delivered_at - txn->opt_delivered_at));
   --buffered_;
-
-  if (txn->expired) {
-    // Dropped: never enters the queues (the conservative engine executes in
-    // definitive order, so nothing optimistic exists to undo). Watermarks
-    // still advance past the empty slot, with a wake for waiting queries.
-    const TOIndex index = txn->to_index;
-    ++metrics_.deadline_expired_queue;
-    for (ClassId c : classes) queries_.note_committed(c, index);
-    queries_.finish_commit(index);
-    txns_.retire(txn);
-    return;
-  }
   ++queued_;
 
   // Enter every covered queue in TO-delivery order (identical at all sites),
-  // ascending by class; run once heading all of them.
+  // ascending by class; run once heading all of them. A dropped transaction
+  // queues too and retires, unexecuted, once it heads them all: the class
+  // watermarks must not pass predecessors that are still queued.
   for (ClassId c : classes) queues_[c].append(txn);
-  try_execute(txn);
+  if (!txn->expired) {
+    try_execute(txn);
+  } else if (heads_all_queues(txn)) {
+    retire_expired(txn);
+  }
 }
 
 void ConservativeReplica::apply_service_clock(TxnRecord* txn) {
@@ -178,6 +172,40 @@ bool ConservativeReplica::heads_all_queues(const TxnRecord* txn) const {
   return true;
 }
 
+void ConservativeReplica::retire_expired(TxnRecord* txn) {
+  OTPDB_CHECK(txn->expired);
+  OTPDB_CHECK(heads_all_queues(txn));
+  const auto classes = txn->request->class_span();
+  for (ClassId c : classes) queues_[c].remove_head(txn);
+  --queued_;
+  ++metrics_.deadline_expired_queue;
+  // The slot commits nothing, but the watermarks advance past it, with a
+  // wake for waiting queries.
+  for (ClassId c : classes) queries_.note_committed(c, txn->to_index);
+  queries_.finish_commit(txn->to_index);
+  promote_heads(classes);  // before retire: `classes` views the request
+  txns_.retire(txn);
+}
+
+void ConservativeReplica::promote_heads(std::span<const ClassId> classes) {
+  // Reversed, so the classes pop in ascending order.
+  promote_stack_.insert(promote_stack_.end(), classes.rbegin(), classes.rend());
+  if (promoting_) return;  // the active drain below picks the new entries up
+  promoting_ = true;
+  while (!promote_stack_.empty()) {
+    const ClassId c = promote_stack_.back();
+    promote_stack_.pop_back();
+    TxnRecord* next = queues_[c].head();
+    if (next == nullptr) continue;
+    if (!next->expired) {
+      try_execute(next);
+    } else if (heads_all_queues(next)) {
+      retire_expired(next);  // a chained drop: pushes its classes back
+    }
+  }
+  promoting_ = false;
+}
+
 void ConservativeReplica::try_execute(TxnRecord* txn) {
   if (txn->running || txn->exec != ExecState::active) return;
   if (!heads_all_queues(txn)) return;
@@ -189,19 +217,16 @@ void ConservativeReplica::submit_execution(TxnRecord* txn) {
   OTPDB_CHECK(heads_all_queues(txn));
   txn->running = true;
   ++txn->attempts;
-  const bool record_sets = commit_hook_ != nullptr;  // checker wants read/write sets
+  txn->last_reads.clear();
+  ReadLog* const reads = commit_hook_ ? &txn->last_reads : nullptr;  // the checker's read sets
   const TxnRequest& request = *txn->request;
-  auto run_in = [&](TxnContext& ctx) {
-    registry_.get(request.proc)(ctx);
-    txn->last_reads = ctx.take_reads();
-    txn->last_writes = ctx.take_writes();
-  };
+  const Procedure& procedure = registry_.get(request.proc);
   if (request.multi_class()) {
-    TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, record_sets);
-    run_in(ctx);
+    TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, reads);
+    procedure(ctx);
   } else {
-    TxnContext ctx(store_, catalog_, txn->tid, request.klass, request.args, record_sets);
-    run_in(ctx);
+    TxnContext ctx(store_, catalog_, txn->tid, request.klass, request.args, reads);
+    procedure(ctx);
   }
   txn->completion =
       sim_.schedule_after(request.exec_duration, [this, txn] { on_complete(txn); });
@@ -216,20 +241,8 @@ void ConservativeReplica::on_complete(TxnRecord* txn) {
   const auto classes = txn->request->class_span();
   OTPDB_CHECK(heads_all_queues(txn));
 
-  CommitRecord record;
   if (commit_hook_) {
-    record.site = self_;
-    record.txn = txn->id;
-    record.proc = txn->request->proc;
-    record.klass = txn->request->klass;
-    if (txn->request->multi_class()) {
-      record.classes.assign(classes.begin(), classes.end());
-    }
-    record.index = txn->to_index;
-    record.at = txn->committed_at;
-    const auto writes = store_.provisional_writes(txn->tid);
-    record.writes.assign(writes.begin(), writes.end());
-    record.reads = txn->last_reads;
+    fill_commit_record(commit_record_, self_, *txn, store_.provisional_writes(txn->tid));
   }
 
   backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
@@ -243,17 +256,16 @@ void ConservativeReplica::on_complete(TxnRecord* txn) {
     metrics_.commit_latency_percentiles_ns.add(latency);
   }
   metrics_.commit_wait_ns.add(0.0);  // commit follows execution immediately
-  if (commit_hook_) commit_hook_(record);
+  if (commit_hook_) commit_hook_(commit_record_);
 
   const TOIndex committed_index = txn->to_index;
-  // Removing txn may promote the next head of every covered queue.
-  for (ClassId c : classes) {
-    if (TxnRecord* next = queues_[c].head()) try_execute(next);
-  }
   // Advance every covered watermark before waking waiters (multi-domain
-  // commit protocol of the QueryEngine).
+  // commit protocol of the QueryEngine). Only then may removing txn promote
+  // the next head of every covered queue: an expired head retires at once,
+  // and the watermarks must pass txn first.
   for (ClassId c : classes) queries_.note_committed(c, committed_index);
   queries_.finish_commit(committed_index);
+  promote_heads(classes);
   txns_.retire(txn);  // the record slot is recycled by the next acquire
 }
 
@@ -270,6 +282,8 @@ void ConservativeReplica::crash_recover_reset() {
   backend_.clear_provisional();
   queries_.reset_volatile();
   service_clock_.assign(service_clock_.size(), 0);  // rebuilt by the replay
+  promote_stack_.clear();
+  promoting_ = false;
   admission_.reset();
 }
 

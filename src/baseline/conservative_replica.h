@@ -50,6 +50,9 @@ class ConservativeReplica final : public ReplicaBase {
   SiteId site() const override { return self_; }
 
   TOIndex last_to_index() const { return queries_.last_to_index(); }
+  /// Introspection for tests: the commit watermark of `klass` (the last
+  /// definitive index committed or dropped in it).
+  TOIndex last_committed(ClassId klass) const { return queries_.last_committed(klass); }
 
   /// Crash recovery: drops all volatile state (buffered bodies, queues,
   /// scheduled completions, provisional writes). Committed versions and the
@@ -75,6 +78,13 @@ class ConservativeReplica final : public ReplicaBase {
   void on_to_deliver_batch(std::span<const ToDelivery> batch);
   void to_deliver_one(TxnRecord* txn);
   bool heads_all_queues(const TxnRecord* txn) const;
+  /// Retires a deadline-dropped transaction heading all its covered queues:
+  /// no effects, no commit hook, but the commit watermarks advance past it.
+  void retire_expired(TxnRecord* txn);
+  /// Worklist-driven head promotion after a commit or drop: starts newly
+  /// exposed heads and retires expired ones, chaining through consecutive
+  /// drops (the same scheme as OtpReplica::promote_heads).
+  void promote_heads(std::span<const ClassId> classes);
   void try_execute(TxnRecord* txn);
   void submit_execution(TxnRecord* txn);
   void on_complete(TxnRecord* txn);
@@ -91,6 +101,8 @@ class ConservativeReplica final : public ReplicaBase {
   TxnTable txns_;
   /// Per-class virtual service clock for deadline budgets (see OtpReplica).
   std::vector<SimTime> service_clock_;
+  std::vector<ClassId> promote_stack_;  // promote_heads worklist
+  bool promoting_ = false;              // reentrancy guard for promote_heads
   std::size_t buffered_ = 0;  ///< Opt-delivered, not yet TO-delivered
   std::size_t queued_ = 0;    ///< TO-delivered, not yet committed
 
@@ -98,6 +110,7 @@ class ConservativeReplica final : public ReplicaBase {
   ReplicaMetrics metrics_;
   QueryEngine queries_;
   CommitHook commit_hook_;
+  CommitRecord commit_record_;  // refilled by every commit (see CommitHook)
 };
 
 }  // namespace otpdb

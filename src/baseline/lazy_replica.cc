@@ -102,8 +102,15 @@ void LazyReplica::on_complete(ClassId klass) {
     apply->writes.push_back(LazyApply::WriteEntry{obj, value, prev.ts, prev.site});
     tokens_[obj] = WriterToken{ts, self_};
   }
-  std::vector<std::pair<ObjectId, Value>> record_writes;
-  if (commit_hook_) record_writes.assign(writes.begin(), writes.end());
+  if (commit_hook_) {  // lazy records carry no read set and a single class
+    record_.site = self_;
+    record_.txn = txn.id;
+    record_.proc = txn.proc;
+    record_.klass = klass;
+    record_.index = index;
+    record_.at = sim_.now();
+    record_.writes.assign(writes.begin(), writes.end());
+  }
   // Site-local version stamps are still monotone per class, so the durable
   // backend's per-class watermark protocol holds (it just isn't a cross-site
   // total order - same caveat as the in-memory chains). Lazy queries read
@@ -116,17 +123,7 @@ void LazyReplica::on_complete(ClassId klass) {
   metrics_.commit_latency_ns.add(latency);
   metrics_.commit_latency_percentiles_ns.add(latency);
   metrics_.commit_wait_ns.add(0.0);
-  if (commit_hook_) {
-    CommitRecord record;
-    record.site = self_;
-    record.txn = txn.id;
-    record.proc = txn.proc;
-    record.klass = klass;
-    record.index = index;
-    record.at = sim_.now();
-    record.writes = std::move(record_writes);
-    commit_hook_(record);
-  }
+  if (commit_hook_) commit_hook_(record_);
 
   // Propagate the write-set *after* commit - the defining property of
   // asynchronous replication.
@@ -166,15 +163,14 @@ void LazyReplica::on_apply(const Message& msg) {
     const ClassId klass = apply->klass;
     backend_.commit(stid, index, std::span<const ClassId>(&klass, 1), index + 1);
     if (commit_hook_) {
-      CommitRecord record;
-      record.site = self_;
-      record.txn = synthetic;
-      record.proc = 0;
-      record.klass = apply->klass;
-      record.index = index;
-      record.at = sim_.now();
-      record.writes = {};
-      commit_hook_(record);
+      record_.site = self_;
+      record_.txn = synthetic;
+      record_.proc = 0;
+      record_.klass = apply->klass;
+      record_.index = index;
+      record_.at = sim_.now();
+      record_.writes.clear();
+      commit_hook_(record_);
     }
   }
   interner_.release(stid);
@@ -197,7 +193,7 @@ void LazyReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn do
     report.submitted_at = submitted_at;
     report.completed_at = sim_.now();
     report.attempts = 1;
-    report.reads = ctx.reads();
+    report.reads = std::move(ctx.reads_);
     metrics_.query_latency_ns.add(static_cast<double>(report.completed_at - submitted_at));
     if (done) done(report);
   });

@@ -103,6 +103,7 @@ class LazyReplica final : public ReplicaBase {
   std::uint64_t conflicts_detected_ = 0;
   ReplicaMetrics metrics_;
   CommitHook commit_hook_;
+  CommitRecord record_;  // refilled by every commit (see CommitHook)
 };
 
 }  // namespace otpdb

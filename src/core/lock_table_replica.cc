@@ -138,12 +138,11 @@ void LockTableReplica::try_execute(TxnRecord* txn) {
   txn->running = true;
   ++txn->attempts;
   if (txn->attempts > 1) ++metrics_.reexecutions;
-  const bool record_sets = commit_hook_ != nullptr;  // checker wants read/write sets
+  txn->last_reads.clear();  // a re-execution logs only its own reads
+  ReadLog* const reads = commit_hook_ ? &txn->last_reads : nullptr;  // the checker's read sets
   TxnContext ctx(store_, txn->request->access_set, txn->tid, txn->request->klass,
-                 txn->request->args, record_sets);
+                 txn->request->args, reads);
   registry_.get(txn->request->proc)(ctx);
-  txn->last_reads = ctx.take_reads();
-  txn->last_writes = ctx.take_writes();
   txn->completion =
       sim_.schedule_after(txn->request->exec_duration, [this, txn] { execution_complete(txn); });
 }
@@ -245,23 +244,16 @@ void LockTableReplica::commit(TxnRecord* txn) {
   OTPDB_CHECK(heads_all_queues(txn));
 
   txn->committed_at = sim_.now();
-  CommitRecord record;
   if (commit_hook_) {
-    record.site = self_;
-    record.txn = txn->id;
-    record.proc = txn->request->proc;
-    record.klass = txn->request->klass;
-    record.index = txn->to_index;
-    record.at = txn->committed_at;
-    const auto writes = store_.provisional_writes(txn->tid);
-    record.writes.assign(writes.begin(), writes.end());
-    record.reads = txn->last_reads;
+    fill_commit_record(commit_record_, self_, *txn, store_.provisional_writes(txn->tid));
   }
 
   backend_.commit(txn->tid, txn->to_index, std::span<const ClassId>(&txn->request->klass, 1),
                   queries_.gc_horizon());
-  const std::vector<ObjectId> objects = txn->request->access_set;
-  for (ObjectId obj : objects) {
+  // The request outlives the retire below: its access set names the queues
+  // whose heads this commit may promote.
+  const std::shared_ptr<const TxnRequest> request = txn->request;
+  for (ObjectId obj : request->access_set) {
     ObjectQueue& queue = queues_[obj];
     OTPDB_CHECK(queue.front() == txn);
     queue.erase(queue.begin());
@@ -278,10 +270,10 @@ void LockTableReplica::commit(TxnRecord* txn) {
     metrics_.commit_latency_percentiles_ns.add(latency);
   }
   metrics_.commit_wait_ns.add(static_cast<double>(txn->committed_at - txn->executed_at));
-  if (commit_hook_) commit_hook_(record);
+  if (commit_hook_) commit_hook_(commit_record_);
   txns_.retire(txn);  // the record slot is recycled by the next acquire
 
-  try_execute_heads_of(objects);
+  try_execute_heads_of(request->access_set);
 }
 
 void LockTableReplica::try_execute_heads_of(const std::vector<ObjectId>& objects) {

@@ -130,6 +130,7 @@ class LockTableReplica final : public ReplicaBase {
   ReplicaMetrics metrics_;
   QueryEngine queries_;
   CommitHook commit_hook_;
+  CommitRecord commit_record_;  // refilled by every commit (see CommitHook)
 };
 
 }  // namespace otpdb

@@ -385,19 +385,16 @@ void OtpReplica::submit_execution(TxnRecord* txn) {
   // Apply the stored procedure's effects as provisional versions now; the
   // completion event models the execution cost. An abort in between rolls the
   // provisional versions back, exactly like undo-based recovery.
-  const bool record_sets = commit_hook_ != nullptr;  // checker wants read/write sets
+  txn->last_reads.clear();  // a re-execution logs only its own reads
+  ReadLog* const reads = commit_hook_ ? &txn->last_reads : nullptr;  // the checker's read sets
   const TxnRequest& request = *txn->request;
-  auto run_in = [&](TxnContext& ctx) {
-    registry_.get(request.proc)(ctx);
-    txn->last_reads = ctx.take_reads();
-    txn->last_writes = ctx.take_writes();
-  };
+  const Procedure& procedure = registry_.get(request.proc);
   if (request.multi_class()) {
-    TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, record_sets);
-    run_in(ctx);
+    TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, reads);
+    procedure(ctx);
   } else {
-    TxnContext ctx(store_, catalog_, txn->tid, request.klass, request.args, record_sets);
-    run_in(ctx);
+    TxnContext ctx(store_, catalog_, txn->tid, request.klass, request.args, reads);
+    procedure(ctx);
   }
   txn->completion =
       sim_.schedule_after(request.exec_duration, [this, txn] { execution_module(txn); });
@@ -428,20 +425,8 @@ void OtpReplica::commit(TxnRecord* txn) {
   const auto classes = txn->request->class_span();
 
   txn->committed_at = sim_.now();
-  CommitRecord record;
   if (commit_hook_) {
-    record.site = self_;
-    record.txn = txn->id;
-    record.proc = txn->request->proc;
-    record.klass = txn->request->klass;
-    if (txn->request->multi_class()) {
-      record.classes.assign(classes.begin(), classes.end());
-    }
-    record.index = txn->to_index;
-    record.at = txn->committed_at;
-    const auto writes = store_.provisional_writes(txn->tid);
-    record.writes.assign(writes.begin(), writes.end());
-    record.reads = txn->last_reads;
+    fill_commit_record(commit_record_, self_, *txn, store_.provisional_writes(txn->tid));
   }
 
   backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
@@ -456,7 +441,7 @@ void OtpReplica::commit(TxnRecord* txn) {
   // Time spent fully executed but waiting for the definitive order: the part
   // of the broadcast's coordination cost the overlap failed to hide.
   metrics_.commit_wait_ns.add(static_cast<double>(txn->committed_at - txn->executed_at));
-  if (commit_hook_) commit_hook_(record);
+  if (commit_hook_) commit_hook_(commit_record_);
 
   const TOIndex committed_index = txn->to_index;
 

@@ -201,6 +201,7 @@ class OtpReplica final : public ReplicaBase {
   ReplicaMetrics metrics_;
   QueryEngine queries_;
   CommitHook commit_hook_;
+  CommitRecord commit_record_;  // refilled by every commit (see CommitHook)
 };
 
 }  // namespace otpdb

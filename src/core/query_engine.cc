@@ -193,7 +193,7 @@ void QueryEngine::run(QuerySlot slot) {
   report.submitted_at = query.submitted_at;
   report.completed_at = sim_.now();
   report.attempts = query.attempts;
-  report.reads = ctx.reads();
+  report.reads = std::move(ctx.reads_);
   metrics_.query_latency_ns.add(static_cast<double>(report.completed_at - report.submitted_at));
   // Move the completion callback out before releasing: done() may submit a
   // fresh query and legitimately reuse this slot.

@@ -65,10 +65,11 @@ class ReplicaBase {
   /// (read-one/write-all). `done` fires with the completed query.
   virtual void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) = 0;
 
-  /// Invoked on every local commit (history recording / checkers). Install
-  /// before submitting work: read/write-set recording is skipped for
-  /// executions started without a hook (hot-path economy), so a hook
-  /// installed mid-run sees empty `reads` on transactions already executing.
+  /// Invoked on every local commit (history recording / checkers), with a
+  /// record valid only for the call (see CommitHook). Install before
+  /// submitting work: reads are logged only for executions started with a
+  /// hook installed (hot-path economy), so a hook installed mid-run sees
+  /// empty `reads` on transactions already executing.
   virtual void set_commit_hook(CommitHook hook) = 0;
 
   /// Outstanding work at this site (transactions not yet committed locally,

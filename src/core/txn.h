@@ -98,9 +98,11 @@ struct TxnRecord {
   SimTime executed_at = 0;  ///< completion time of the last (successful) execution
   SimTime committed_at = 0;
 
-  /// Read/write sets of the most recent execution (history checking).
-  std::vector<std::pair<ObjectId, Value>> last_reads;
-  std::vector<std::pair<ObjectId, Value>> last_writes;
+  /// Reads of the most recent execution (history checking), logged only
+  /// while a commit hook is installed. Cleared before every execution, so a
+  /// re-execution after a CC8 undo logs only its own reads. The write set is
+  /// the store's provisional write set (VersionedStore::provisional_writes).
+  ReadLog last_reads;
 
   /// Cached class-queue membership: one entry per ClassQueue currently
   /// holding this record (at most one queue per class id). `ticket` is an
@@ -129,10 +131,9 @@ struct TxnRecord {
     return nullptr;
   }
 
-  /// Reinitializes the record for a fresh transaction reusing this slot.
-  /// (The read/write logs are cleared here but re-assigned wholesale by each
-  /// execution, so only the record object itself is recycled, not their
-  /// capacity.)
+  /// Reinitializes the record for a fresh transaction reusing this slot. The
+  /// read log is cleared, not released: its capacity is recycled with the
+  /// slot, so steady-state executions log their reads without allocating.
   void reset(MsgId new_id, TxnId new_tid, std::shared_ptr<const TxnRequest> new_request) {
     id = new_id;
     tid = new_tid;
@@ -149,7 +150,6 @@ struct TxnRecord {
     executed_at = 0;
     committed_at = 0;
     last_reads.clear();
-    last_writes.clear();
     queue_pos.clear();
   }
 };
@@ -163,10 +163,38 @@ struct CommitRecord {
   std::vector<ClassId> classes;   ///< all covered classes; empty means {klass}
   TOIndex index = 0;
   SimTime at = 0;
-  std::vector<std::pair<ObjectId, Value>> writes;
-  std::vector<std::pair<ObjectId, Value>> reads;
+  std::vector<std::pair<ObjectId, Value>> writes;  ///< sorted by object
+  ReadLog reads;                                   ///< in read order
 };
 
+/// Fills `record` for the commit of `txn` at `site`, whose write set is
+/// `writes`. Engines own one record and reuse it commit after commit:
+/// `classes` and `writes` are assigned into the capacity it already holds,
+/// and the read log is swapped with the transaction's (the slot takes the
+/// previous buffer back and clears it before its next execution). Call once
+/// `txn.committed_at` is set and before the store consumes the write set.
+inline void fill_commit_record(CommitRecord& record, SiteId site, TxnRecord& txn,
+                               std::span<const std::pair<ObjectId, Value>> writes) {
+  const TxnRequest& request = *txn.request;
+  record.site = site;
+  record.txn = txn.id;
+  record.proc = request.proc;
+  record.klass = request.klass;
+  if (request.multi_class()) {
+    record.classes.assign(request.classes.begin(), request.classes.end());
+  } else {
+    record.classes.clear();
+  }
+  record.index = txn.to_index;
+  record.at = txn.committed_at;
+  record.writes.assign(writes.begin(), writes.end());
+  record.reads.swap(txn.last_reads);
+}
+
+/// Invoked at every commit. The record is owned by the engine and reused by
+/// its next commit, so it is valid only for the duration of the call: a hook
+/// copies whatever it keeps. Engines call the hook before anything that can
+/// start another commit.
 using CommitHook = std::function<void(const CommitRecord&)>;
 
 }  // namespace otpdb

@@ -29,25 +29,20 @@ namespace {
 const Value kZeroValue{std::int64_t{0}};
 }  // namespace
 
-Value TxnContext::read(ObjectId obj) {
+const Value& TxnContext::read_logged(ObjectId obj) {
   check_scope(obj);
   const Value* p = store_.read_for_txn_ptr(txn_, obj);
   const Value& v = p ? *p : kZeroValue;
-  if (record_sets_) reads_.emplace_back(obj, v);
+  if (reads_ != nullptr) reads_->emplace_back(obj, v);
   return v;
 }
 
-std::int64_t TxnContext::read_int(ObjectId obj) {
-  check_scope(obj);
-  const Value* p = store_.read_for_txn_ptr(txn_, obj);
-  const Value& v = p ? *p : kZeroValue;
-  if (record_sets_) reads_.emplace_back(obj, v);
-  return as_int(v);
-}
+Value TxnContext::read(ObjectId obj) { return read_logged(obj); }
+
+std::int64_t TxnContext::read_int(ObjectId obj) { return as_int(read_logged(obj)); }
 
 void TxnContext::write(ObjectId obj, Value value) {
   check_scope(obj);
-  if (record_sets_) writes_.emplace_back(obj, value);
   store_.write(txn_, obj, std::move(value));
 }
 

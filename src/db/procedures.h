@@ -15,6 +15,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "db/partition.h"
@@ -31,26 +32,32 @@ struct TxnArgs {
   std::vector<std::string> strings;
 };
 
+/// A transaction's read log: every (object, value) it read, in read order.
+using ReadLog = std::vector<std::pair<ObjectId, Value>>;
+
 /// Execution context handed to a stored procedure. The context enforces the
 /// transaction's access scope: either its conflict-class partition (the
 /// paper's Section 2.3 model) or an explicitly pre-declared object set (the
 /// fine-granularity model of Section 6 / the companion report [13]).
+///
+/// Writes go straight to the store's provisional write set, which is the
+/// transaction's only write set. Reads are appended to `reads` when the
+/// caller passes a log (the replicas pass their record's recycled log when a
+/// commit hook wants read sets); without one nothing is logged.
 class TxnContext {
  public:
   /// Class-scoped context: the transaction may touch its class's partition.
   /// `txn` is the site-local dense id the replica interned for this
-  /// transaction (see TxnIdInterner). `record_sets` controls read/write-set
-  /// logging: replicas disable it when no commit hook (checker) is installed,
-  /// removing a Value copy from every read on the hot path.
+  /// transaction (see TxnIdInterner).
   TxnContext(VersionedStore& store, const PartitionCatalog& catalog, TxnId txn, ClassId klass,
-             const TxnArgs& args, bool record_sets = true)
+             const TxnArgs& args, ReadLog* reads = nullptr)
       : store_(store),
         scope_lo_(catalog.object(klass, 0)),
         scope_hi_(scope_lo_ + catalog.objects_per_class()),
         txn_(txn),
         klass_(klass),
         args_(args),
-        record_sets_(record_sets) {}
+        reads_(reads) {}
 
   /// Class-set-scoped context: the transaction may touch the union of the
   /// partitions of `classes` (ascending, duplicate-free; must stay alive for
@@ -58,24 +65,24 @@ class TxnContext {
   /// update transactions.
   TxnContext(VersionedStore& store, const PartitionCatalog& catalog,
              std::span<const ClassId> classes, TxnId txn, const TxnArgs& args,
-             bool record_sets = true)
+             ReadLog* reads = nullptr)
       : store_(store),
         catalog_(&catalog),
         classes_(classes),
         txn_(txn),
         klass_(classes.front()),
         args_(args),
-        record_sets_(record_sets) {}
+        reads_(reads) {}
 
   /// Set-scoped context: the transaction may touch exactly `access_set`.
   TxnContext(VersionedStore& store, const std::vector<ObjectId>& access_set, TxnId txn,
-             ClassId klass, const TxnArgs& args, bool record_sets = true)
+             ClassId klass, const TxnArgs& args, ReadLog* reads = nullptr)
       : store_(store),
         access_set_(&access_set),
         txn_(txn),
         klass_(klass),
         args_(args),
-        record_sets_(record_sets) {}
+        reads_(reads) {}
 
   /// Reads an object within this transaction's scope (own writes visible).
   /// Unwritten objects read as integer 0.
@@ -99,14 +106,8 @@ class TxnContext {
   }
   TxnId txn_id() const { return txn_; }
 
-  /// Read/write sets accumulated during execution (checker support).
-  const std::vector<std::pair<ObjectId, Value>>& reads() const { return reads_; }
-  const std::vector<std::pair<ObjectId, Value>>& writes() const { return writes_; }
-  /// Move-out variants for the replica's per-execution record keeping.
-  std::vector<std::pair<ObjectId, Value>> take_reads() { return std::move(reads_); }
-  std::vector<std::pair<ObjectId, Value>> take_writes() { return std::move(writes_); }
-
  private:
+  const Value& read_logged(ObjectId obj);
   void check_scope(ObjectId obj) const;
 
   VersionedStore& store_;
@@ -118,9 +119,7 @@ class TxnContext {
   TxnId txn_ = kInvalidTxnId;
   ClassId klass_;
   const TxnArgs& args_;
-  bool record_sets_ = true;
-  std::vector<std::pair<ObjectId, Value>> reads_;
-  std::vector<std::pair<ObjectId, Value>> writes_;
+  ReadLog* reads_ = nullptr;  // caller-owned; nullptr = no logging
 };
 
 using Procedure = std::function<void(TxnContext&)>;

@@ -1,0 +1,82 @@
+// Allocation budget per committed transaction, pinned per engine.
+//
+// A fixed-seed 4-site cluster runs the rmw workload with a commit hook
+// installed (so every execution logs its reads and every commit fills the
+// record the hook sees). After a warm-up, in which the transaction table, the
+// interner, the logs and the queues reach their high-water marks, the test
+// counts global operator new calls over a steady window and divides by the
+// transactions committed in it (counted once, at site 0). The count covers
+// the whole stack - client, network, broadcast, consensus, engine and store -
+// and is deterministic for a fixed seed.
+//
+// This TU includes util/counting_new.h (the global counting operator new),
+// so it must stay the binary's only TU that does.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <memory>
+
+#include "baseline/conservative_replica.h"
+#include "core/cluster.h"
+#include "core/lock_table_replica.h"
+#include "util/counting_new.h"
+#include "workload/workload.h"
+
+namespace otpdb {
+namespace {
+
+double allocs_per_commit(const ReplicaFactory& factory) {
+  ClusterConfig config;
+  config.n_sites = 4;
+  config.n_classes = 8;
+  config.seed = 11;
+  Cluster cluster = factory ? Cluster(config, factory) : Cluster(config);
+  std::uint64_t hooked = 0;
+  for (SiteId s = 0; s < cluster.site_count(); ++s) {
+    cluster.replica(s).set_commit_hook([&hooked](const CommitRecord& r) { hooked += r.index; });
+  }
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 200;
+  wl.duration = 4 * kSecond;
+  WorkloadDriver driver(cluster, wl, 5);
+  driver.start();
+  cluster.run_for(2 * kSecond);  // warm-up
+  const std::uint64_t allocs_before = heap_alloc_count.load(std::memory_order_relaxed);
+  const std::uint64_t commits_before = cluster.replica(0).metrics().committed;
+  cluster.run_for(2 * kSecond);  // the steady window
+  const std::uint64_t allocs = heap_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const std::uint64_t commits = cluster.replica(0).metrics().committed - commits_before;
+  EXPECT_TRUE(cluster.quiesce());
+  EXPECT_GT(hooked, 0u);
+  EXPECT_GT(commits, 1000u) << "the window must hold a steady load";
+  const double per_commit = static_cast<double>(allocs) / static_cast<double>(commits);
+  std::printf("allocations per committed transaction: %.2f\n", per_commit);
+  return per_commit;
+}
+
+// Each bound is the value measured with GCC 12's libstdc++ (identical in
+// RelWithDebInfo and in the ASan+UBSan Debug build) times this headroom,
+// which absorbs other standard-library versions.
+constexpr double kHeadroom = 1.25;
+
+TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 22.95 * kHeadroom); }
+
+TEST(AllocBudget, ConservativeEngine) {
+  const double measured = allocs_per_commit([](const ReplicaDeps& d) {
+    return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                                 d.registry, d.site);
+  });
+  EXPECT_LT(measured, 22.99 * kHeadroom);
+}
+
+TEST(AllocBudget, LockTableEngine) {
+  const double measured = allocs_per_commit([](const ReplicaDeps& d) {
+    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                              d.registry, d.site, rmw_access_extractor(d.catalog));
+  });
+  EXPECT_LT(measured, 25.36 * kHeadroom);
+}
+
+}  // namespace
+}  // namespace otpdb

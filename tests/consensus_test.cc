@@ -29,7 +29,7 @@ class ConsensusFixture {
       hosts_.push_back(std::make_unique<ConsensusHost>(sim_, net_, *fds_[s], s, config));
       auto& mine = decisions_[s];
       hosts_[s]->set_on_decide(
-          [&mine](std::uint64_t inst, const ConsensusHost::Value& v) { mine[inst] = v; });
+          [&mine](std::uint64_t inst, const ConsensusHost::Value& v) { mine[inst] = *v; });
     }
     for (auto& fd : fds_) fd->start();
   }
@@ -37,14 +37,14 @@ class ConsensusFixture {
   Simulator& sim() { return sim_; }
   Network& net() { return net_; }
   ConsensusHost& host(SiteId s) { return *hosts_[s]; }
-  const std::map<std::uint64_t, ConsensusHost::Value>& decisions(SiteId s) const {
+  const std::map<std::uint64_t, ConsensusHost::Sequence>& decisions(SiteId s) const {
     return decisions_[s];
   }
 
   /// All sites that decided `inst` must agree; returns the decided value.
-  std::optional<ConsensusHost::Value> agreed_value(std::uint64_t inst,
-                                                   std::size_t min_deciders) const {
-    std::optional<ConsensusHost::Value> value;
+  std::optional<ConsensusHost::Sequence> agreed_value(std::uint64_t inst,
+                                                      std::size_t min_deciders) const {
+    std::optional<ConsensusHost::Sequence> value;
     std::size_t deciders = 0;
     for (const auto& site_map : decisions_) {
       auto it = site_map.find(inst);
@@ -65,7 +65,7 @@ class ConsensusFixture {
   Network net_;
   std::vector<std::unique_ptr<FailureDetector>> fds_;
   std::vector<std::unique_ptr<ConsensusHost>> hosts_;
-  std::vector<std::map<std::uint64_t, ConsensusHost::Value>> decisions_;
+  std::vector<std::map<std::uint64_t, ConsensusHost::Sequence>> decisions_;
 };
 
 NetConfig calm() {
@@ -75,8 +75,8 @@ NetConfig calm() {
 }
 
 ConsensusHost::Value seq(std::initializer_list<std::uint64_t> seqs) {
-  ConsensusHost::Value v;
-  for (auto s : seqs) v.push_back(MsgId{0, s});
+  auto v = std::make_shared<ConsensusHost::Sequence>();
+  for (auto s : seqs) v->push_back(MsgId{0, s});
   return v;
 }
 
@@ -86,7 +86,7 @@ TEST(Consensus, IdenticalProposalsDecideFast) {
   f.sim().run_until(1 * kSecond);
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, seq({1, 2, 3}));
+  EXPECT_EQ(*v, *seq({1, 2, 3}));
   for (SiteId s = 0; s < 4; ++s) {
     EXPECT_EQ(f.host(s).stats().fast_decides, 1u) << "site " << s;
     EXPECT_EQ(f.host(s).stats().round_decides, 0u);
@@ -103,7 +103,7 @@ TEST(Consensus, ConflictingProposalsStillAgree) {
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
   // Validity: the decision is one of the proposed values.
-  EXPECT_TRUE(*v == seq({1, 2}) || *v == seq({2, 1}));
+  EXPECT_TRUE(*v == *seq({1, 2}) || *v == *seq({2, 1}));
 }
 
 TEST(Consensus, ValidityWithSingleProposer) {
@@ -115,7 +115,7 @@ TEST(Consensus, ValidityWithSingleProposer) {
   f.sim().run_until(5 * kSecond);
   const auto v = f.agreed_value(0, 3);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, seq({9}));
+  EXPECT_EQ(*v, *seq({9}));
 }
 
 TEST(Consensus, ManyInstancesIndependently) {
@@ -127,7 +127,7 @@ TEST(Consensus, ManyInstancesIndependently) {
   for (std::uint64_t inst = 0; inst < 20; ++inst) {
     const auto v = f.agreed_value(inst, 3);
     ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, seq({inst}));
+    EXPECT_EQ(*v, *seq({inst}));
   }
 }
 
@@ -144,7 +144,7 @@ TEST(Consensus, CoordinatorCrashBeforeProposing) {
   f.sim().run_until(10 * kSecond);
   const auto v = f.agreed_value(0, 3);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, seq({4}));
+  EXPECT_EQ(*v, *seq({4}));
 }
 
 TEST(Consensus, CoordinatorCrashMidRoundStillSafe) {
@@ -163,7 +163,7 @@ TEST(Consensus, CoordinatorCrashMidRoundStillSafe) {
   f.sim().run_until(30 * kSecond);
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_TRUE(*v == seq({1}) || *v == seq({2}));
+  EXPECT_TRUE(*v == *seq({1}) || *v == *seq({2}));
 }
 
 TEST(Consensus, MinorityCrashNeverBlocks) {
@@ -176,7 +176,7 @@ TEST(Consensus, MinorityCrashNeverBlocks) {
   f.sim().run_until(10 * kSecond);
   const auto v = f.agreed_value(0, 3);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, seq({8}));
+  EXPECT_EQ(*v, *seq({8}));
 }
 
 TEST(Consensus, NonProposerLearnsDecisionFromBroadcast) {
@@ -188,7 +188,7 @@ TEST(Consensus, NonProposerLearnsDecisionFromBroadcast) {
   // Site 3 never proposed, yet the Decision broadcast reaches it too.
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, seq({5}));
+  EXPECT_EQ(*v, *seq({5}));
 }
 
 TEST(Consensus, StragglerCatchesUpAfterRecovery) {
@@ -209,7 +209,7 @@ TEST(Consensus, StragglerCatchesUpAfterRecovery) {
   f.sim().run_until(4 * kSecond);
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, seq({5}));
+  EXPECT_EQ(*v, *seq({5}));
 }
 
 TEST(Consensus, DuplicateProposeIsRejected) {
@@ -248,7 +248,7 @@ TEST(Consensus, StressRandomizedAgreement) {
       const auto v = f.agreed_value(inst, 1);  // agreement among all deciders
       ASSERT_TRUE(v.has_value()) << "instance " << inst << " never decided (seed " << seed
                                  << ")";
-      EXPECT_TRUE(*v == seq({inst * 2}) || *v == seq({inst * 2 + 1})) << "validity";
+      EXPECT_TRUE(*v == *seq({inst * 2}) || *v == *seq({inst * 2 + 1})) << "validity";
     }
   }
 }

@@ -11,6 +11,9 @@
 // 1-copy-serializability holds with drops in the history.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -242,6 +245,69 @@ TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteOtp) {
 
 TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteConservative) {
   flood_one_class_and_check(/*conservative=*/true);
+}
+
+/// The conservative engine must retire a drop in queue order, after the
+/// predecessors queued ahead of it. The same flood as above, with a snapshot
+/// query and a class-watermark probe at every site each millisecond: a query
+/// whose snapshot covers a drop must see every predecessor's write (oracle:
+/// the site's commit history), and no class watermark may ever decrease.
+TEST(Deadline, ConservativeDropsRetireInQueueOrder) {
+  ClusterConfig config;
+  config.n_sites = 4;
+  config.n_classes = 2;
+  DirectFixture f(config, /*conservative=*/true);
+  HistoryRecorder recorder(f.cluster);
+  constexpr int kTxns = 10;
+  constexpr SimTime kExec = 10 * kMillisecond;
+  constexpr SimTime kDeadline = 50 * kMillisecond;  // fits 5 of the 10
+  for (int i = 0; i < kTxns; ++i) {
+    ASSERT_EQ(f.cluster.replica(0).submit_update(f.proc, 0, f.args(), kExec, kDeadline),
+              SubmitResult::admitted);
+  }
+  const ObjectId obj = f.cluster.catalog().object(0, 0);
+  std::vector<std::vector<QueryReport>> reports(config.n_sites);
+  std::vector<std::vector<TOIndex>> watermarks(config.n_sites);
+  for (SimTime t = 0; t < 200 * kMillisecond; t += kMillisecond) {
+    f.cluster.sim().schedule_at(t, [&f, &reports, &watermarks, obj] {
+      for (SiteId s = 0; s < f.cluster.site_count(); ++s) {
+        auto& replica = dynamic_cast<ConservativeReplica&>(f.cluster.replica(s));
+        watermarks[s].push_back(replica.last_committed(0));
+        replica.submit_query([obj](QueryContext& ctx) { (void)ctx.read_int(obj); },
+                             100 * kMicrosecond,
+                             [&reports, s](const QueryReport& r) { reports[s].push_back(r); });
+      }
+    });
+  }
+  f.cluster.run_for(kSecond);
+  EXPECT_TRUE(f.cluster.quiesce()) << "a query waits forever";
+
+  for (SiteId s = 0; s < f.cluster.site_count(); ++s) {
+    EXPECT_EQ(f.cluster.replica(s).metrics().deadline_expired_queue, 5u);
+    EXPECT_TRUE(std::is_sorted(watermarks[s].begin(), watermarks[s].end()))
+        << "class 0 watermark decreased at site " << s;
+    // Oracle: object `obj` at snapshot i holds the write of the site's last
+    // commit with index <= i (0 before any). Drops write nothing.
+    std::map<TOIndex, std::int64_t> written;
+    for (const CommitRecord& r : recorder.site_logs()[s]) {
+      for (const auto& [o, v] : r.writes) {
+        if (o == obj) written[r.index] = as_int(v);
+      }
+    }
+    ASSERT_EQ(written.size(), 5u);
+    const TOIndex first_drop = written.rbegin()->first + 1;  // drops follow the survivors
+    std::size_t covering = 0, stale = 0;
+    for (const QueryReport& r : reports[s]) {
+      const auto next = written.upper_bound(r.snapshot_index);
+      const std::int64_t expected = next == written.begin() ? 0 : std::prev(next)->second;
+      ASSERT_EQ(r.reads.size(), 1u);
+      stale += as_int(r.reads[0].second) != expected ? 1 : 0;
+      covering += r.snapshot_index >= first_drop ? 1 : 0;
+    }
+    EXPECT_EQ(stale, 0u) << "queries missed a predecessor's write at site " << s;
+    EXPECT_EQ(reports[s].size(), 200u);
+    EXPECT_GT(covering, 0u) << "no query snapshot covered a drop at site " << s;
+  }
 }
 
 // -- client retry loop --------------------------------------------------------

@@ -74,6 +74,45 @@ TEST(TxnIdInterner, ClearDropsEverything) {
   EXPECT_EQ(interner.intern(MsgId{0, 1}), 0u) << "dense again after clear";
 }
 
+TEST(TxnIdInterner, RandomizedAgainstReference) {
+  // Interleaved interns and releases over dense (broadcast) and sparse
+  // (Lamport-stamped) MsgIds, with a live set that grows past several table
+  // doublings and then shrinks: every binding must stay findable through the
+  // backward-shift erases, and every released one must vanish.
+  Rng rng(7);
+  TxnIdInterner interner;
+  std::map<MsgId, TxnId> reference;
+  std::vector<MsgId> live;
+  std::uint64_t next_seq = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const bool grow_phase = step < 12000;
+    if (live.empty() || rng.bernoulli(grow_phase ? 0.6 : 0.4)) {
+      const auto sender = static_cast<SiteId>(rng.uniform_int(0, 4));
+      const std::uint64_t seq = rng.bernoulli(0.5) ? next_seq : (next_seq << 20) + 977;
+      ++next_seq;
+      const MsgId id{sender, seq};
+      const TxnId tid = interner.intern(id);
+      EXPECT_EQ(interner.resolve(tid), id);
+      reference[id] = tid;
+      live.push_back(id);
+    } else {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
+      const MsgId id = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      interner.release(reference.at(id));
+      reference.erase(id);
+      EXPECT_EQ(interner.find(id), kInvalidTxnId);
+    }
+    if (step % 997 == 0) {
+      for (const auto& [id, tid] : reference) ASSERT_EQ(interner.find(id), tid);
+    }
+  }
+  EXPECT_EQ(interner.live(), reference.size());
+  for (const auto& [id, tid] : reference) EXPECT_EQ(interner.lookup(id), tid);
+}
+
 // --- Flat write-set semantics ------------------------------------------------
 
 TEST(FlatWriteSet, ReadYourWrites) {
