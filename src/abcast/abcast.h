@@ -62,11 +62,6 @@ struct AbcastStats {
   std::uint64_t broadcasts = 0;
   std::uint64_t opt_delivered = 0;
   std::uint64_t to_delivered = 0;
-  /// Batches definitively ordered via the optimistic fast path (identical
-  /// proposals at all sites - no extra coordination rounds).
-  std::uint64_t fast_batches = 0;
-  /// Batches that needed coordinator-driven consensus rounds.
-  std::uint64_t slow_batches = 0;
   /// Sum over messages of (TO-deliver time - Opt-deliver time), nanoseconds;
   /// divide by to_delivered for the mean optimistic window.
   std::int64_t opt_to_gap_total_ns = 0;
@@ -76,6 +71,9 @@ struct AbcastStats {
   std::uint64_t recovery_tombstones = 0;
   /// Message bodies fetched from peers during catch-up (the durable tail).
   std::uint64_t recovery_bodies_fetched = 0;
+  /// Late data or consensus messages dropped because their slot lies below
+  /// the cluster's stable floor (already trimmed; never delivered again).
+  std::uint64_t below_floor_dropped = 0;
 };
 
 /// Per-site handle of an atomic broadcast protocol instance.

@@ -51,6 +51,16 @@ void ConsensusHost::crash_reset() {
   instances_.clear();
 }
 
+void ConsensusHost::trim_below(std::uint64_t inst) {
+  // Ascending cancel order, as in crash_reset. A site that learned a
+  // decision through catch-up may still run a round timer on the instance.
+  std::uint64_t k = instances_.first_key();
+  for (auto it = instances_.begin(); it != instances_.end() && k < inst; ++it, ++k) {
+    if (it->timer_armed) wheel_.cancel(it->round_timer);
+  }
+  instances_.trim_front(inst);
+}
+
 void ConsensusHost::propose(std::uint64_t inst, Value value) {
   OTPDB_CHECK(value != nullptr);
   Instance& in = instance(inst);
@@ -72,6 +82,10 @@ void ConsensusHost::propose(std::uint64_t inst, Value value) {
 void ConsensusHost::on_message(const Message& msg) {
   const auto* p = payload_cast_fast<ConsensusPayload>(msg);
   OTPDB_CHECK(p != nullptr);
+  if (instances_.trimmed(p->inst)) {
+    ++stats_.below_floor_dropped;
+    return;
+  }
   Instance& in = instance(p->inst);
 
   // Reply with the decision to any straggler still working on a decided instance.
@@ -133,6 +147,7 @@ void ConsensusHost::maybe_fast_decide(std::uint64_t inst) {
 }
 
 void ConsensusHost::maybe_coord_round0(std::uint64_t inst) {
+  if (instances_.trimmed(inst)) return;  // a retry scheduled before the trim
   Instance& in = instance(inst);
   if (in.decided || in.coord_proposed_round0 || in.round > 0) return;
   if (!in.proposed) return;  // cannot coordinate before having a value

@@ -28,7 +28,10 @@
 //   majority of acks for v, every later coordinator adopts v.
 //
 // Late joiners: a site receiving traffic for an instance it already decided
-// replies with the Decision, so laggards catch up.
+// replies with the Decision, so laggards catch up. Instances below the
+// cluster's stable floor are trimmed (trim_below): every site has applied
+// their decisions, so traffic for them is dropped and counted instead
+// (ConsensusStats::below_floor_dropped).
 #pragma once
 
 #include <cstdint>
@@ -62,6 +65,9 @@ struct ConsensusStats {
   std::uint64_t fast_decides = 0;   ///< decided via identical-proposal fast path
   std::uint64_t round_decides = 0;  ///< decided via coordinator round
   std::uint64_t rounds_started = 0;
+  /// Messages dropped because their instance was trimmed (below the
+  /// cluster's stable floor).
+  std::uint64_t below_floor_dropped = 0;
 };
 
 /// Per-site consensus participant multiplexing numbered instances.
@@ -83,6 +89,12 @@ class ConsensusHost {
 
   /// Registers the decision callback (invoked exactly once per instance).
   void set_on_decide(DecideFn fn) { on_decide_ = std::move(fn); }
+
+  /// Drops every instance below `inst` for good. The caller guarantees that
+  /// every site has applied their decisions.
+  void trim_below(std::uint64_t inst);
+  /// Instances currently held (decided or not) - the trimmed table's size.
+  std::size_t retained_instances() const { return instances_.size(); }
 
   const ConsensusStats& stats() const { return stats_; }
 

@@ -9,7 +9,9 @@
 namespace otpdb {
 
 namespace {
-struct HeartbeatPayload final : Payload {};
+struct HeartbeatPayload final : Payload {
+  TOIndex floor = 0;  // the sender's stable floor at send time
+};
 }  // namespace
 
 FailureDetector::FailureDetector(Simulator& sim, Network& net, SiteId self,
@@ -20,7 +22,8 @@ FailureDetector::FailureDetector(Simulator& sim, Network& net, SiteId self,
       config_(config),
       last_heard_(net.site_count(), 0),
       timeout_(net.site_count(), config.suspect_timeout),
-      suspected_(net.site_count(), false) {
+      suspected_(net.site_count(), false),
+      floors_(net.site_count(), 0) {
   net_.subscribe(self_, kChannelHeartbeat, [this](const Message& m) { on_heartbeat(m); });
 }
 
@@ -40,8 +43,20 @@ std::size_t FailureDetector::alive_count() const {
   return n;
 }
 
+void FailureDetector::note_floor(SiteId site, TOIndex floor) {
+  if (floor <= floors_[site]) return;
+  const bool was_min = floors_[site] == stable_floor_;
+  floors_[site] = floor;
+  if (was_min) stable_floor_ = *std::min_element(floors_.begin(), floors_.end());
+}
+
 void FailureDetector::tick() {
-  net_.multicast(self_, kChannelHeartbeat, std::make_shared<HeartbeatPayload>());
+  auto heartbeat = std::make_shared<HeartbeatPayload>();
+  if (floor_source_) {
+    heartbeat->floor = floor_source_();
+    note_floor(self_, heartbeat->floor);
+  }
+  net_.multicast(self_, kChannelHeartbeat, std::move(heartbeat));
   const SimTime now = sim_.now();
   for (SiteId s = 0; s < net_.site_count(); ++s) {
     if (s == self_) continue;
@@ -57,6 +72,7 @@ void FailureDetector::tick() {
 }
 
 void FailureDetector::on_heartbeat(const Message& msg) {
+  note_floor(msg.from, payload_cast_fast<HeartbeatPayload>(msg)->floor);
   const SimTime now = sim_.now();
   const SimTime gap = now - last_heard_[msg.from];
   last_heard_[msg.from] = now;

@@ -13,6 +13,14 @@
 // suspect/restore cycles after a few rounds, while first-suspicion latency
 // for genuinely crashed peers is unchanged - backoff only ever starts after
 // a restore, which a crashed peer never produces.
+//
+// Stable floors ride on the heartbeats: each one carries the sender's
+// stable floor (the highest definitive index it will never need replayed,
+// read from the floor source at send time), and the detector keeps the
+// highest floor heard from every site. Their minimum, stable_floor(), is
+// the cluster-wide floor below which the ordering layer may drop history.
+// A crashed site's floor stays at its last report, so it pins the minimum
+// until it comes back.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +29,7 @@
 
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/types.h"
 
 namespace otpdb {
 
@@ -62,6 +71,13 @@ class FailureDetector {
   void set_on_suspect(std::function<void(SiteId)> fn) { on_suspect_ = std::move(fn); }
   void set_on_restore(std::function<void(SiteId)> fn) { on_restore_ = std::move(fn); }
 
+  /// Where this site's own stable floor is read before every heartbeat.
+  /// Without a source the site reports 0 and nothing is ever trimmed.
+  void set_floor_source(std::function<TOIndex()> fn) { floor_source_ = std::move(fn); }
+  /// Minimum over all sites (self included) of the highest stable floor
+  /// heard from each: every site has committed every index at or below it.
+  TOIndex stable_floor() const { return stable_floor_; }
+
   /// Lifetime suspicion churn at this detector.
   const FailureDetectorStats& stats() const { return stats_; }
   /// The current (possibly backed-off) suspect timeout for `site`.
@@ -70,6 +86,8 @@ class FailureDetector {
  private:
   void tick();
   void on_heartbeat(const Message& msg);
+  /// Raises `site`'s known floor to `floor` and refreshes the minimum.
+  void note_floor(SiteId site, TOIndex floor);
 
   Simulator& sim_;
   Network& net_;
@@ -81,6 +99,9 @@ class FailureDetector {
   FailureDetectorStats stats_;
   std::function<void(SiteId)> on_suspect_;
   std::function<void(SiteId)> on_restore_;
+  std::function<TOIndex()> floor_source_;
+  std::vector<TOIndex> floors_;  // highest stable floor heard per site
+  TOIndex stable_floor_ = 0;     // min over floors_
   bool started_ = false;
 };
 

@@ -26,6 +26,14 @@
 // instances are pipelined); they are buffered and applied strictly in stage
 // order.
 //
+// History is bounded by the cluster's stable floor (FailureDetector::
+// stable_floor, the minimum over all sites of the highest definitive index
+// each has committed, and on the WAL backend made durable). Below it no site
+// will ever need a replay, so each site trims its decision log, its consensus
+// instances, and every sender's message slots and cached bodies. A crashed
+// site's floor stays at its last report, which pins trimming until it is
+// back.
+//
 // Tolerates f < n/2 crash faults (inherited from the consensus layer).
 #pragma once
 
@@ -75,7 +83,11 @@ class OptAbcast final : public AtomicBroadcast {
   MsgId broadcast(PayloadPtr payload) override;
   void set_callbacks(AbcastCallbacks callbacks) override;
   SiteId site() const override { return self_; }
-  const AbcastStats& stats() const override { return stats_; }
+  const AbcastStats& stats() const override {
+    // Late consensus messages for trimmed instances are counted by consensus.
+    stats_.below_floor_dropped = late_copies_dropped_ + consensus_.stats().below_floor_dropped;
+    return stats_;
+  }
   bool backpressured() const override {
     return config_.max_inflight_per_sender != 0 &&
            own_inflight_ >= config_.max_inflight_per_sender;
@@ -92,20 +104,38 @@ class OptAbcast final : public AtomicBroadcast {
   // A crash wipes this endpoint's volatile protocol state (arrived bodies,
   // pending batches, in-flight proposals, even the applied-stage counters -
   // the definitive order is re-learned, and the replica suppresses re-commits
-  // below its durable watermark). Catch-up is redo-style: peers keep a
-  // decision log and a body cache; the recovering site requests decisions
-  // from stage 0 and fetches missing message bodies on demand, re-delivering
-  // Opt+TO through the normal callbacks. New stages keep flowing concurrently.
+  // below its commit watermarks). Catch-up is redo-style: peers keep a
+  // decision log and a body cache above the stable floor; the recovering
+  // site asks for decisions, and a peer answers from its first retained stage
+  // together with that stage's first definitive index and which messages the
+  // stages before it ordered (per sender, a front key plus exceptions). The
+  // first answer whose decisions reach the site's replay floor places it:
+  // the site re-enters the order there, fetches missing message bodies on
+  // demand and re-delivers Opt+TO through the normal callbacks. New stages
+  // keep flowing concurrently; until it is placed the site proposes none and
+  // holds back arrivals, which it cannot yet tell from late copies of
+  // messages ordered before the point where it resumes.
 
   /// Discards all volatile protocol state. Call while the site is down.
   void crash_reset();
-  /// Starts catch-up after the network reconnected this site. A durable
-  /// restart passes its recovered floor: every TO-slot at or below it is
-  /// already committed on the replica's disk, so catch-up delivers those
-  /// slots as body-less tombstones instead of fetching the payloads.
-  void begin_recovery(TOIndex durable_floor = 0);
+  /// Starts catch-up after the network reconnected this site. `replay_floor`
+  /// is the replica's committed floor (warm recovery) or recovered durable
+  /// floor (cold restart): every TO-slot at or below it is already applied
+  /// there, so catch-up delivers those slots as body-less tombstones instead
+  /// of fetching the payloads. Peers never trim above it: the site reported
+  /// at most this floor before it crashed.
+  void begin_recovery(TOIndex replay_floor);
   /// True while catch-up is still in progress.
   bool recovering() const { return recovering_; }
+
+  /// Sizes of the tables trimmed below the stable floor.
+  struct Retained {
+    std::size_t msg_slots = 0;   ///< message slots over all senders
+    std::size_t detached = 0;    ///< slots a sender's front passed while empty
+    std::size_t log_stages = 0;  ///< decided stages held for catch-up
+    std::size_t instances = 0;   ///< consensus instances held
+  };
+  Retained retained() const;
 
  private:
   /// A proposal or decision, shared with consensus (see ConsensusHost::Value).
@@ -115,8 +145,13 @@ class OptAbcast final : public AtomicBroadcast {
   void consider_stage();
   void start_stage();
   void on_decide(std::uint64_t inst, const SharedSequence& sequence);
-  /// Lowest stage this site has not applied yet (the log is append-only).
-  std::uint64_t next_apply() const { return decision_log_.size(); }
+  /// Lowest stage this site has not applied yet.
+  std::uint64_t next_apply() const { return log_base_stage_ + log_.size(); }
+  /// Lowest stage still in the decision log.
+  std::uint64_t first_retained_stage() const { return log_base_stage_ + log_trimmed_; }
+  /// First definitive index of `stage` (first_retained_stage() <= stage <=
+  /// next_apply(); for next_apply(), the index the next stage starts at).
+  TOIndex stage_base(std::uint64_t stage) const;
   /// Applies (and logs) the decision for stage next_apply().
   void apply_decision(SharedSequence sequence);
   /// Applies buffered decisions while the next stage in order is among them.
@@ -126,36 +161,76 @@ class OptAbcast final : public AtomicBroadcast {
   void request_missing_bodies();
   void send_catch_up_request();
   void deliver_fetched_body(const MsgId& id, PayloadPtr payload);
+  /// Trims everything below the stable floor once it has risen.
+  void maybe_trim();
+  /// Moves `sender`'s front past the slots delivered before the first
+  /// retained stage.
+  void trim_sender(SiteId sender);
 
   /// Everything this site knows about one message, consolidated so each
   /// protocol event costs a single table lookup instead of one per
   /// bookkeeping structure. Entries live in per-sender tables indexed by
-  /// sequence number (msgs_) and are never erased outside crash_reset, so
-  /// pointers to them stay valid and the hot queues carry them directly.
+  /// sequence number (msgs_) and are erased only once a trimmed stage
+  /// ordered them (or by crash_reset) - never while a hot queue points at
+  /// them, so the queues carry pointers directly.
   struct MsgState {
-    SimTime opt_time = 0;  // arrival time: alignment cutoff + gap statistic
+    // Until TO-delivery the arrival time (alignment cutoff, gap statistic),
+    // from then on the definitive index. Their lifetimes never overlap, so
+    // they share a word and a slot stays 32 B.
+    union {
+      SimTime opt_time = 0;
+      TOIndex index;  // valid once `delivered`
+    };
     PayloadPtr body;       // cached to serve recovering peers
     bool arrived = false;  // Opt-delivered here
     bool ordered = false;  // definitively ordered by a decided stage
     bool in_proposal = false;  // sitting in an undecided stage's proposal
+    bool delivered = false;    // TO-delivered here
   };
+  static_assert(sizeof(MsgState) == 32);
   using MsgRef = std::pair<MsgId, MsgState*>;
 
-  /// The state of `id`, created if this site has not seen it yet.
-  MsgState& state(const MsgId& id);
+  /// The state of `id`, created if this site has not seen it yet; nullptr
+  /// when it was trimmed (TO-delivered at or below the stable floor).
+  MsgState* state(const MsgId& id);
+  /// The state of `id` if this site holds one (never creates).
+  const MsgState* held(const MsgId& id) const;
+  /// Opt-delivers `msg`, which arrived at `at`, and returns its state;
+  /// nullptr for a late copy (trimmed, or arrived before).
+  MsgState* arrive(const Message& msg, SimTime at);
+
+  /// One applied stage in the decision log.
+  struct LoggedStage {
+    /// The messages the stage newly ordered, in order (its decision, minus
+    /// any message an earlier stage already ordered), shared with consensus
+    /// and catch-up responses.
+    SharedSequence sequence;
+    TOIndex end = 0;  // one past the stage's last definitive index
+  };
 
   Simulator& sim_;
   Network& net_;
+  FailureDetector& fd_;
   SiteId self_;
   OptAbcastConfig config_;
   TimerWheel wheel_{sim_};  // retransmission timers (body_retry_timer_)
   ConsensusHost consensus_;
   AbcastCallbacks callbacks_;
 
-  /// Per sender, indexed by sequence number. The network numbers a sender's
-  /// messages densely across all channels, so the slots of its consensus,
-  /// failure-detector and recovery messages stay default (32 B each).
+  /// Per sender, indexed by data-channel sequence number (the network
+  /// numbers each channel's stream densely, so no slot is left for other
+  /// channels' messages). A sender's front passes a slot once a trimmed
+  /// stage ordered it (TO-delivered below trimmed_end_, so at or below the
+  /// stable floor); a late copy below the front is dropped and counted, and
+  /// its slot is never re-created. Invariant: below a sender's front, every
+  /// key not in detached_ was ordered by a trimmed stage.
   std::vector<DenseDeque<MsgState>> msgs_;
+  /// Keys a sender's front passed while this site held no message for them
+  /// (never arrived nor ordered here): a broadcast its crashed sender never
+  /// got out, one still in flight, or a gap at a recovered site. They stay
+  /// addressable here until a trimmed stage ordered them; a lost broadcast
+  /// stays.
+  std::map<MsgId, MsgState> detached_;
   std::deque<MsgRef> pending_;        // arrived, not yet definitively ordered
   std::deque<MsgRef> decided_queue_;  // decided, awaiting TO-delivery
   std::map<std::uint64_t, SharedSequence> decided_buffer_;  // out-of-order decisions
@@ -167,23 +242,36 @@ class OptAbcast final : public AtomicBroadcast {
   /// Own broadcasts sent but not yet TO-delivered here (backpressure signal).
   std::size_t own_inflight_ = 0;
   /// TO-slots <= this are TO-delivered without a body during catch-up (the
-  /// replica restored them from its own durable log). 0 outside recovery.
-  TOIndex durable_floor_ = 0;
-  AbcastStats stats_;
+  /// replica already applied them). 0 outside recovery.
+  TOIndex replay_floor_ = 0;
+  mutable AbcastStats stats_;  // below_floor_dropped is filled in by stats()
+  std::uint64_t late_copies_dropped_ = 0;  // data copies below a sender's front
   std::vector<ToDelivery> drain_scratch_;  // reused burst buffer (drain_decided)
 
   // Recovery support (message bodies are cached in msgs_[].body).
-  /// Decided sequences by stage, shared with the consensus instances that
-  /// decided them and with catch-up responses. Append-only: after every
-  /// reset, decisions are applied in stage order from 0.
-  std::vector<SharedSequence> decision_log_;
+  /// Applied stages from log_base_stage_ on. The first log_trimmed_ entries
+  /// are trimmed (their sequences released) and erased in bulk once they
+  /// make up half the vector, so the log reuses its capacity.
+  std::vector<LoggedStage> log_;
+  std::uint64_t log_base_stage_ = 0;
+  std::size_t log_trimmed_ = 0;
+  TOIndex trimmed_end_ = 1;    ///< first definitive index of the first retained stage
+  TOIndex trimmed_floor_ = 0;  ///< the stable floor of the last trim
+  /// Recovering and not yet told where the retained order starts: decisions
+  /// are buffered, arrivals held and no stage is proposed until a catch-up
+  /// answer arrives.
+  bool need_base_ = false;
+  struct HeldArrival {
+    Message msg;
+    SimTime at;
+  };
+  std::vector<HeldArrival> held_back_;  // arrivals while need_base_, in order
   bool recovering_ = false;
   bool body_request_outstanding_ = false;
   /// Retransmission timer on wheel_ (cancelled by the body_response in the
   /// common case - exactly the cancel-heavy shape the wheel exists for).
   TimerWheel::TimerId body_retry_timer_{};
   std::uint32_t body_request_attempts_ = 0;  // rotates the peer asked
-  std::uint64_t catch_up_round_ = 0;
 };
 
 }  // namespace otpdb

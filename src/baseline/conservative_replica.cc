@@ -17,12 +17,12 @@ ConservativeReplica::ConservativeReplica(Simulator& sim, AtomicBroadcast& abcast
       catalog_(catalog),
       registry_(registry),
       self_(self),
+      service_clock_(catalog.class_count()),
       queries_(sim, store_, catalog, metrics_) {
   queues_.reserve(catalog.class_count());
   for (std::size_t c = 0; c < catalog.class_count(); ++c) {
     queues_.emplace_back(static_cast<ClassId>(c));
   }
-  service_clock_.assign(catalog.class_count(), 0);
   abcast_.set_callbacks(AbcastCallbacks{
       [this](const Message& msg) { on_opt_deliver(msg); },
       [this](const MsgId& id, TOIndex index) { on_to_deliver(id, index); },
@@ -95,11 +95,11 @@ void ConservativeReplica::on_opt_deliver(const Message& msg) {
 }
 
 void ConservativeReplica::on_to_deliver(const MsgId& id, TOIndex index) {
-  // Durable catch-up tombstone: the body was never resent because this
-  // site's rebuilt store already holds the commit (index <= durable floor).
+  // Catch-up tombstone: the body was never resent because this site's store
+  // already holds the commit (index <= committed floor).
   TxnRecord* txn = txns_.lookup_if_present(id);
   if (txn == nullptr) {
-    OTPDB_CHECK_MSG(index <= queries_.durable_floor(), "TO-delivery without prior Opt-delivery");
+    OTPDB_CHECK_MSG(index <= queries_.committed_floor(), "TO-delivery without prior Opt-delivery");
     return;
   }
   txn->to_index = index;
@@ -119,9 +119,11 @@ void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
   for (ClassId c : classes) queries_.note_to_delivered(c, txn->to_index);
 
   // Deadline budget: same virtual-clock rule (and hence the same drop
-  // decisions) as the OTP engine. Before the replay early return so a warm
-  // restart's replay rebuilds the clock exactly.
-  apply_service_clock(txn);
+  // decisions) as the OTP engine; replays below the committed floor are not
+  // charged again.
+  if (!service_clock_.admit(*txn->request, txn->to_index, queries_.committed_floor())) {
+    txn->expired = true;  // dropped: occupies no service time
+  }
 
   // Crash-recovery replay: a TO-delivery at or below the covered classes'
   // commit watermarks was committed before the crash - acknowledge without
@@ -151,18 +153,6 @@ void ConservativeReplica::to_deliver_one(TxnRecord* txn) {
   } else if (heads_all_queues(txn)) {
     retire_expired(txn);
   }
-}
-
-void ConservativeReplica::apply_service_clock(TxnRecord* txn) {
-  const TxnRequest& request = *txn->request;
-  SimTime vstart = request.submitted_at;
-  for (ClassId c : request.class_span()) vstart = std::max(vstart, service_clock_[c]);
-  const SimTime vfinish = vstart + request.exec_duration;
-  if (request.deadline != 0 && vfinish > request.deadline) {
-    txn->expired = true;  // dropped: occupies no service time
-    return;
-  }
-  for (ClassId c : request.class_span()) service_clock_[c] = vfinish;
 }
 
 bool ConservativeReplica::heads_all_queues(const TxnRecord* txn) const {
@@ -281,7 +271,7 @@ void ConservativeReplica::crash_recover_reset() {
   queued_ = 0;
   backend_.clear_provisional();
   queries_.reset_volatile();
-  service_clock_.assign(service_clock_.size(), 0);  // rebuilt by the replay
+  service_clock_.rewind(queries_.committed_floor());  // catch-up resumes above it
   promote_stack_.clear();
   promoting_ = false;
   admission_.reset();
@@ -291,6 +281,7 @@ void ConservativeReplica::restart_from_disk(std::span<const TOIndex> class_water
                                             TOIndex durable_floor) {
   crash_recover_reset();  // volatile state is equally gone on a cold restart
   queries_.restore_watermarks(class_watermarks, durable_floor);
+  service_clock_.reset(durable_floor);  // RAM is gone, and the clock with it
 }
 
 }  // namespace otpdb

@@ -18,6 +18,7 @@
 #include "core/class_queue.h"
 #include "core/query_engine.h"
 #include "core/replica_base.h"
+#include "core/service_clock.h"
 #include "core/txn.h"
 #include "core/txn_table.h"
 #include "db/partition.h"
@@ -48,6 +49,7 @@ class ConservativeReplica final : public ReplicaBase {
   }
   const ReplicaMetrics& metrics() const override { return metrics_; }
   SiteId site() const override { return self_; }
+  TOIndex committed_floor() const override { return queries_.committed_floor(); }
 
   TOIndex last_to_index() const { return queries_.last_to_index(); }
   /// Introspection for tests: the commit watermark of `klass` (the last
@@ -69,9 +71,6 @@ class ConservativeReplica final : public ReplicaBase {
   /// submissions, the normalized set (and klass its first element) otherwise.
   void broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
                          TxnArgs args, SimTime exec_duration, SimTime deadline);
-  /// Deadline budget at TO-delivery (same per-class virtual service clock and
-  /// hence the same drop decisions as OtpReplica::apply_service_clock).
-  void apply_service_clock(TxnRecord* txn);
 
   void on_opt_deliver(const Message& msg);
   void on_to_deliver(const MsgId& id, TOIndex index);
@@ -99,8 +98,8 @@ class ConservativeReplica final : public ReplicaBase {
 
   std::vector<ClassQueue> queues_;
   TxnTable txns_;
-  /// Per-class virtual service clock for deadline budgets (see OtpReplica).
-  std::vector<SimTime> service_clock_;
+  /// Deadline budgets: the same drops as the OTP engine (core/service_clock.h).
+  ServiceClock service_clock_;
   std::vector<ClassId> promote_stack_;  // promote_heads worklist
   bool promoting_ = false;              // reentrancy guard for promote_heads
   std::size_t buffered_ = 0;  ///< Opt-delivered, not yet TO-delivered

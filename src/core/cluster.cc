@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -90,6 +91,13 @@ void Cluster::build(ReplicaFactory factory) {
     OTPDB_CHECK(replicas_.back() != nullptr);
     replicas_.back()->configure_admission(config_.admission);
   }
+  for (SiteId s = 0; s < config_.n_sites; ++s) {
+    // A site's stable floor: what it has committed, capped by what its
+    // storage would recover after a cold restart. The heartbeats carry it.
+    fds_[s]->set_floor_source([this, s] {
+      return std::min(replicas_[s]->committed_floor(), backends_[s]->durable_floor());
+    });
+  }
   if (config_.enable_failure_detector) {
     for (auto& fd : fds_) fd->start();
   }
@@ -103,10 +111,10 @@ void Cluster::recover_site(SiteId site) {
   backends_[site]->reopen();
   abcast->crash_reset();
   net_->recover(site);
-  abcast->begin_recovery();
+  abcast->begin_recovery(replicas_[site]->committed_floor());
 }
 
-RecoveredState Cluster::restart_site_from_disk(SiteId site, bool full_body_replay) {
+RecoveredState Cluster::restart_site_from_disk(SiteId site) {
   OTPDB_CHECK(site < config_.n_sites);
   auto* abcast = dynamic_cast<OptAbcast*>(abcasts_[site].get());
   OTPDB_CHECK_MSG(abcast != nullptr, "recovery requires the optimistic broadcast");
@@ -114,11 +122,7 @@ RecoveredState Cluster::restart_site_from_disk(SiteId site, bool full_body_repla
   replicas_[site]->restart_from_disk(recovered.class_watermarks, recovered.durable_floor);
   abcast->crash_reset();
   net_->recover(site);
-  // With full body replay peers resend every slot with its request attached
-  // (floor 0 = nothing is tombstoned); the restored watermarks above still
-  // keep already-durable work from re-executing, but the replica sees every
-  // body and can rebuild its per-class virtual service clock.
-  abcast->begin_recovery(full_body_replay ? 0 : recovered.durable_floor);
+  abcast->begin_recovery(recovered.durable_floor);
   return recovered;
 }
 

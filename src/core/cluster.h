@@ -152,26 +152,23 @@ class Cluster {
 
   /// Recovers a crashed site (paper model: sites always recover). Clears the
   /// volatile state, reconnects the network, and starts redo catch-up from
-  /// the peers' decision logs. Requires recovery support in the engine over
-  /// the optimistic broadcast (the sequencer protocol has no recovery path).
+  /// the peers' decision logs; everything at or below the site's committed
+  /// floor is TO-delivered as a body-less tombstone. Requires recovery
+  /// support in the engine over the optimistic broadcast (the sequencer
+  /// protocol has no recovery path).
   void recover_site(SiteId site);
 
   /// Cold-restarts a crashed durable site: RAM is lost, the store is rebuilt
   /// in place from its own checkpoint + WAL, and peer catch-up resends only
   /// the tail beyond the durable watermark (everything at or below it is
   /// TO-delivered as a body-less tombstone). Requires the durable backend.
-  ///
-  /// `full_body_replay` makes catch-up fetch bodies for ALL slots instead of
-  /// tombstoning those at or below the durable floor (the replica's restored
-  /// watermarks still suppress re-execution). Deadline-budget runs need it:
-  /// the per-class virtual service clock is rebuilt from request bodies, and
-  /// tombstones carry none - without bodies a cold-restarted site cannot
-  /// re-derive pre-crash drop decisions for the tail. Costlier (the whole
-  /// history is resent) and off by default.
+  /// The virtual service clock of deadline budgets restarts from zero: a
+  /// run that combines deadlines with cold restarts may drop differently
+  /// at the restarted site.
   ///
   /// Returns what the durable tier recovered; queries at the site start at
   /// its `durable_floor`.
-  RecoveredState restart_site_from_disk(SiteId site, bool full_body_replay = false);
+  RecoveredState restart_site_from_disk(SiteId site);
 
   /// Runs until every replica reports zero in-flight work or `deadline_span`
   /// elapses. Returns true if the cluster quiesced.

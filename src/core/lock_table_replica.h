@@ -81,6 +81,7 @@ class LockTableReplica final : public ReplicaBase {
   }
   const ReplicaMetrics& metrics() const override { return metrics_; }
   SiteId site() const override { return self_; }
+  TOIndex committed_floor() const override { return queries_.committed_floor(); }
 
   /// Submits with an explicit access set (bypasses the extractor).
   SubmitResult submit_update_with_access(ProcId proc, ClassId klass,

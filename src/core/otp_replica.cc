@@ -19,12 +19,12 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
       registry_(registry),
       self_(self),
       config_(config),
+      service_clock_(catalog.class_count()),
       queries_(sim, store_, catalog, metrics_) {
   queues_.reserve(catalog.class_count());
   for (std::size_t c = 0; c < catalog.class_count(); ++c) {
     queues_.emplace_back(static_cast<ClassId>(c));
   }
-  service_clock_.assign(catalog.class_count(), 0);
   abcast_.set_callbacks(AbcastCallbacks{
       [this](const Message& msg) { on_opt_deliver(msg); },
       [this](const MsgId& id, TOIndex index) { on_to_deliver(id, index); },
@@ -139,11 +139,12 @@ void OtpReplica::execution_module(TxnRecord* txn) {
 
 void OtpReplica::on_to_deliver(const MsgId& id, TOIndex index) {
   // CC1: Local Order guarantees Opt-deliver precedes TO-deliver - except for
-  // durable catch-up tombstones, which skip the body entirely because this
-  // site already holds the commit's versions from its own checkpoint + WAL.
+  // catch-up tombstones at or below the committed floor, which skip the body
+  // entirely because this site already holds the commit's versions (kept in
+  // RAM by a warm recovery, rebuilt from checkpoint + WAL by a cold restart).
   TxnRecord* txn = txns_.lookup_if_present(id);
   if (txn == nullptr) {
-    OTPDB_CHECK_MSG(index <= queries_.durable_floor(), "TO-delivery without prior Opt-delivery");
+    OTPDB_CHECK_MSG(index <= queries_.committed_floor(), "TO-delivery without prior Opt-delivery");
     return;
   }
   txn->to_index = index;
@@ -163,10 +164,12 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
   queries_.advance_to_index(index);
   for (ClassId c : classes) queries_.note_to_delivered(c, index);
 
-  // Deadline budget. Runs BEFORE the recovery-replay early return so a warm
-  // restart's replay rebuilds the virtual service clock exactly and re-makes
-  // every drop decision identically.
-  apply_service_clock(txn);
+  // Deadline budget: a drop is decided by the definitive order alone.
+  // Replays at or below the committed floor are not charged again - a warm
+  // recovery wound the clock back to that floor.
+  if (!service_clock_.admit(*txn->request, index, queries_.committed_floor())) {
+    txn->expired = true;  // dropped: occupies no service time
+  }
 
   // Crash-recovery replay: a TO-delivery at or below the covered classes'
   // durable commit watermarks was already committed before the crash -
@@ -240,23 +243,6 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
   correctness_check_module(txn);
 }
 
-void OtpReplica::apply_service_clock(TxnRecord* txn) {
-  const TxnRequest& request = *txn->request;
-  // Every non-dropped transaction occupies exec_duration of virtual serial
-  // service per covered class, starting no earlier than its submission and
-  // the covered classes' backlogs. Under overload the clock runs ahead of
-  // real submit times - that growing gap is exactly the queueing delay the
-  // deadline is budgeting against.
-  SimTime vstart = request.submitted_at;
-  for (ClassId c : request.class_span()) vstart = std::max(vstart, service_clock_[c]);
-  const SimTime vfinish = vstart + request.exec_duration;
-  if (request.deadline != 0 && vfinish > request.deadline) {
-    txn->expired = true;  // dropped: occupies no service time
-    return;
-  }
-  for (ClassId c : request.class_span()) service_clock_[c] = vfinish;
-}
-
 void OtpReplica::retire_expired(TxnRecord* txn) {
   OTPDB_CHECK(txn->expired);
   OTPDB_CHECK(txn->deliv == DeliveryState::committable);
@@ -312,10 +298,9 @@ void OtpReplica::crash_recover_reset() {
   }
   backend_.clear_provisional();
   queries_.reset_volatile();
-  // The virtual service clock rebuilds from zero during the recovery replay
-  // (apply_service_clock runs before the replay early-return), so every
-  // pre-crash drop decision is re-derived identically.
-  service_clock_.assign(service_clock_.size(), 0);
+  // Catch-up resumes just above the committed floor: wind the virtual
+  // service clock back there, so every later drop is re-derived identically.
+  service_clock_.rewind(queries_.committed_floor());
   promote_stack_.clear();
   promoting_ = false;
   admission_.reset();
@@ -325,6 +310,7 @@ void OtpReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
                                    TOIndex durable_floor) {
   crash_recover_reset();  // volatile state is equally gone on a cold restart
   queries_.restore_watermarks(class_watermarks, durable_floor);
+  service_clock_.reset(durable_floor);  // RAM is gone, and the clock with it
 }
 
 void OtpReplica::correctness_check_module(TxnRecord* txn) {

@@ -50,6 +50,7 @@
 #include "core/query.h"
 #include "core/query_engine.h"
 #include "core/replica_base.h"
+#include "core/service_clock.h"
 #include "core/txn.h"
 #include "core/txn_table.h"
 #include "db/partition.h"
@@ -92,6 +93,7 @@ class OtpReplica final : public ReplicaBase {
   void submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) override;
   const ReplicaMetrics& metrics() const override { return metrics_; }
   SiteId site() const override { return self_; }
+  TOIndex committed_floor() const override { return queries_.committed_floor(); }
 
   /// Commit hook for history recording (checker) - invoked at every commit.
   void set_commit_hook(CommitHook hook) override { commit_hook_ = std::move(hook); }
@@ -107,6 +109,8 @@ class OtpReplica final : public ReplicaBase {
   TOIndex last_to_index() const { return queries_.last_to_index(); }
   /// Introspection for tests: the MsgId -> TxnId interner.
   const TxnIdInterner& interner() const { return txns_.interner(); }
+  /// Introspection for tests: the snapshot-query engine.
+  const QueryEngine& queries() const { return queries_; }
 
   // Direct event entry points (public so unit tests can drive the modules
   // without a network; production wiring goes through the abcast callbacks).
@@ -144,11 +148,6 @@ class OtpReplica final : public ReplicaBase {
                          TxnArgs args, SimTime exec_duration, SimTime deadline);
 
   void to_deliver_one(TxnRecord* txn);
-  /// Deadline budget at TO-delivery: advances the per-class virtual service
-  /// clock and marks `txn` expired when its virtual finish time overruns the
-  /// deadline. A pure function of the definitive order + request fields, so
-  /// every site makes the same decision for every transaction.
-  void apply_service_clock(TxnRecord* txn);
   /// Retires an expired transaction heading all its covered queues: no
   /// effects, no commit hook, but the commit watermarks advance (waiting
   /// queries must not block on a slot that will never produce versions).
@@ -186,12 +185,9 @@ class OtpReplica final : public ReplicaBase {
 
   std::vector<ClassQueue> queues_;
   TxnTable txns_;
-  /// Per-class virtual service clock (deadline budgets): the virtual time at
-  /// which the class's serial service of all non-dropped TO-delivered
-  /// transactions finishes. Fed only by agreed data (definitive order,
-  /// submitted_at, exec_duration), hence identical at every site, and rebuilt
-  /// by the recovery replay (updated before the replay early-return).
-  std::vector<SimTime> service_clock_;
+  /// Deadline budgets: drops are a pure function of the definitive order, so
+  /// every site drops the same transactions (see core/service_clock.h).
+  ServiceClock service_clock_;
   std::vector<ClassId> promote_stack_;  // promote_heads worklist
   bool promoting_ = false;              // reentrancy guard for promote_heads
   TimerWheel wheel_{sim_};                       // ticket-timeout watchdogs

@@ -74,9 +74,16 @@ void QueryEngine::mark_done(TOIndex index) {
 
 void QueryEngine::note_to_delivered(Domain domain, TOIndex index) {
   if (index > last_to_index_) advance_to_index(index);
-  auto& history = to_history_[domain];
-  OTPDB_ASSERT(history.empty() || history.back() < index);
-  history.push_back(index);
+  History& history = to_history_[domain];
+  OTPDB_ASSERT(history.indices.empty() || history.indices.back() < index);
+  if (history.indices.size() >= history.trim_at) {
+    // No snapshot reads below the GC horizon, and snapshot_bound() stands
+    // the committed floor in for the indices dropped here.
+    auto& indices = history.indices;
+    indices.erase(indices.begin(), std::lower_bound(indices.begin(), indices.end(), gc_horizon()));
+    history.trim_at = std::max(History::kMinTrim, 2 * indices.size());
+  }
+  history.indices.push_back(index);
   if (index <= last_committed_[domain]) mark_done(index);  // replay: committed pre-crash
 }
 
@@ -101,7 +108,7 @@ void QueryEngine::finish_commit(TOIndex index) {
 }
 
 void QueryEngine::reset_volatile() {
-  for (auto& history : to_history_) history.clear();
+  for (History& history : to_history_) history.indices.clear();
   // Everything at or below the committed floor is in the store, and GC kept
   // the versions a snapshot there reads.
   last_to_index_ = committed_floor_;
@@ -122,7 +129,6 @@ void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain,
     last_committed_[d] = d < per_domain.size() ? per_domain[d] : 0;
     OTPDB_ASSERT(last_committed_[d] >= durable_floor);
   }
-  durable_floor_ = durable_floor;
   committed_floor_ = durable_floor;
   last_to_index_ = durable_floor;
   done_.clear();
@@ -141,7 +147,7 @@ TOIndex QueryEngine::gc_horizon() const {
 }
 
 TOIndex QueryEngine::snapshot_bound(Domain domain, TOIndex snapshot) const {
-  const auto& history = to_history_[domain];
+  const auto& history = to_history_[domain].indices;
   auto it = std::upper_bound(history.begin(), history.end(), snapshot);
   const TOIndex from_history = it == history.begin() ? 0 : *std::prev(it);
   // Indices at or below the committed floor may be missing from the history

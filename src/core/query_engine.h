@@ -98,15 +98,17 @@ class QueryEngine {
   /// Domains beyond the span reset to 0. Call after reset_volatile().
   void restore_watermarks(std::span<const TOIndex> per_domain, TOIndex durable_floor);
 
-  /// The floor of the last cold restart (0 without one): every definitive
-  /// index at or below it is applied from disk, and during catch-up arrives
-  /// as a body-less tombstone.
-  TOIndex durable_floor() const { return durable_floor_; }
-
   /// One below the lowest TO-delivered index not yet committed or dropped
   /// here (last_to_index() when nothing is outstanding). Only rises, except
   /// that a cold restart winds it back to the durable floor.
   TOIndex committed_floor() const { return committed_floor_; }
+
+  /// TO-delivery history entries held over all domains.
+  std::size_t history_entries() const {
+    std::size_t n = 0;
+    for (const History& history : to_history_) n += history.indices.size();
+    return n;
+  }
 
   /// GC horizon for VersionedStore::commit: min(oldest live query snapshot,
   /// committed floor) + 1. Every present or future snapshot is at or above
@@ -151,11 +153,17 @@ class QueryEngine {
   DomainOf domain_of_;
   ReplicaMetrics& metrics_;
 
-  std::vector<std::vector<TOIndex>> to_history_;  // per domain, ascending
+  /// One domain's TO-delivered indices, ascending. Entries below
+  /// gc_horizon() are erased in bulk whenever the history has doubled since
+  /// the last erase, so it stays within twice its live part and its
+  /// capacity is reused.
+  struct History {
+    static constexpr std::size_t kMinTrim = 16;
+    std::vector<TOIndex> indices;
+    std::size_t trim_at = kMinTrim;  // size at which the next erase runs
+  };
+  std::vector<History> to_history_;  // per domain
   std::vector<TOIndex> last_committed_;           // per domain
-  /// Set by a cold restart: indices <= it were restored from disk and may
-  /// arrive as tombstones. 0 in normal operation.
-  TOIndex durable_floor_ = 0;
   TOIndex committed_floor_ = 0;
   /// Indices (committed_floor_, last_to_index_]: true once committed or
   /// dropped. The front is always false, so the window spans only what is

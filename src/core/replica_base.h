@@ -79,6 +79,11 @@ class ReplicaBase {
   virtual const ReplicaMetrics& metrics() const = 0;
   virtual SiteId site() const = 0;
 
+  /// Every definitive index at or below this is committed (or dropped) at
+  /// this site. Engines that do not track it report 0, which keeps the
+  /// ordering layer from trimming anything.
+  virtual TOIndex committed_floor() const { return 0; }
+
   /// Installs the overload-plane admission policy (Cluster::build wires the
   /// cluster-wide AdmissionConfig here; default-constructed = disabled).
   void configure_admission(const AdmissionConfig& config) { admission_.configure(config); }

@@ -88,6 +88,9 @@ class DurableStore final : public StorageBackend {
   void crash() override;
   void reopen() override;
   RecoveredState restart_from_disk() override;
+  /// min(durable_max_index_, per-class durable watermarks): every index at
+  /// or below it is fsynced, so it bounds checkpoints and WAL truncation.
+  TOIndex durable_floor() const override;
   const WalStats* wal_stats() const override { return &stats_; }
   StorageHealth health() const override { return health_; }
   const IoFaultStats* io_fault_stats() const override {
@@ -112,9 +115,6 @@ class DurableStore final : public StorageBackend {
   void note_flush_failure(bool tail_clean);
   void schedule_checkpoint();
   void do_checkpoint();
-  /// min(durable_max_index_, per-class durable watermarks): every index at
-  /// or below it is fsynced, so it bounds checkpoints and WAL truncation.
-  TOIndex durable_floor() const;
   void truncate_below(TOIndex floor);
   void roll_segment();
   std::filesystem::path segment_path(std::uint64_t seq) const;

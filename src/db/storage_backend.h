@@ -17,6 +17,7 @@
 #pragma once
 
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -131,6 +132,11 @@ class StorageBackend {
     OTPDB_CHECK_MSG(false, "cold restart requires the durable storage backend");
     return {};
   }
+
+  /// Every definitive index at or below this is durable: a cold restart
+  /// recovers at least this far. Memory backends never restart cold, so
+  /// they impose no cap.
+  virtual TOIndex durable_floor() const { return std::numeric_limits<TOIndex>::max(); }
 
   /// WAL counters, or nullptr for backends that keep no log.
   virtual const WalStats* wal_stats() const { return nullptr; }

@@ -17,7 +17,8 @@ Network::Network(Simulator& sim, std::size_t n_sites, NetConfig config, Rng rng)
       flat_edge_{config.base_delay, config.noise_max, config.hiccup_prob, config.hiccup_mean},
       switched_(topo_.switched),
       rng_(rng),
-      next_seq_(n_sites, 0),
+      next_seq_(n_sites),
+      send_order_(n_sites, 0),
       handlers_(n_sites),
       crashed_(n_sites, false),
       partition_group_(n_sites, 0),
@@ -179,14 +180,15 @@ void Network::flush_outboxes() {
     box.clear();
   }
   // Canonical processing order: send time, then sender, then the sender's
-  // own sequence. Independent of which worker ran which shard, so the bus
-  // serialization and the rng stream (receiver delays, loss) are identical
-  // for every thread count.
+  // own send order (across channels: sequence numbers are per channel).
+  // Independent of which worker ran which shard, so the bus serialization
+  // and the rng stream (receiver delays, loss) are identical for every
+  // thread count.
   std::sort(flush_scratch_.begin(), flush_scratch_.end(),
             [](const SendRequest& a, const SendRequest& b) {
               if (a.at != b.at) return a.at < b.at;
               if (a.id.sender != b.id.sender) return a.id.sender < b.id.sender;
-              return a.id.seq < b.id.seq;
+              return a.order < b.order;
             });
   for (auto& request : flush_scratch_) process_send(request);
   flush_scratch_.clear();
@@ -338,11 +340,19 @@ void Network::deliver_switched_now(SiteId to, Message msg) {
   dispatch(to, msg);
 }
 
-MsgId Network::multicast(SiteId from, Channel channel, PayloadPtr payload) {
+MsgId Network::next_id(SiteId from, Channel channel) {
   OTPDB_CHECK(from < site_count_);
-  const MsgId id{from, next_seq_[from]++};
+  auto& per_channel = next_seq_[from];
+  if (per_channel.size() <= channel) per_channel.resize(channel + 1, 0);
+  ++send_order_[from];
+  return MsgId{from, per_channel[channel]++};
+}
+
+MsgId Network::multicast(SiteId from, Channel channel, PayloadPtr payload) {
+  const MsgId id = next_id(from, channel);
+  const std::uint64_t order = send_order_[from];
   if (switched_) {
-    SendRequest request{send_clock(), id, kEveryone, channel, std::move(payload)};
+    SendRequest request{send_clock(), id, order, kEveryone, channel, std::move(payload)};
     process_send_switched(request);
     return id;
   }
@@ -351,28 +361,29 @@ MsgId Network::multicast(SiteId from, Channel channel, PayloadPtr payload) {
     // state as of the window END: fault transitions are quantized to window
     // boundaries (<= lookahead, 150us under LAN defaults) relative to the
     // classic loop. See the fault-model note in the header.
-    outbox_[from].push_back(SendRequest{send_clock(), id, kEveryone, channel, std::move(payload)});
+    outbox_[from].push_back(
+        SendRequest{send_clock(), id, order, kEveryone, channel, std::move(payload)});
     return id;
   }
-  SendRequest request{sim_.now(), id, kEveryone, channel, std::move(payload)};
+  SendRequest request{sim_.now(), id, order, kEveryone, channel, std::move(payload)};
   process_send(request);
   return id;
 }
 
 MsgId Network::unicast(SiteId from, SiteId to, Channel channel, PayloadPtr payload) {
-  OTPDB_CHECK(from < site_count_);
   OTPDB_CHECK(to < site_count_);
-  const MsgId id{from, next_seq_[from]++};
+  const MsgId id = next_id(from, channel);
+  const std::uint64_t order = send_order_[from];
   if (switched_) {
-    SendRequest request{send_clock(), id, to, channel, std::move(payload)};
+    SendRequest request{send_clock(), id, order, to, channel, std::move(payload)};
     process_send_switched(request);
     return id;
   }
   if (sharded_) {
-    outbox_[from].push_back(SendRequest{send_clock(), id, to, channel, std::move(payload)});
+    outbox_[from].push_back(SendRequest{send_clock(), id, order, to, channel, std::move(payload)});
     return id;
   }
-  SendRequest request{sim_.now(), id, to, channel, std::move(payload)};
+  SendRequest request{sim_.now(), id, order, to, channel, std::move(payload)};
   process_send(request);
   return id;
 }

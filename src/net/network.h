@@ -30,7 +30,7 @@
 //  * Sharded + shared bus (flat/lan): the network is the hub shard of a
 //    ShardedEngine running global windows. Sends from site shards are
 //    buffered in per-sender outboxes and flushed at window barriers in
-//    canonical (time, sender, seq) order; delivery events run on the hub
+//    canonical order (time, sender, send count); delivery events run on the hub
 //    (fault checks, arrival logs) and hand the handler invocation off to the
 //    receiver's shard via its inbox.
 //  * Sharded + switched: sends are processed inline on the *sending* shard
@@ -101,7 +101,11 @@ struct NetConfig {
 
 /// Deterministic simulated network connecting n sites.
 ///
-/// All sends are stamped with a MsgId (per-sender sequence). Deliveries invoke
+/// All sends are stamped with a MsgId whose sequence number counts the
+/// sender's sends on that one channel: each (sender, channel) stream is
+/// numbered densely from 0, so a protocol can index its own messages by
+/// sequence number without gaps left by other channels. A MsgId is therefore
+/// unique per channel, not per sender. Deliveries invoke
 /// the receiver's subscribed handler for the message's channel. Crashed sites
 /// neither send nor receive; partitioned site pairs do not exchange messages
 /// while the partition holds.
@@ -196,6 +200,7 @@ class Network final : public SharedMedium {
   struct SendRequest {
     SimTime at = 0;  // the sending shard's clock at the send
     MsgId id;
+    std::uint64_t order = 0;  // the sender's send count across all channels
     SiteId to = 0;
     Channel channel = 0;
     PayloadPtr payload;
@@ -237,11 +242,13 @@ class Network final : public SharedMedium {
     ++row.deliveries_parked;
     return true;
   }
-  /// Dedup filter: true when this MsgId was already delivered to `to` and the
-  /// re-delivery must be suppressed. No-op unless dedup is armed.
+  /// Dedup filter: true when this (channel, MsgId) was already delivered to
+  /// `to` and the re-delivery must be suppressed. No-op unless dedup is armed.
   bool duplicate_suppressed(SiteId to, const Message& msg, ChaosStats& row) {
     if (!dedup_) return false;
-    if (seen_[to].insert(msg.id).second) return false;
+    auto& seen = seen_[to];
+    if (seen.size() <= msg.channel) seen.resize(msg.channel + 1);
+    if (seen[msg.channel].insert(msg.id).second) return false;
     ++row.duplicates_suppressed;
     return true;
   }
@@ -277,7 +284,11 @@ class Network final : public SharedMedium {
   Rng rng_;
   bool sharded_ = false;
   ShardedEngine* engine_ = nullptr;
-  std::vector<std::uint64_t> next_seq_;                 // per sender
+  /// Assigns the next MsgId of `from` on `channel` and counts the send.
+  MsgId next_id(SiteId from, Channel channel);
+
+  std::vector<std::vector<std::uint64_t>> next_seq_;    // [sender][channel]
+  std::vector<std::uint64_t> send_order_;               // per sender, all channels
   std::vector<std::vector<Handler>> handlers_;          // [site][channel]
   std::vector<bool> crashed_;
   std::vector<std::uint32_t> partition_group_;          // 0 = none/all together
@@ -297,7 +308,7 @@ class Network final : public SharedMedium {
   Rng chaos_rng_{0};                     // flat path: hub-owned draw stream
   std::vector<Rng> chaos_edge_rngs_;     // switched path: [from*n+to], sender-owned
   bool dedup_ = false;
-  std::vector<std::unordered_set<MsgId>> seen_;  // per receiver, receiver-owned
+  std::vector<std::vector<std::unordered_set<MsgId>>> seen_;  // [receiver][channel]
   std::vector<ChaosStats> chaos_rows_;   // [site 0..n-1, hub]; see chaos_row()
 
   // Sharded-mode mailboxes (shared-bus path). outbox_[s] is written only by

@@ -7,10 +7,17 @@
 // back; skipped keys get default-constructed slots. Growth at either end of a
 // std::deque keeps references to existing slots valid, so callers may hold
 // pointers into the table across inserts.
+//
+// trim_front(key) drops every slot below `key` for good: a trimmed key is
+// never re-created (operator[] CHECK-fails on it, find() returns null), so
+// callers test trimmed() before touching a key that may lie below the front.
+// Only clear() forgets the trimmed front.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+
+#include "util/assert.h"
 
 namespace otpdb {
 
@@ -18,7 +25,9 @@ template <typename T>
 class DenseDeque {
  public:
   /// The slot for `key`, created (with any gap to the current range) if absent.
+  /// `key` must not be trimmed.
   T& operator[](std::uint64_t key) {
+    OTPDB_CHECK_MSG(key >= front_, "DenseDeque key below the trimmed front");
     if (slots_.empty()) {
       base_ = key;
       return slots_.emplace_back();
@@ -38,10 +47,35 @@ class DenseDeque {
     return &slots_[key - base_];
   }
 
+  /// True when `key` was trimmed (it lies below the front).
+  bool trimmed(std::uint64_t key) const { return key < front_; }
+  /// The lowest key that is not trimmed. Keys from it up to first_key() were
+  /// never touched since the last trim.
+  std::uint64_t front_key() const { return front_; }
+  /// The key of the first slot (meaningless while empty()).
+  std::uint64_t first_key() const { return base_; }
+
+  /// Drops every slot below `key` and never re-creates those keys. A no-op
+  /// for a key at or below the current front.
+  void trim_front(std::uint64_t key) {
+    if (key <= front_) return;
+    front_ = key;
+    while (!slots_.empty() && base_ < key) {
+      slots_.pop_front();
+      ++base_;
+    }
+    if (slots_.empty()) base_ = key;
+  }
+
+  /// Drops every slot and forgets the trimmed front.
   void clear() {
     slots_.clear();
     base_ = 0;
+    front_ = 0;
   }
+
+  bool empty() const { return slots_.empty(); }
+  std::size_t size() const { return slots_.size(); }
 
   /// Slots in ascending key order.
   auto begin() { return slots_.begin(); }
@@ -49,6 +83,7 @@ class DenseDeque {
 
  private:
   std::uint64_t base_ = 0;
+  std::uint64_t front_ = 0;  // keys below it are trimmed
   std::deque<T> slots_;
 };
 

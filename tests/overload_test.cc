@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "abcast/opt_abcast.h"
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/admission.h"
@@ -245,6 +246,72 @@ TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteOtp) {
 
 TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteConservative) {
   flood_one_class_and_check(/*conservative=*/true);
+}
+
+/// A steady deadline flood on one class, then a warm crash/recovery of a site
+/// that submits nothing. By the crash the stable floor has passed the start
+/// of the flood, so catch-up resumes there instead of at stage 0: the
+/// recovered site must rewind its virtual service clock to its committed
+/// floor and re-derive every later drop exactly as the others do.
+void warm_recovery_rederives_drops(bool conservative) {
+  ClusterConfig config;
+  config.n_sites = 4;
+  config.n_classes = 2;
+  DirectFixture f(config, conservative);
+  HistoryRecorder recorder(f.cluster);
+  constexpr int kTxns = 300;
+  constexpr SimTime kGap = 2 * kMillisecond;
+  constexpr SimTime kExec = 5 * kMillisecond;     // 2.5x the class's capacity
+  constexpr SimTime kBudget = 40 * kMillisecond;  // relative deadline
+  for (int i = 0; i < kTxns; ++i) {
+    const SimTime at = i * kGap;
+    f.cluster.sim().schedule_at(at, [&f, i, at] {
+      ASSERT_EQ(f.cluster.replica(static_cast<SiteId>(i % 3))
+                    .submit_update(f.proc, 0, f.args(), kExec, at + kBudget),
+                SubmitResult::admitted);
+    });
+  }
+  constexpr SiteId kVictim = 3;
+  TOIndex floor_at_crash = 0, committed_at_crash = 0;
+  f.cluster.sim().schedule_at(300 * kMillisecond, [&] {
+    floor_at_crash = f.cluster.failure_detector(0).stable_floor();
+    committed_at_crash = f.cluster.replica(kVictim).committed_floor();
+    f.cluster.crash_site(kVictim);
+  });
+  f.cluster.sim().schedule_at(400 * kMillisecond, [&] { f.cluster.recover_site(kVictim); });
+  f.cluster.run_for(kTxns * kGap + 200 * kMillisecond);
+  ASSERT_TRUE(f.cluster.quiesce());
+  f.cluster.run_for(kSecond);
+
+  EXPECT_GT(floor_at_crash, 1u) << "the floor had not passed the start of the flood";
+  const auto& abcast = dynamic_cast<const OptAbcast&>(f.cluster.abcast(kVictim));
+  EXPECT_FALSE(abcast.recovering());
+  // Every site commits exactly the same indices; the rest were dropped.
+  std::vector<std::vector<TOIndex>> committed(config.n_sites);
+  for (SiteId s = 0; s < config.n_sites; ++s) {
+    for (const CommitRecord& r : recorder.site_logs()[s]) committed[s].push_back(r.index);
+    std::sort(committed[s].begin(), committed[s].end());
+    EXPECT_EQ(committed[s], committed[0]) << "site " << s << " committed different indices";
+  }
+  std::vector<TOIndex> dropped;  // one class, no other traffic: indices 1..kTxns
+  for (TOIndex i = 1; i <= kTxns; ++i) {
+    if (!std::binary_search(committed[0].begin(), committed[0].end(), i)) dropped.push_back(i);
+  }
+  ASSERT_FALSE(dropped.empty());
+  EXPECT_GT(dropped.back(), committed_at_crash)
+      << "no drop for the recovered site to re-derive after its committed floor";
+  EXPECT_TRUE(check_one_copy_serializability(recorder.site_logs()).ok());
+  std::vector<const VersionedStore*> stores;
+  for (SiteId s = 0; s < f.cluster.site_count(); ++s) stores.push_back(&f.cluster.store(s));
+  EXPECT_TRUE(compare_final_states(stores, f.cluster.catalog()).ok());
+}
+
+TEST(Deadline, WarmRecoveryRederivesDropsOtp) {
+  warm_recovery_rederives_drops(/*conservative=*/false);
+}
+
+TEST(Deadline, WarmRecoveryRederivesDropsConservative) {
+  warm_recovery_rederives_drops(/*conservative=*/true);
 }
 
 /// The conservative engine must retire a drop in queue order, after the

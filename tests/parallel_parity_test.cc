@@ -6,8 +6,9 @@
 // every cross-shard insertion happens at a window barrier in a canonical
 // (time, sender, seq) order that no worker schedule can perturb. This suite
 // pins that: identical commit histories (every field, including commit
-// timestamps and write values), identical checker verdicts, and identical
-// metric counters across sharded runs with 1, 2, 4 and 8 threads - over both
+// timestamps and write values), identical checker verdicts, identical metric
+// counters and identical sizes of the tables the ordering layer trims below
+// the stable floor across sharded runs with 1, 2, 4 and 8 threads - over both
 // class-queue engines, mixed workloads (queries, cross-class updates,
 // TPC-C-lite with remote transactions), and loss/partition/crash chaos.
 //
@@ -20,9 +21,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "abcast/opt_abcast.h"
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
+#include "core/otp_replica.h"
 #include "db/durable_store.h"
 #include "net/topology.h"
 #include "workload/tpcc_lite.h"
@@ -98,12 +101,26 @@ struct RunResult {
   std::uint64_t events = 0;
   std::uint64_t rounds = 0;             // barrier rounds (EngineStats::rounds)
   std::vector<std::uint64_t> counters;  // per-site metric counters, flattened
+  /// Per site: the trimmed tables' sizes and the below-floor drop counter.
+  std::vector<std::uint64_t> retained;
   bool serializable = false;
   bool converged = false;
   std::uint64_t committed = 0;
 };
 
 void collect_metrics(Cluster& cluster, RunResult& out) {
+  for (SiteId s = 0; s < cluster.site_count(); ++s) {
+    if (const auto* abcast = dynamic_cast<const OptAbcast*>(&cluster.abcast(s))) {
+      const OptAbcast::Retained r = abcast->retained();
+      for (std::uint64_t v : {r.msg_slots, r.detached, r.log_stages, r.instances}) {
+        out.retained.push_back(v);
+      }
+      out.retained.push_back(abcast->stats().below_floor_dropped);
+    }
+    if (const auto* otp = dynamic_cast<const OtpReplica*>(&cluster.replica(s))) {
+      out.retained.push_back(otp->queries().history_entries());
+    }
+  }
   for (SiteId s = 0; s < cluster.site_count(); ++s) {
     const ReplicaMetrics& m = cluster.replica(s).metrics();
     for (std::uint64_t v :
@@ -275,6 +292,8 @@ void expect_equal(const RunResult& base, const RunResult& other, unsigned thread
   EXPECT_EQ(base.events, other.events) << "event counts diverge at threads=" << threads;
   EXPECT_EQ(base.rounds, other.rounds) << "barrier rounds diverge at threads=" << threads;
   EXPECT_EQ(base.counters, other.counters) << "metrics diverge at threads=" << threads;
+  EXPECT_EQ(base.retained, other.retained)
+      << "trimmed table sizes diverge at threads=" << threads;
   EXPECT_EQ(base.committed, other.committed);
 }
 

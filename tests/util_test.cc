@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "util/dense_deque.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -231,6 +232,60 @@ TEST(Histogram, RenderProducesOneLinePerBucket) {
   h.add(1.5);
   const std::string s = h.render();
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
+}
+
+TEST(DenseDeque, FindReturnsNullOutsideTheRange) {
+  DenseDeque<int> table;
+  EXPECT_EQ(table.find(0), nullptr);
+  table[10] = 1;
+  table[12] = 3;
+  EXPECT_EQ(table.size(), 3u);
+  ASSERT_NE(table.find(11), nullptr);
+  EXPECT_EQ(*table.find(11), 0) << "a skipped key gets a default slot";
+  EXPECT_EQ(table.find(9), nullptr);
+  EXPECT_EQ(table.find(13), nullptr);
+  table[8] = 5;  // below the first key, nothing trimmed: the front grows
+  EXPECT_EQ(table.first_key(), 8u);
+  EXPECT_EQ(*table.find(8), 5);
+}
+
+TEST(DenseDeque, TrimFrontDropsKeysForGood) {
+  DenseDeque<int> table;
+  for (std::uint64_t k = 0; k < 10; ++k) table[k] = static_cast<int>(k);
+  EXPECT_EQ(table.front_key(), 0u);
+  table.trim_front(4);
+  EXPECT_EQ(table.size(), 6u);
+  EXPECT_EQ(table.first_key(), 4u);
+  EXPECT_EQ(table.front_key(), 4u);
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    EXPECT_TRUE(table.trimmed(k));
+    EXPECT_EQ(table.find(k), nullptr) << "key " << k << " below the front";
+  }
+  EXPECT_FALSE(table.trimmed(4));
+  EXPECT_EQ(*table.find(4), 4) << "slots above the front keep their values";
+  table.trim_front(2);  // behind the front: a no-op
+  EXPECT_TRUE(table.trimmed(3));
+  EXPECT_EQ(table.size(), 6u);
+  EXPECT_DEATH(table[3], "below the trimmed front") << "a trimmed key is never re-created";
+}
+
+TEST(DenseDeque, TrimPastTheEndKeepsTheFront) {
+  DenseDeque<int> table;
+  table[5] = 1;
+  table.trim_front(20);
+  EXPECT_TRUE(table.empty());
+  EXPECT_EQ(table.find(19), nullptr);
+  EXPECT_TRUE(table.trimmed(19));
+  table[25] = 7;  // above the front: a fresh range starts there
+  EXPECT_EQ(table.first_key(), 25u);
+  EXPECT_EQ(table.front_key(), 20u) << "keys 20-24 are untouched, not trimmed";
+  table[20] = 2;  // the gap back to the front may still be filled
+  EXPECT_EQ(table.size(), 6u);
+  EXPECT_DEATH(table[19], "below the trimmed front");
+  table.clear();  // forgets the front
+  EXPECT_FALSE(table.trimmed(0));
+  table[0] = 1;
+  EXPECT_EQ(table.size(), 1u);
 }
 
 }  // namespace
