@@ -65,7 +65,7 @@ void BM_GeoMismatch(benchmark::State& state) {
 }
 BENCHMARK(BM_GeoMismatch)
     ->ArgNames({"profile"})
-    ->Args({static_cast<std::int64_t>(TopologyProfile::flat)})
+    ->Args({static_cast<std::int64_t>(TopologyProfile::lan)})
     ->Args({static_cast<std::int64_t>(TopologyProfile::metro)})
     ->Args({static_cast<std::int64_t>(TopologyProfile::wan)})
     ->Args({static_cast<std::int64_t>(TopologyProfile::geo_3dc)})

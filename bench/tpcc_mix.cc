@@ -66,14 +66,15 @@ BENCHMARK(BM_TpccMix)
     ->Unit(benchmark::kMillisecond);
 
 // Parallel-driver sweep: the full TPC-C-lite mix (10% remote NewOrder /
-// 15% remote Payment included) on an 8-site OTP cluster, classic loop
-// (threads=1) vs the sharded engine with 2/4/8 workers. Fixed work per
-// iteration: real_time is the serial-vs-parallel wall-clock comparison, row
-// by row against threads=1. The audit still runs per site - the parallel
-// driver must not cost any consistency.
+// 15% remote Payment included) on an 8-site OTP cluster over the wan profile
+// (the sharded engine needs a switched topology), classic loop (threads=1)
+// vs the sharded engine with 2/4/8 workers. Fixed work per iteration:
+// real_time is the serial-vs-parallel wall-clock comparison, row by row
+// against threads=1. The audit still runs per site - the parallel driver
+// must not cost any consistency.
 void BM_TpccMixThreads(benchmark::State& state) {
   // threads arg: 1 = classic loop, N>=2 = sharded with N workers, 0 =
-  // sharded with one worker (windowing overhead only, no barrier traffic).
+  // sharded with one worker (round overhead only, no thread handoffs).
   const auto threads = static_cast<unsigned>(state.range(0));
   ClusterTotals t;
   double duration_s = 0;
@@ -85,7 +86,7 @@ void BM_TpccMixThreads(benchmark::State& state) {
     tpcc::Layout layout;
     config.objects_per_class = layout.objects_per_warehouse();
     config.seed = 1999;
-    config.net = lan();
+    apply_topology(config, TopologyProfile::wan);
     config.parallel.threads = threads == 0 ? 1 : threads;
     config.parallel.force_sharded = threads == 0;
     auto cluster = std::make_unique<Cluster>(config);

@@ -50,8 +50,10 @@ void Cluster::build(ReplicaFactory factory) {
     std::filesystem::create_directories(data_root_, ec);
     OTPDB_CHECK_MSG(!ec, "cannot create the cluster data directory");
   }
-  if (config_.parallel.sharded()) {
-    engine_ = std::make_unique<ShardedEngine>(config_.n_sites, config_.parallel);
+  const ParallelismConfig& parallel = config_.parallel;
+  if (topology_switched(config_.net.topology) &&
+      (parallel.threads > 1 || parallel.force_sharded)) {
+    engine_ = std::make_unique<ShardedEngine>(config_.n_sites, parallel.threads);
   }
   // The network runs on the hub shard; each site's protocol stack (failure
   // detector, broadcast endpoint, replica) runs on the site's own shard. In
@@ -98,9 +100,7 @@ void Cluster::build(ReplicaFactory factory) {
       return std::min(replicas_[s]->committed_floor(), backends_[s]->durable_floor());
     });
   }
-  if (config_.enable_failure_detector) {
-    for (auto& fd : fds_) fd->start();
-  }
+  for (auto& fd : fds_) fd->start();
 }
 
 void Cluster::recover_site(SiteId site) {

@@ -31,6 +31,18 @@ namespace otpdb {
 
 enum class AbcastKind { optimistic, sequencer };
 
+/// Selects the cluster driver. The classic single-queue loop is the default.
+/// On a switched topology (metro, wan, geo-3dc), threads >= 2 runs the
+/// site-sharded engine with that many worker threads, and force_sharded runs
+/// it even with one thread - bit-for-bit identical to every multi-threaded
+/// sharded run, and the sequential leg of the parity suite. A shared-bus
+/// (lan) cluster always runs the classic loop: every frame serializes
+/// through one bus clock, so there is no lookahead gap to shard on.
+struct ParallelismConfig {
+  unsigned threads = 1;
+  bool force_sharded = false;
+};
+
 struct ClusterConfig {
   std::size_t n_sites = 4;
   std::size_t n_classes = 8;
@@ -42,7 +54,6 @@ struct ClusterConfig {
   OptAbcastConfig opt;
   SequencerAbcastConfig sequencer;
   FailureDetectorConfig fd;
-  bool enable_failure_detector = true;
 
   OtpReplicaConfig otp;
 
@@ -61,11 +72,9 @@ struct ClusterConfig {
   /// run bit-identical to pre-chaos builds.
   ChaosConfig chaos;
 
-  /// Driver selection: threads == 1 (default) runs the classic single-queue
-  /// loop; threads >= 2 (or force_sharded) runs the site-sharded engine with
-  /// conservative lookahead windows (see sim/sharded_engine.h). All sharded
-  /// runs of one configuration are bit-for-bit identical regardless of the
-  /// thread count.
+  /// Driver selection (see ParallelismConfig and sim/sharded_engine.h). All
+  /// sharded runs of one configuration are bit-for-bit identical regardless
+  /// of the thread count.
   ParallelismConfig parallel;
 };
 

@@ -14,7 +14,6 @@ struct ReplicaMetrics {
   std::uint64_t aborts = 0;             ///< CC8 undo events (wrongly ordered head)
   std::uint64_t reexecutions = 0;       ///< submissions beyond a txn's first
   std::uint64_t mismatch_reorders = 0;  ///< CC10 moved a transaction (conflicting mismatch)
-  std::uint64_t ticket_timeouts = 0;    ///< liveness watchdog firings (OtpReplicaConfig)
 
   // Overload plane (ingress gate + deadline budgets). The gate counters are
   // origin-site-local; the queue-drop counter is replicated (every site makes

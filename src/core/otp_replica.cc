@@ -94,7 +94,6 @@ void OtpReplica::on_opt_deliver(const Message& msg) {
   // acquire() checks against duplicate Opt-delivery.
   TxnRecord* txn = txns_.acquire(msg.id, std::move(request));
   txn->opt_delivered_at = sim_.now();
-  arm_ticket_watchdog(txn);
   serialization_module(txn);
 }
 
@@ -201,7 +200,6 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
       OTPDB_CHECK(queue.head() == txn);
     }
     for (ClassId c : classes) queues_[c].remove_head(txn);
-    cancel_ticket_watchdog(txn);
     promote_heads(classes);  // before retire: `classes` views the request
     txns_.retire(txn);
     return;
@@ -260,7 +258,6 @@ void OtpReplica::retire_expired(TxnRecord* txn) {
   // at this index fall back to the predecessor version - a drop is a no-op.
   for (ClassId c : classes) queries_.note_committed(c, index);
   queries_.finish_commit(index);
-  cancel_ticket_watchdog(txn);
   promote_heads(classes);  // before retire: `classes` views the request
   txns_.retire(txn);
 }
@@ -291,7 +288,6 @@ void OtpReplica::crash_recover_reset() {
   txns_.for_each_live([this](TxnRecord* txn) {
     if (txn->running) sim_.cancel(txn->completion);
   });
-  for (const auto& timer : ticket_timers_) wheel_.cancel(timer);  // stale ids no-op
   txns_.clear();
   for (std::size_t c = 0; c < queues_.size(); ++c) {
     queues_[c] = ClassQueue(static_cast<ClassId>(c));
@@ -436,7 +432,6 @@ void OtpReplica::commit(TxnRecord* txn) {
   for (ClassId c : classes) queries_.note_committed(c, committed_index);
   queries_.finish_commit(committed_index);
   if (config_.paranoid_checks) check_invariants(txn);
-  cancel_ticket_watchdog(txn);
   // E3/CC4: removing txn may promote the next head of every covered queue to
   // heads-all status; start whichever can now run, and retire expired
   // committable heads exposed by the removal (promote_heads' guards make the
@@ -444,23 +439,6 @@ void OtpReplica::commit(TxnRecord* txn) {
   // Before retire: `classes` views the request the retire drops.
   promote_heads(classes);
   txns_.retire(txn);  // txn's slot is reusable beyond this point
-}
-
-void OtpReplica::arm_ticket_watchdog(const TxnRecord* txn) {
-  if (config_.ticket_timeout <= 0) return;
-  if (ticket_timers_.size() <= txn->tid) ticket_timers_.resize(txn->tid + 1);
-  const TxnId tid = txn->tid;
-  ticket_timers_[tid] = wheel_.schedule_after(config_.ticket_timeout, [this, tid] {
-    // Detection only: the ticket (queue position) is fixed by the definitive
-    // order, so a stall is surfaced, never "resolved" by aborting.
-    ++metrics_.ticket_timeouts;
-    OTPDB_DEBUG("otp") << "site " << self_ << " ticket timeout for txn slot " << tid;
-  });
-}
-
-void OtpReplica::cancel_ticket_watchdog(const TxnRecord* txn) {
-  if (config_.ticket_timeout <= 0) return;
-  if (txn->tid < ticket_timers_.size()) wheel_.cancel(ticket_timers_[txn->tid]);
 }
 
 void OtpReplica::check_invariants(const TxnRecord* txn) const {

@@ -58,20 +58,12 @@
 #include "db/storage_backend.h"
 #include "db/versioned_store.h"
 #include "sim/simulator.h"
-#include "sim/timer_wheel.h"
 
 namespace otpdb {
 
 struct OtpReplicaConfig {
   /// Validate queue invariants after every module step (debug/property tests).
   bool paranoid_checks = false;
-  /// Liveness watchdog on class-queue tickets: a transaction still
-  /// uncommitted this long after its Opt-delivery bumps
-  /// ReplicaMetrics::ticket_timeouts (detection only - the commit order is
-  /// fixed by TO-delivery, so nothing is aborted). 0 disables the watchdog.
-  /// Timers are armed per transaction and cancelled at commit, so they live
-  /// on the replica's timer wheel (sim/timer_wheel.h), not the event heap.
-  SimTime ticket_timeout = 0;
 };
 
 class OtpReplica final : public ReplicaBase {
@@ -167,11 +159,6 @@ class OtpReplica final : public ReplicaBase {
   void abort_transaction(TxnRecord* txn);  // CC8: undo a wrongly ordered head
   void commit(TxnRecord* txn);
 
-  /// Ticket-timeout watchdog (OtpReplicaConfig::ticket_timeout): armed at
-  /// Opt-delivery, cancelled at retirement, dense per-TxnId handles.
-  void arm_ticket_watchdog(const TxnRecord* txn);
-  void cancel_ticket_watchdog(const TxnRecord* txn);
-
   void check_invariants(const TxnRecord* txn) const;
 
   Simulator& sim_;
@@ -190,8 +177,6 @@ class OtpReplica final : public ReplicaBase {
   ServiceClock service_clock_;
   std::vector<ClassId> promote_stack_;  // promote_heads worklist
   bool promoting_ = false;              // reentrancy guard for promote_heads
-  TimerWheel wheel_{sim_};                       // ticket-timeout watchdogs
-  std::vector<TimerWheel::TimerId> ticket_timers_;  // dense, indexed by TxnId
 
   std::uint64_t next_client_seq_ = 0;
   ReplicaMetrics metrics_;

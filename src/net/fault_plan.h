@@ -93,15 +93,13 @@ struct FaultPlan {
                           SimTime delay_max, SimTime start = 0, SimTime end = kSimTimeMax);
 };
 
-/// Network-chaos configuration carried on ClusterConfig. `transport_dedup`
-/// is forced on whenever the plan can duplicate (the abcast layer asserts
-/// at-most-once per MsgId); set it explicitly to harden against duplication
-/// from other sources.
+/// Network-chaos configuration carried on ClusterConfig. Transport dedup is
+/// armed whenever the plan can duplicate (the abcast layer asserts
+/// at-most-once per MsgId).
 struct ChaosConfig {
   FaultPlan plan;
-  bool transport_dedup = false;
 
-  bool enabled() const { return !plan.empty() || transport_dedup; }
+  bool enabled() const { return !plan.empty(); }
 };
 
 /// Injection/suppression counters. Sharded mode keeps one row per shard

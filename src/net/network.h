@@ -1,6 +1,6 @@
 // Simulated network segment with selectable topology.
 //
-// The default (flat/lan profiles) models the testbed of the paper's Figure 1
+// The default lan profile models the testbed of the paper's Figure 1
 // experiment (shared Ethernet with IP multicast): one shared medium that
 // serializes frames, a propagation / protocol-stack floor per receiver, and
 // receive-side jitter. The jitter model is bimodal - most packets see only
@@ -20,40 +20,38 @@
 // hiccup delays are all non-negative); the channel-clock engine synchronizes
 // on exactly these floors.
 //
+// Both media share one send path and one delivery path; they differ only in
+// the link clock a frame waits for (the bus, or the sender's NIC) and the rng
+// streams its delays are drawn from (one network-wide stream, or one per
+// edge).
+//
 // The model also supports per-receiver message loss (with transport-level
 // retransmission so channels stay reliable, as the paper assumes), site
 // crash/recovery, and network partitions, all deterministic under a seed.
 //
 // Driving modes:
-//  * Classic (default): one Simulator runs the whole cluster; sends are
-//    processed inline and deliveries invoke handlers directly.
-//  * Sharded + shared bus (flat/lan): the network is the hub shard of a
-//    ShardedEngine running global windows. Sends from site shards are
-//    buffered in per-sender outboxes and flushed at window barriers in
-//    canonical order (time, sender, send count); delivery events run on the hub
-//    (fault checks, arrival logs) and hand the handler invocation off to the
-//    receiver's shard via its inbox.
-//  * Sharded + switched: sends are processed inline on the *sending* shard
-//    (the per-sender link clock and the per-edge rng streams are sender-
-//    local, so no global bus order exists to wait for). Self-deliveries are
-//    scheduled immediately on the sending shard; cross-site deliveries land
-//    in per-edge staging cells, double-buffered by round parity, and are
-//    drained into the receiver's queue in canonical sender order - by the
-//    receiver's own worker at its next phase start (the sharded hub phase)
-//    or serially at the barrier (ParallelismConfig::sharded_hub_drain =
-//    false). Fault checks run at delivery time on the receiver's shard.
+//  * Classic (default, and always on the shared bus): one Simulator runs the
+//    whole cluster; sends are processed inline and deliveries are events on
+//    that Simulator.
+//  * Sharded (switched profiles only): the network is the hub shard of a
+//    ShardedEngine. Sends are processed inline on the *sending* shard (the
+//    per-sender link clock and the per-edge rng streams are sender-local, so
+//    no global bus order exists to wait for). Self-deliveries are scheduled
+//    immediately on the sending shard; cross-site deliveries land in per-edge
+//    staging cells, double-buffered by round parity, and are drained into
+//    the receiver's queue in canonical sender order by the receiver's own
+//    worker at its next phase start. Fault checks run at delivery time on the
+//    receiver's shard.
 //
 // Sharded-mode fault model: crash/partition state is only mutated by hub
-// control events (or between runs), while site phases read it. Under global
-// windows sends are crash-checked at the window barrier, so a transition
-// injected mid-window applies to every send of that window; under channel
-// clocks sends are checked inline and deliveries at fire time, so a
-// transition applies from each site's *next* round. Either way transitions
-// quantize to round boundaries, at most one incoming lookahead away from
-// their classic-mode effect - a deliberate, deterministic divergence from
-// the classic loop, on top of the same-timestamp cross-shard tie-break
-// difference documented in sim/sharded_engine.h; histories remain
-// bit-for-bit identical across sharded thread counts for every profile.
+// control events (or between runs), while site phases read it. Sends are
+// checked inline and deliveries at fire time, so a transition applies from
+// each site's *next* round: transitions quantize to round boundaries, at
+// most one incoming lookahead away from their classic-mode effect - a
+// deliberate, deterministic divergence from the classic loop, on top of the
+// same-timestamp cross-shard tie-break difference documented in
+// sim/sharded_engine.h; histories remain bit-for-bit identical across
+// sharded thread counts.
 #pragma once
 
 #include <cstdint>
@@ -92,11 +90,11 @@ struct NetConfig {
   double loss_prob = 0.0;
   /// Retransmission timeout applied per drop.
   SimTime retransmit_timeout = 10 * kMillisecond;
-  /// Latency structure: flat keeps the fields above as the single shared
-  /// segment; other profiles materialize a per-site-pair matrix (the fields
-  /// above still supply the frame serialization time, loss model, and - for
-  /// the lan profile - the uniform edge parameters). See net/topology.h.
-  TopologyProfile topology = TopologyProfile::flat;
+  /// Latency structure: every profile materializes a per-site-pair matrix;
+  /// the fields above still supply the frame serialization time, the loss
+  /// model and - for the lan profile - the uniform edge parameters. See
+  /// net/topology.h.
+  TopologyProfile topology = TopologyProfile::lan;
 };
 
 /// Deterministic simulated network connecting n sites.
@@ -119,29 +117,24 @@ class Network final : public SharedMedium {
 
   std::size_t site_count() const { return site_count_; }
   const NetConfig& config() const { return config_; }
-  /// The materialized per-site-pair matrix (empty/flat for the default).
+  /// The materialized per-site-pair matrix.
   const TopologyMatrix& topology() const { return topo_; }
-  /// True when this topology uses per-sender links (channel-clock capable).
-  bool switched() const { return switched_; }
 
-  /// Switches to sharded (mailbox) mode. The engine's hub must be the
-  /// Simulator this network was constructed with.
+  /// Switches to sharded (staging) mode. The topology must be switched and
+  /// the engine's hub must be the Simulator this network was constructed
+  /// with.
   void attach_engine(ShardedEngine& engine);
 
   // -- SharedMedium -----------------------------------------------------------
 
-  /// Conservative lookahead floor over all site pairs: flat topologies
-  /// return serialization_time + base_delay; matrix topologies the minimum
-  /// cross-site per-edge lookahead.
-  SimTime lookahead() const override;
+  /// True when this topology uses per-sender links (channel-clock capable).
+  bool switched() const override { return switched_; }
   /// Per-edge lookahead: serialization_time + edge(from, to).base_delay - a
   /// lower bound on (delivery - send) for every message on this edge, under
   /// every jitter draw (only loss retransmission waits can exceed it, and
   /// they only add delay).
   SimTime lookahead(SiteId32 from, SiteId32 to) const override;
-  bool per_edge() const override { return switched_; }
   void begin_site_window(SiteId32 site, Simulator& shard) override;
-  void flush_outboxes() override;
   SimTime earliest_staged(SiteId32 site) override;
   void end_round() override { write_parity_ ^= 1u; }
 
@@ -171,11 +164,10 @@ class Network final : public SharedMedium {
 
   /// Arms the chaos plane: executes `config.plan` deterministically from
   /// `chaos_rng` (split per edge in switched mode) and, when the plan can
-  /// duplicate or `config.transport_dedup` is set, suppresses re-deliveries
-  /// of already-seen MsgIds per receiver. Call once, before the run starts
-  /// (classic mode) or before the engine's first round (sharded mode); a run
-  /// without arm_chaos draws nothing from the chaos streams and is
-  /// bit-identical to pre-chaos builds.
+  /// duplicate, suppresses re-deliveries of already-seen MsgIds per
+  /// receiver. Call once, before the run starts (classic mode) or before the
+  /// engine's first round (sharded mode); a run without arm_chaos draws
+  /// nothing from the chaos streams and is bit-identical to pre-chaos builds.
   void arm_chaos(const ChaosConfig& config, Rng chaos_rng);
   bool chaos_armed() const { return chaos_ != nullptr || dedup_; }
   /// Aggregated chaos counters (sums the per-shard rows; call between runs
@@ -195,40 +187,20 @@ class Network final : public SharedMedium {
   const std::vector<std::vector<MsgId>>& arrival_logs() const { return arrival_logs_; }
 
  private:
-  /// A send buffered by a site (or control) event, flushed at the next
-  /// window barrier. `to` is kEveryone for a multicast.
-  struct SendRequest {
-    SimTime at = 0;  // the sending shard's clock at the send
-    MsgId id;
-    std::uint64_t order = 0;  // the sender's send count across all channels
-    SiteId to = 0;
-    Channel channel = 0;
-    PayloadPtr payload;
-  };
   static constexpr SiteId kEveryone = static_cast<SiteId>(-1);
 
-  /// A delivery that survived the hub-side fault checks, awaiting handler
-  /// invocation on the receiver's shard (shared-bus sharded mode).
-  struct Handoff {
-    SimTime at = 0;
-    Message msg;
-  };
-
-  // -- shared-bus path --------------------------------------------------------
-  void process_send(SendRequest& request);
-  void deliver(SiteId to, Message msg, SimTime fire_at);
-  void deliver_now(std::uint32_t slot);
-
-  // -- switched (per-edge) path ----------------------------------------------
-  void process_send_switched(SendRequest& request);
+  /// Serializes one frame from `id.sender` (to one site, or kEveryone for a
+  /// multicast) on its link - the shared bus, or the sender's NIC on a
+  /// switched topology - and routes one delivery per surviving receiver.
+  void send(MsgId id, SiteId to, Channel channel, PayloadPtr payload);
   /// Stages a cross-site delivery when called from a site phase, otherwise
   /// schedules it directly on the receiver's shard (hub phase / idle engine /
   /// classic mode; self-deliveries always schedule directly).
-  void route_switched(SiteId from, SiteId to, Message msg, SimTime fire_at);
+  void route(SiteId from, SiteId to, Message msg, SimTime fire_at);
   void schedule_delivery(SiteId to, Message msg, SimTime fire_at);
   /// Receiver-side delivery: fault checks at fire time on the receiver's
   /// shard, then arrival log + handler dispatch.
-  void deliver_switched_now(SiteId to, Message msg);
+  void receive(SiteId to, Message msg);
 
   void dispatch(SiteId to, const Message& msg);
   SimTime send_clock() const;
@@ -253,42 +225,26 @@ class Network final : public SharedMedium {
     return true;
   }
   // Chaos stats rows: [0, n) owned by the matching site shard (send draws by
-  // sender in switched mode, delivery checks by receiver), [n] by the hub
-  // (flat-path draws, flat-path delivery checks, control events).
+  // sender, delivery checks by receiver), [n] by the hub (control events).
   ChaosStats& chaos_row(SiteId site) { return chaos_rows_[site]; }
   ChaosStats& chaos_hub_row() { return chaos_rows_[site_count_]; }
   Rng& chaos_edge_rng(SiteId from, SiteId to) {
     return chaos_edge_rngs_[from * site_count_ + to];
   }
-  const EdgeParams& edge_params(SiteId from, SiteId to) const {
-    return topo_.flat() ? flat_edge_ : topo_.edge(from, to);
-  }
   Rng& edge_rng(SiteId from, SiteId to) { return edge_rngs_[from * site_count_ + to]; }
   static SimTime sample_receiver_delay(Rng& rng, const EdgeParams& edge);
-
-  // In-flight messages live in a recycled slab; the scheduled event captures
-  // only {this, slot}, which fits the simulator's inline action buffer - no
-  // heap allocation per delivery. (Shared-bus path; the switched path
-  // captures the Message inline in the event instead - it also fits.)
-  struct PendingDelivery {
-    SiteId to = 0;
-    Message msg;
-  };
 
   Simulator& sim_;  // the hub shard in sharded mode
   std::size_t site_count_;
   NetConfig config_;
   TopologyMatrix topo_;
-  EdgeParams flat_edge_;  // the NetConfig fields as an EdgeParams (flat path)
   bool switched_ = false;
   Rng rng_;
-  bool sharded_ = false;
   ShardedEngine* engine_ = nullptr;
-  /// Assigns the next MsgId of `from` on `channel` and counts the send.
+  /// Assigns the next MsgId of `from` on `channel`.
   MsgId next_id(SiteId from, Channel channel);
 
   std::vector<std::vector<std::uint64_t>> next_seq_;    // [sender][channel]
-  std::vector<std::uint64_t> send_order_;               // per sender, all channels
   std::vector<std::vector<Handler>> handlers_;          // [site][channel]
   std::vector<bool> crashed_;
   std::vector<std::uint32_t> partition_group_;          // 0 = none/all together
@@ -296,8 +252,6 @@ class Network final : public SharedMedium {
   std::vector<SimTime> link_free_at_;                   // switched: per sender NIC
   std::vector<Rng> edge_rngs_;                          // switched: [from*n+to]
   std::vector<std::uint64_t> delivered_by_;             // per receiver
-  std::vector<PendingDelivery> in_flight_;        // slab, indexed by slot
-  std::vector<std::uint32_t> free_flight_slots_;
   std::vector<std::vector<Message>> held_by_;     // per receiver, parked by a partition
   std::optional<Channel> recorded_channel_;
   std::vector<std::vector<MsgId>> arrival_logs_;
@@ -305,27 +259,17 @@ class Network final : public SharedMedium {
   // Chaos plane (null/empty unless arm_chaos ran; the chaos rng streams are
   // split lazily there, so chaos-off runs never perturb the base streams).
   std::unique_ptr<ChaosRuntime> chaos_;
-  Rng chaos_rng_{0};                     // flat path: hub-owned draw stream
-  std::vector<Rng> chaos_edge_rngs_;     // switched path: [from*n+to], sender-owned
+  Rng chaos_rng_{0};                     // shared bus: the one draw stream
+  std::vector<Rng> chaos_edge_rngs_;     // switched: [from*n+to], sender-owned
   bool dedup_ = false;
   std::vector<std::vector<std::unordered_set<MsgId>>> seen_;  // [receiver][channel]
   std::vector<ChaosStats> chaos_rows_;   // [site 0..n-1, hub]; see chaos_row()
 
-  // Sharded-mode mailboxes (shared-bus path). outbox_[s] is written only by
-  // the shard running site s's events (or the hub during its phase) and
-  // drained at barriers; inbox_[s] is written by the hub phase and drained by
-  // site s's shard at the start of its phase. Phases never overlap, so no
-  // locks are needed - the engine's barrier provides the happens-before
-  // edges.
-  std::vector<std::vector<SendRequest>> outbox_;
-  std::vector<std::vector<Handoff>> inbox_;
-  std::vector<SendRequest> flush_scratch_;
-
-  // Sharded-mode staging (switched path): per-edge cells, double-buffered by
-  // round parity. buf[write_parity_] is appended by the sending shard during
-  // its phase; buf[write_parity_ ^ 1] (flipped at the barrier) is drained by
-  // the receiving shard at its next phase start. A cell is thus touched by
-  // at most one thread per phase, with the engine barrier ordering rounds.
+  // Sharded-mode staging: per-edge cells, double-buffered by round parity.
+  // buf[write_parity_] is appended by the sending shard during its phase;
+  // buf[write_parity_ ^ 1] (flipped at the barrier) is drained by the
+  // receiving shard at its next phase start. A cell is thus touched by at
+  // most one thread per phase, with the engine barrier ordering rounds.
   struct StagedDelivery {
     SimTime at = 0;
     Message msg;

@@ -6,12 +6,11 @@ namespace otpdb {
 
 namespace {
 
-TopologyMatrix uniform(TopologyProfile profile, std::size_t n, bool switched,
-                       const EdgeParams& edge) {
+TopologyMatrix uniform(TopologyProfile profile, std::size_t n, const EdgeParams& edge) {
   TopologyMatrix m;
   m.profile = profile;
   m.n_sites = n;
-  m.switched = switched;
+  m.switched = topology_switched(profile);
   m.symmetric = true;
   m.edges.assign(n * n, edge);
   return m;
@@ -22,7 +21,7 @@ TopologyMatrix uniform(TopologyProfile profile, std::size_t n, bool switched,
 template <typename GroupOf, typename Inter>
 TopologyMatrix grouped(TopologyProfile profile, std::size_t n, const EdgeParams& intra,
                        GroupOf group_of, Inter inter) {
-  TopologyMatrix m = uniform(profile, n, /*switched=*/true, intra);
+  TopologyMatrix m = uniform(profile, n, intra);
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
       const unsigned a = group_of(from);
@@ -35,20 +34,16 @@ TopologyMatrix grouped(TopologyProfile profile, std::size_t n, const EdgeParams&
 
 }  // namespace
 
+bool topology_switched(TopologyProfile profile) { return profile != TopologyProfile::lan; }
+
 TopologyMatrix build_topology(TopologyProfile profile, std::size_t n_sites,
                               const EdgeParams& lan_edge) {
   OTPDB_CHECK(n_sites >= 1);
   switch (profile) {
-    case TopologyProfile::flat:
-      // Empty matrix: the shared segment keeps using the global NetConfig
-      // fields and the pre-topology code path, bit for bit.
-      return TopologyMatrix{profile, n_sites, /*switched=*/false, /*symmetric=*/true, {}};
-
     case TopologyProfile::lan:
-      // The flat parameters written out as an explicit matrix over the shared
-      // bus. Deliveries sample identical distributions in identical order, so
-      // `lan` is bit-for-bit identical to `flat` (asserted by net_test).
-      return uniform(profile, n_sites, /*switched=*/false, lan_edge);
+      // NetConfig's timing on every pair of the shared bus: the calibrated
+      // Figure-1 segment of the paper's testbed.
+      return uniform(profile, n_sites, lan_edge);
 
     case TopologyProfile::metro: {
       // Three buildings on a metro ring (site s is in building s % 3):
@@ -101,7 +96,6 @@ TopologyMatrix build_topology(TopologyProfile profile, std::size_t n_sites,
 
 const char* topology_profile_name(TopologyProfile profile) {
   switch (profile) {
-    case TopologyProfile::flat: return "flat";
     case TopologyProfile::lan: return "lan";
     case TopologyProfile::metro: return "metro";
     case TopologyProfile::wan: return "wan";
@@ -111,7 +105,6 @@ const char* topology_profile_name(TopologyProfile profile) {
 }
 
 std::optional<TopologyProfile> parse_topology_profile(std::string_view name) {
-  if (name == "flat") return TopologyProfile::flat;
   if (name == "lan") return TopologyProfile::lan;
   if (name == "metro") return TopologyProfile::metro;
   if (name == "wan") return TopologyProfile::wan;
@@ -119,6 +112,6 @@ std::optional<TopologyProfile> parse_topology_profile(std::string_view name) {
   return std::nullopt;
 }
 
-const char* topology_profile_list() { return "flat, lan, metro, wan, geo-3dc"; }
+const char* topology_profile_list() { return "lan, metro, wan, geo-3dc"; }
 
 }  // namespace otpdb

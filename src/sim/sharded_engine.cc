@@ -16,6 +16,12 @@ inline void cpu_pause() {
 #endif
 }
 
+/// The autotuner's target band of events per active shard per round: below
+/// it barriers dominate the work (the cap doubles), above it the load within
+/// a round is imbalanced (the cap halves).
+constexpr std::uint64_t kTargetEventsLo = 16;
+constexpr std::uint64_t kTargetEventsHi = 256;
+
 /// a + b without overflowing past the "no event" sentinel.
 inline SimTime sat_add(SimTime a, SimTime b) {
   return a >= kSimTimeMax - b ? kSimTimeMax : a + b;
@@ -26,14 +32,13 @@ inline SimTime sat_add(SimTime a, SimTime b) {
 Simulator* active_shard() { return tls_active_shard; }
 void set_active_shard(Simulator* sim) { tls_active_shard = sim; }
 
-ShardedEngine::ShardedEngine(std::size_t n_sites, ParallelismConfig config) : config_(config) {
+ShardedEngine::ShardedEngine(std::size_t n_sites, unsigned threads) {
   OTPDB_CHECK(n_sites >= 1);
   sites_.reserve(n_sites);
   for (std::size_t s = 0; s < n_sites; ++s) sites_.push_back(std::make_unique<Simulator>());
   // More participants than sites would only spin; participant 0 is the
   // coordinating thread, the rest are spawned workers.
-  n_workers_ = static_cast<unsigned>(
-      std::min<std::size_t>(std::max(1u, config.threads), n_sites));
+  n_workers_ = static_cast<unsigned>(std::min<std::size_t>(std::max(1u, threads), n_sites));
   threads_.reserve(n_workers_ - 1);
   for (unsigned w = 1; w < n_workers_; ++w) {
     threads_.emplace_back([this, w] { worker_loop(w); });
@@ -50,50 +55,36 @@ ShardedEngine::~ShardedEngine() {
 void ShardedEngine::attach_medium(SharedMedium* medium) {
   OTPDB_CHECK(medium != nullptr);
   OTPDB_CHECK_MSG(medium_ == nullptr, "medium already attached");
+  OTPDB_CHECK_MSG(medium->switched(),
+                  "the sharded engine requires a switched medium "
+                  "(topology profile metro, wan or geo-3dc)");
   medium_ = medium;
   const std::size_t n = sites_.size();
   bounds_.assign(n, 0);
   eot_.assign(n, 0);
 
-  if (config_.strategy == WindowStrategy::channel) {
-    OTPDB_CHECK_MSG(medium->per_edge(),
-                    "channel window strategy requires a per-edge medium "
-                    "(pick a switched topology profile: metro, wan, geo-3dc)");
-  }
-  channel_ = medium->per_edge() && config_.strategy != WindowStrategy::global;
-
-  const SimTime global_la = medium->lookahead();
-  OTPDB_CHECK_MSG(global_la >= 1,
-                  "sharded engine needs a positive cross-shard lookahead "
-                  "(serialization_time + base_delay must be > 0)");
-  if (!channel_) {
-    window_ = config_.window > 0 ? std::min(config_.window, global_la) : global_la;
-    stats_.window = window_;
-    return;
-  }
-
-  // Channel strategy: cache the lookahead matrix and derive the autotuner's
-  // cap range from its extremes.
-  lookahead_.resize(n * n);
+  // Read the lookahead matrix into dist_ and derive the autotuner's cap range
+  // from its extremes.
+  dist_.resize(n * n);
   std::vector<SimTime> min_in(n, kSimTimeMax);
-  min_lookahead_ = kSimTimeMax;
+  SimTime min_lookahead = kSimTimeMax;
   SimTime max_lookahead = 0;
   for (std::size_t from = 0; from < n; ++from) {
     for (std::size_t to = 0; to < n; ++to) {
       const SimTime la = medium->lookahead(static_cast<SiteId32>(from),
                                            static_cast<SiteId32>(to));
       OTPDB_CHECK_MSG(la >= 1, "per-edge lookahead must be positive");
-      lookahead_[from * n + to] = la;
+      dist_[from * n + to] = la;
       // The hub may originate a send on any site's behalf (control events),
       // so its edge into `to` is the weakest incoming one, self included.
       min_in[to] = std::min(min_in[to], la);
       if (from != to) {
-        min_lookahead_ = std::min(min_lookahead_, la);
+        min_lookahead = std::min(min_lookahead, la);
         max_lookahead = std::max(max_lookahead, la);
       }
     }
   }
-  if (min_lookahead_ == kSimTimeMax) min_lookahead_ = global_la;  // single site
+  if (min_lookahead == kSimTimeMax) min_lookahead = dist_[0];  // single site: loopback
 
   // Shortest-path closure (Floyd-Warshall) of the lookahead graph. A message
   // chain r -> q -> ... -> s reacting within one round is delayed by at least
@@ -103,7 +94,6 @@ void ShardedEngine::attach_medium(SharedMedium* medium) {
   // in-phase sends can wake an idle neighbor whose reply must not land in
   // the sender's past. (Self staging never happens - loopback is inline - so
   // the diagonal starts at infinity, not lookahead(s, s).)
-  dist_ = lookahead_;
   for (std::size_t s = 0; s < n; ++s) dist_[s * n + s] = kSimTimeMax;
   for (std::size_t k = 0; k < n; ++k) {
     for (std::size_t i = 0; i < n; ++i) {
@@ -123,20 +113,9 @@ void ShardedEngine::attach_medium(SharedMedium* medium) {
       hub_dist_[s] = std::min(hub_dist_[s], sat_add(min_in[r], dist_[r * n + s]));
     }
   }
-  const auto& at = config_.autotune;
-  window_min_ = at.min_window > 0 ? at.min_window : min_lookahead_;
-  window_max_ = at.max_window > 0 ? at.max_window
-                                  : std::max(64 * min_lookahead_, max_lookahead);
-  window_max_ = std::max(window_max_, window_min_);
-  if (config_.window > 0) {
-    window_ = config_.window;  // fixed per-round cap
-  } else if (at.enabled) {
-    autotune_ = true;
-    window_ = std::clamp(4 * min_lookahead_, window_min_, window_max_);
-  } else {
-    window_ = window_max_;
-  }
-  stats_.window = window_;
+  window_min_ = min_lookahead;
+  window_max_ = std::max(64 * min_lookahead, max_lookahead);
+  window_ = 4 * min_lookahead;
 }
 
 void ShardedEngine::run_owned_sites(unsigned worker) {
@@ -195,65 +174,6 @@ void ShardedEngine::run_site_phase() {
 
 void ShardedEngine::run_until(SimTime deadline) {
   OTPDB_CHECK_MSG(medium_ != nullptr, "attach_medium before running the sharded engine");
-  if (channel_) {
-    run_until_channel(deadline);
-  } else {
-    run_until_global(deadline);
-  }
-  // No shard has events at or before the deadline; advance every clock to it
-  // so the next run resumes from a common boundary.
-  hub_.run_until(deadline);
-  for (auto& s : sites_) s->run_until(deadline);
-}
-
-void ShardedEngine::run_until_global(SimTime deadline) {
-  // Sends issued while the engine is idle (setup code, test pokes between
-  // runs) sit in outboxes stamped with the hub clock of that moment. Flush
-  // them before the first window: otherwise the window-start jump below can
-  // leap past their delivery times and the barrier flush would schedule
-  // hub events in the past.
-  medium_->flush_outboxes();
-  const std::size_t n = sites_.size();
-  const bool per_edge = medium_->per_edge();
-  for (;;) {
-    // After a barrier all pending work sits in shard queues (or, for
-    // per-edge media, staging cells), so the earliest event across shards
-    // bounds the next window start - idle stretches (quiesce phases)
-    // collapse into a single jump.
-    SimTime next = hub_.next_event_time();
-    for (std::size_t s = 0; s < n; ++s) {
-      SimTime site_next = sites_[s]->next_event_time();
-      if (per_edge) {
-        site_next = std::min(site_next,
-                             medium_->earliest_staged(static_cast<SiteId32>(s)));
-      }
-      eot_[s] = site_next;
-      next = std::min(next, site_next);
-    }
-    const SimTime start = std::max(hub_.now(), next);
-    if (start > deadline) break;
-    const SimTime end = std::min(deadline, start + window_);
-
-    unsigned active = 0;
-    for (std::size_t s = 0; s < n; ++s) active += eot_[s] <= end;
-    stats_.site_activations += active;
-
-    // 1. Hub phase: deliveries -> inboxes, plus control events.
-    set_active_shard(&hub_);
-    hub_.run_until(end);
-    set_active_shard(nullptr);
-
-    // 2. Site phase: shards run [start, end] concurrently, lock-free.
-    std::fill(bounds_.begin(), bounds_.end(), end);
-    run_site_phase();
-
-    // 3. Barrier: canonical flush of all buffered sends into future hub
-    // deliveries (the lookahead puts them at or beyond `end`).
-    finish_round();
-  }
-}
-
-void ShardedEngine::run_until_channel(SimTime deadline) {
   const std::size_t n = sites_.size();
   for (;;) {
     // Earliest output time per shard: the soonest instant it could still
@@ -308,41 +228,26 @@ void ShardedEngine::run_until_channel(SimTime deadline) {
     // 2. Site phase: each shard drains its staged deliveries (canonical
     // sender order) and runs to its own bound; sends process inline on the
     // sending shard and stage cross-site deliveries per edge.
-    const std::uint64_t before = autotune_ ? executed() : 0;
+    const std::uint64_t before = executed();
     run_site_phase();
 
-    // 3. Barrier: flip staging parity (and drain serially when the sharded
-    // hub phase is disabled).
-    finish_round();
+    // 3. Barrier: flip staging parity.
+    medium_->end_round();
+    ++stats_.rounds;
 
-    if (autotune_ && active > 0) {
+    if (active > 0) {
       const std::uint64_t per_site = (executed() - before) / active;
-      if (per_site > config_.autotune.target_hi && window_ > window_min_) {
+      if (per_site > kTargetEventsHi && window_ > window_min_) {
         window_ = std::max(window_min_, window_ / 2);
-        ++stats_.window_shrinks;
-        stats_.window = window_;
-      } else if (per_site < config_.autotune.target_lo && window_ < window_max_) {
+      } else if (per_site < kTargetEventsLo && window_ < window_max_) {
         window_ = std::min(window_max_, window_ * 2);
-        ++stats_.window_grows;
-        stats_.window = window_;
       }
     }
   }
-}
-
-void ShardedEngine::finish_round() {
-  medium_->flush_outboxes();
-  medium_->end_round();
-  if (!config_.sharded_hub_drain) {
-    // Ablation baseline: the coordinator performs the whole delivery fan-out
-    // serially at the barrier instead of each receiver draining its own
-    // staged cells at phase start. Canonical receiver order keeps the event
-    // seq assignment identical to the sharded drain.
-    for (std::size_t s = 0; s < sites_.size(); ++s) {
-      medium_->begin_site_window(static_cast<SiteId32>(s), *sites_[s]);
-    }
-  }
-  ++stats_.rounds;
+  // No shard has events at or before the deadline; advance every clock to it
+  // so the next run resumes from a common boundary.
+  hub_.run_until(deadline);
+  for (auto& s : sites_) s->run_until(deadline);
 }
 
 std::uint64_t ShardedEngine::executed() const {

@@ -1,71 +1,60 @@
-// Site-sharded discrete-event engine with conservative lookahead.
+// Site-sharded discrete-event engine with per-edge channel clocks.
 //
 // The classic driver runs an entire cluster through one Simulator queue, so
 // adding sites makes runs slower even though sites only interact through a
 // network whose every delivery is delayed by at least a per-edge lookahead
 // floor. This engine exploits that floor conservatively (Chandy/Misra/Bryant
-// style): each site owns a private Simulator (shard), the shared-medium
-// network model owns another (the hub), and time advances in rounds of
+// style): each site owns a private Simulator (shard), the network model owns
+// another (the hub), and time advances in rounds of
 // [hub phase -> parallel site phase -> barrier].
 //
-// Two window strategies share that round structure:
+// Only a switched medium (per-sender links, per-edge jitter streams: the
+// metro, wan and geo-3dc topology profiles) can drive it: there a send
+// depends only on sender-local state. A shared bus serializes every frame
+// through one global clock and leaves no lookahead gap to exploit, so a
+// shared-bus cluster always runs the classic loop (core/cluster.h).
 //
-//  * Global windows (shared-bus media, e.g. the flat/lan profiles): every
-//    shard runs the same window [a, b], b <= a + L where L = the medium's
-//    single worst-case lookahead. Deliveries are mediated by the hub:
-//    site-phase sends buffer in per-sender outboxes, the barrier flushes
-//    them in canonical (time, sender, seq) order, the hub phase of the next
-//    round hands surviving deliveries to receiver inboxes.
-//
-//  * Channel clocks (per-edge media, i.e. switched topology profiles): each
-//    site advances independently to its own bound
-//        b_s = min over shards r of (EOT_r + dist(r -> s)),
-//    with EOT_r = max(clock_r, next_event_time_r) the earliest time r could
-//    still execute (idle shards do not constrain anyone), and dist the
-//    SHORTEST-PATH closure of the per-edge lookahead graph - not the raw
-//    edge: a chain r -> q -> s of in-phase reactions is bounded below by the
-//    sum of edge lookaheads, and dist(s, s) (the cheapest round trip via a
-//    peer) caps how far s may outrun its own sends' echoes. The naive
-//    single-edge bound is unsound: with every peer idle it lets a site run
-//    arbitrarily far ahead, wake a neighbor, and receive the reply in its
-//    own past. Sends are processed
-//    inline on the *sending* shard (per-sender links and per-edge rng streams
-//    make that sender-local); cross-site deliveries land in per-edge staging
-//    cells and are drained into the receiver's queue by the receiver's own
-//    worker at the start of its next phase (the "sharded hub phase" - the
-//    fan-out work never serializes on one thread; set
-//    ParallelismConfig::sharded_hub_drain = false to drain serially at the
-//    barrier instead, the ablation baseline). On topologies with
-//    heterogeneous lookahead (wan, geo-3dc) nearby sites synchronize on
-//    their short edges while distant ones coast, which cuts barrier rounds
-//    by the intra/inter latency ratio (EngineStats::rounds; see
-//    bench/scalability.cc's ablation).
+// Channel clocks: each site advances independently to its own bound
+//     b_s = min over shards r of (EOT_r + dist(r -> s)),
+// with EOT_r = max(clock_r, next_event_time_r) the earliest time r could
+// still execute (idle shards do not constrain anyone), and dist the
+// SHORTEST-PATH closure of the per-edge lookahead graph - not the raw edge: a
+// chain r -> q -> s of in-phase reactions is bounded below by the sum of edge
+// lookaheads, and dist(s, s) (the cheapest round trip via a peer) caps how
+// far s may outrun its own sends' echoes. The naive single-edge bound is
+// unsound: with every peer idle it lets a site run arbitrarily far ahead,
+// wake a neighbor, and receive the reply in its own past. Sends are processed
+// inline on the *sending* shard; cross-site deliveries land in per-edge
+// staging cells and are drained into the receiver's queue by the receiver's
+// own worker at the start of its next phase, so the fan-out never serializes
+// on one thread. On topologies with heterogeneous lookahead (wan, geo-3dc)
+// nearby sites synchronize on their short edges while distant ones coast.
 //
 // The hub shard never receives messages; it only runs control events (chaos
 // injection, Cluster::sim() submissions). Its earliest pending event still
 // bounds every site (control events may mutate network-wide state), so site
 // clocks never run more than one lookahead past an unexecuted control event.
 //
-// Window autotuning (channel strategy): the per-round advance of a site that
-// has work is capped at W, adjusted each round from observed events per
-// active shard with a hysteresis band [target_lo, target_hi] - halved above
-// the band, doubled below it, clamped to [min_window, max_window]. Event
-// counts are thread-count independent, so the W trajectory is too.
+// Window autotuning: the per-round advance of a site that has work is capped
+// at W, adjusted each round from observed events per active shard with a
+// hysteresis band of 16-256 events - halved above the band, doubled below
+// it, clamped to [min edge lookahead, max(64 x min, max edge lookahead)],
+// starting at 4 x min. Event counts are thread-count independent, so the W
+// trajectory is too.
 //
 // Determinism: each shard fires its events in the local (timestamp,
 // schedule-order) rule of the plain Simulator, and every cross-shard
 // insertion happens either in a serial phase or in a canonical drain order
 // independent of the worker count. Hence runs are bit-for-bit identical for
-// any `threads` value, including the degenerate single-threaded sharded run -
-// the parity suite (tests/parallel_parity_test.cc) asserts exactly that for
-// every topology profile, under TSan.
+// any thread count, including the degenerate single-worker sharded run - the
+// parity suite (tests/parallel_parity_test.cc) asserts exactly that for every
+// switched profile, under TSan.
 //
 // Note the global tie-break differs from the classic single-queue loop: two
 // events at the same timestamp on *different* shards no longer have a global
 // schedule order (that is precisely what buys the parallelism), so sharded
 // histories are deterministic but not bitwise equal to single-queue
-// histories; the same holds between the two window strategies (drain rounds
-// differ). ClusterConfig keeps the classic loop as the threads=1 default.
+// histories. ClusterConfig keeps the classic loop as the threads=1 default.
 #pragma once
 
 #include <atomic>
@@ -80,93 +69,32 @@ namespace otpdb {
 
 using SiteId32 = std::uint32_t;  // mirrors net/message.h SiteId without the include
 
-/// How the sharded engine computes per-round site bounds.
-enum class WindowStrategy : std::uint8_t {
-  automatic,  ///< channel clocks when the medium is per-edge, else global
-  global,     ///< one lockstep window of the worst-case lookahead (PR 5 engine)
-  channel,    ///< per-edge channel clocks (requires a per-edge medium)
-};
-
-/// Hysteresis controller for the channel-strategy window cap.
-struct WindowAutotuneConfig {
-  bool enabled = true;
-  /// Target band of events per active shard per round: below target_lo the
-  /// cap doubles (too many barriers per unit work), above target_hi it halves
-  /// (load imbalance within a round). Inside the band nothing moves.
-  std::uint32_t target_lo = 16;
-  std::uint32_t target_hi = 256;
-  /// Cap bounds; 0 = derived from the medium (min edge lookahead, and
-  /// max(64x min lookahead, max edge lookahead) respectively).
-  SimTime min_window = 0;
-  SimTime max_window = 0;
-};
-
-/// Selects the cluster driver. threads == 1 (default) keeps the classic
-/// single-queue loop; threads >= 2 runs the sharded engine with that many
-/// worker threads. force_sharded runs the sharded engine even with one
-/// thread - bit-for-bit identical to every multi-threaded sharded run, and
-/// the sequential leg of the parity suite.
-struct ParallelismConfig {
-  unsigned threads = 1;
-  bool force_sharded = false;
-  /// Global strategy: synchronization window; 0 = the medium's declared
-  /// lookahead, larger values are clamped down (correctness). Channel
-  /// strategy: a fixed per-round advance cap (disables autotuning); 0 =
-  /// autotune.
-  SimTime window = 0;
-  WindowStrategy strategy = WindowStrategy::automatic;
-  WindowAutotuneConfig autotune;
-  /// Channel strategy: receivers drain their own staged deliveries at phase
-  /// start (parallel). false = the coordinator drains everything at the
-  /// barrier (serial hub-style fan-out; ablation baseline).
-  bool sharded_hub_drain = true;
-
-  bool sharded() const { return threads > 1 || force_sharded; }
-};
-
-/// The shared-medium model (the network) as the engine sees it: it declares
-/// its lookahead structure and owns the cross-shard mailboxes.
+/// The switched network model as the engine sees it: it declares its
+/// per-edge lookahead structure and owns the cross-shard staging cells.
 class SharedMedium {
  public:
   virtual ~SharedMedium() = default;
 
-  /// Lower bound on (delivery time - send time) over every site pair. Must be
-  /// >= 1ns; the global-strategy window size is clamped to it.
-  virtual SimTime lookahead() const = 0;
+  /// True when sends depend only on sender-local state (per-sender links and
+  /// per-edge rng streams); the engine refuses any other medium.
+  virtual bool switched() const = 0;
 
-  /// Site-phase entry, on the shard's worker thread: make every delivery
-  /// destined for `site` visible in its queue (global strategy: drain the
-  /// site's inbox of hub handoffs; channel strategy: drain the site's staged
-  /// per-edge cells in canonical sender order).
+  /// Lower bound on (delivery time - send time) on the edge from -> to; must
+  /// be >= 1ns.
+  virtual SimTime lookahead(SiteId32 from, SiteId32 to) const = 0;
+
+  /// Site-phase entry, on the shard's worker thread: drain the site's staged
+  /// per-edge cells into its queue in canonical sender order.
   virtual void begin_site_window(SiteId32 site, Simulator& shard) = 0;
-
-  /// Barrier (global strategy): process every buffered send in canonical
-  /// (time, sender, seq) order and schedule the resulting deliveries as
-  /// future hub events. Runs on the coordinating thread. Per-edge media
-  /// processing sends inline may make this a no-op.
-  virtual void flush_outboxes() = 0;
-
-  // -- Per-edge (channel-clock) extensions ----------------------------------
-
-  /// True when the medium supports per-edge channel clocks: sends depend only
-  /// on sender-local state and lookahead(from, to) is meaningful.
-  virtual bool per_edge() const { return false; }
-
-  /// Per-edge delivery lower bound; only called when per_edge().
-  virtual SimTime lookahead(SiteId32 from, SiteId32 to) const {
-    (void)from;
-    (void)to;
-    return lookahead();
-  }
 
   /// Earliest staged-but-undrained delivery for `site` (kSimTimeMax if none):
   /// a message sitting in a staging cell is pending work the receiver's EOT
   /// must account for. Called by the coordinator between phases.
-  virtual SimTime earliest_staged(SiteId32 site) { (void)site; return kSimTimeMax; }
+  virtual SimTime earliest_staged(SiteId32 site) = 0;
 
-  /// Round barrier notification (channel strategy): flip staging parity so
-  /// cells written this round become next round's read side.
-  virtual void end_round() {}
+  /// Round barrier notification: flip staging parity so cells written this
+  /// round become next round's read side.
+  virtual void end_round() = 0;
 };
 
 /// The Simulator currently running on this thread, or nullptr outside a
@@ -176,30 +104,27 @@ class SharedMedium {
 Simulator* active_shard();
 void set_active_shard(Simulator* sim);
 
-/// Synchronization counters (the cost side of the ablation benches).
+/// Synchronization counters.
 struct EngineStats {
   /// Barrier-separated rounds executed: each is one full-stop synchronization
-  /// of all workers. The channel strategy's whole point is fewer of these on
-  /// heterogeneous topologies.
+  /// of all workers.
   std::uint64_t rounds = 0;
   /// (site, round) pairs that had events to run - the parallel work actually
   /// dispatched. rounds * site_count - site_activations phases were skipped.
   std::uint64_t site_activations = 0;
-  /// Autotuner activity and its current cap (channel strategy).
-  std::uint64_t window_grows = 0;
-  std::uint64_t window_shrinks = 0;
-  SimTime window = 0;
 };
 
 class ShardedEngine {
  public:
-  ShardedEngine(std::size_t n_sites, ParallelismConfig config);
+  /// `threads` worker participants (clamped to [1, n_sites]); the calling
+  /// thread is one of them.
+  ShardedEngine(std::size_t n_sites, unsigned threads);
   ~ShardedEngine();
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// Must be called once before run_until; resolves the window strategy and
-  /// caches the medium's lookahead structure.
+  /// Must be called once before run_until; caches the medium's lookahead
+  /// structure. The medium must be switched.
   void attach_medium(SharedMedium* medium);
 
   Simulator& hub() { return hub_; }
@@ -207,7 +132,7 @@ class ShardedEngine {
   std::size_t site_count() const { return sites_.size(); }
 
   /// Hub time == the last deadline reached (all shards agree on it between
-  /// runs; within a run, channel-clock shards diverge by design).
+  /// runs; within a run, shard clocks diverge by design).
   SimTime now() const { return hub_.now(); }
 
   /// Runs all shards through rounds until every event with time <= deadline
@@ -217,12 +142,7 @@ class ShardedEngine {
   /// Total events executed across all shards (bench counters).
   std::uint64_t executed() const;
 
-  /// True when this engine runs per-edge channel clocks (vs global windows).
-  bool channel_clocks() const { return channel_; }
   const EngineStats& stats() const { return stats_; }
-
-  SimTime window() const { return window_; }
-  unsigned worker_count() const { return n_workers_; }
 
  private:
   void worker_loop(unsigned worker);
@@ -230,28 +150,17 @@ class ShardedEngine {
   /// Releases the workers on the published bounds_, runs participant 0's
   /// share, and waits for everyone (the round's site phase).
   void run_site_phase();
-  void run_until_global(SimTime deadline);
-  void run_until_channel(SimTime deadline);
-  /// Barrier tail shared by both strategies: flush/flip the medium, serial
-  /// drain when the sharded hub phase is disabled, count the round.
-  void finish_round();
 
   Simulator hub_;
   std::vector<std::unique_ptr<Simulator>> sites_;
   SharedMedium* medium_ = nullptr;
-  SimTime window_ = 0;  // global window, or the channel strategy's current cap
-  ParallelismConfig config_;
-  bool channel_ = false;
 
-  // Channel strategy: raw lookahead matrix [from * n + to], its
-  // shortest-path closure dist_ (dist_[s * n + s] = cheapest round trip via
-  // a peer), the hub's shortest distance into each site, and the autotuner's
-  // cap range.
-  std::vector<SimTime> lookahead_;
+  // Shortest-path closure [from * n + to] of the lookahead graph
+  // (dist_[s * n + s] = cheapest round trip via a peer), the hub's shortest
+  // distance into each site, and the autotuner's cap and its range.
   std::vector<SimTime> dist_;
   std::vector<SimTime> hub_dist_;
-  SimTime min_lookahead_ = 0;
-  bool autotune_ = false;
+  SimTime window_ = 0;
   SimTime window_min_ = 0;
   SimTime window_max_ = 0;
 
@@ -266,9 +175,8 @@ class ShardedEngine {
   std::atomic<unsigned> arrived_{0};      // workers done with the current phase
   std::atomic<bool> stop_{false};
   // Per-site run bounds, published before the epoch bump (release order).
-  // The global strategy publishes one uniform value.
   std::vector<SimTime> bounds_;
-  // Scratch for the channel round computation (EOT per shard).
+  // Scratch for the round computation (EOT per shard).
   std::vector<SimTime> eot_;
 };
 

@@ -41,7 +41,7 @@ struct EventId {
 /// sharded cluster engine (sim/sharded_engine.h) runs one Simulator per site
 /// plus one for the network hub and hands them to worker threads in
 /// barrier-separated phases; all cross-shard traffic goes through the
-/// SharedMedium mailboxes, never through another shard's queue.
+/// SharedMedium staging cells, never through another shard's queue.
 class Simulator {
  public:
   /// Inline-only callback: captures must fit InlineAction::kCapacity (a

@@ -7,7 +7,8 @@
 //
 //   1. determinism: one (plan, seed) configuration produces bit-for-bit
 //      identical commit histories, final states, and chaos counters across
-//      sharded runs with 1, 2, 4, and 8 worker threads;
+//      sharded runs with 1, 2, 4, and 8 worker threads (on metro: only a
+//      switched topology shards);
 //   2. survival: the InvariantMonitor battery (watermark monotonicity, 1CSR,
 //      cross-site convergence) reports zero violations in every scenario,
 //      including a durable kill-and-restart-from-disk leg with the I/O fault
@@ -127,6 +128,7 @@ RunResult run_scenario(const Scenario& scenario, unsigned threads) {
   config.seed = 77;
   config.parallel.threads = threads;
   config.parallel.force_sharded = true;
+  config.net.topology = TopologyProfile::metro;
   config.chaos.plan = scenario.plan;
   if (scenario.durable || scenario.storage_faults) {
     config.storage.backend = StorageBackendKind::durable;
@@ -139,6 +141,7 @@ RunResult run_scenario(const Scenario& scenario, unsigned threads) {
     config.storage.faults.fsync_error_prob = 0.05;
   }
   auto cluster = std::make_unique<Cluster>(config);
+  EXPECT_NE(cluster->engine(), nullptr) << "metro must run the sharded engine";
 
   InvariantMonitor::Config monitor_config;
   monitor_config.dedup_replayed_commits = scenario.kill_restart;

@@ -299,13 +299,12 @@ TEST(SpontaneousOrder, HighJitterLowersAgreement) {
 // -- topology profiles -------------------------------------------------------
 
 TEST(Topology, ProfileTablesAreSymmetricWhereDeclared) {
-  const EdgeParams flat_edge{50 * kMicrosecond, 20 * kMicrosecond, 0.06, 310 * kMicrosecond};
-  for (TopologyProfile profile :
-       {TopologyProfile::flat, TopologyProfile::lan, TopologyProfile::metro,
-        TopologyProfile::wan, TopologyProfile::geo_3dc}) {
-    const TopologyMatrix m = build_topology(profile, 7, flat_edge);
+  const EdgeParams lan_edge{50 * kMicrosecond, 20 * kMicrosecond, 0.06, 310 * kMicrosecond};
+  for (TopologyProfile profile : {TopologyProfile::lan, TopologyProfile::metro,
+                                  TopologyProfile::wan, TopologyProfile::geo_3dc}) {
+    const TopologyMatrix m = build_topology(profile, 7, lan_edge);
     EXPECT_TRUE(m.symmetric) << topology_profile_name(profile);
-    if (m.flat()) continue;
+    EXPECT_EQ(m.switched, topology_switched(profile)) << topology_profile_name(profile);
     for (std::size_t i = 0; i < 7; ++i) {
       for (std::size_t j = 0; j < 7; ++j) {
         EXPECT_TRUE(m.edge(i, j) == m.edge(j, i))
@@ -316,9 +315,8 @@ TEST(Topology, ProfileTablesAreSymmetricWhereDeclared) {
 }
 
 TEST(Topology, ProfileNamesRoundTrip) {
-  for (TopologyProfile profile :
-       {TopologyProfile::flat, TopologyProfile::lan, TopologyProfile::metro,
-        TopologyProfile::wan, TopologyProfile::geo_3dc}) {
+  for (TopologyProfile profile : {TopologyProfile::lan, TopologyProfile::metro,
+                                  TopologyProfile::wan, TopologyProfile::geo_3dc}) {
     const auto parsed = parse_topology_profile(topology_profile_name(profile));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, profile);
@@ -379,35 +377,6 @@ TEST(Topology, PerEdgeLookaheadIsADeliveryLowerBoundUnderJitter) {
     sim.run();
     EXPECT_EQ(checked, 5u * 40u * 5u) << topology_profile_name(profile);
   }
-}
-
-/// `lan` is the flat defaults written out as an explicit matrix over the same
-/// shared bus: delivery instants must be bit-for-bit identical to `flat`.
-TEST(Topology, LanProfileIsBitIdenticalToFlat) {
-  auto run = [](TopologyProfile profile) {
-    Simulator sim;
-    NetConfig cfg;  // full jitter defaults
-    cfg.topology = profile;
-    cfg.loss_prob = 0.01;
-    Network net(sim, 4, cfg, Rng(7));
-    std::vector<std::pair<SiteId, SimTime>> deliveries;
-    for (SiteId s = 0; s < 4; ++s) {
-      net.subscribe(s, 0, [&deliveries, &sim, s](const Message&) {
-        deliveries.emplace_back(s, sim.now());
-      });
-    }
-    SimTime t = 0;
-    for (int i = 0; i < 100; ++i) {
-      const SiteId sender = static_cast<SiteId>(i % 4);
-      sim.schedule_at(t, [&net, sender] {
-        net.multicast(sender, 0, std::make_shared<TestPayload>(0));
-      });
-      t += 300 * kMicrosecond;
-    }
-    sim.run();
-    return deliveries;
-  };
-  EXPECT_EQ(run(TopologyProfile::flat), run(TopologyProfile::lan));
 }
 
 TEST(Topology, SwitchedPartitionParksAndHealReplays) {

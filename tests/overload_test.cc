@@ -396,8 +396,11 @@ OverloadRunResult run_overloaded_workload(unsigned threads, bool force_sharded) 
   config.opt.max_inflight_per_sender = 128;
   config.parallel.threads = threads;
   config.parallel.force_sharded = force_sharded;
+  // Only a switched topology shards; the classic leg keeps the default lan.
+  if (force_sharded) config.net.topology = TopologyProfile::metro;
 
   Cluster cluster(config);
+  EXPECT_EQ(cluster.engine() != nullptr, force_sharded);
   WorkloadConfig wl;
   // ~2x the service capacity of 4 classes at 4ms mean service time.
   wl.updates_per_second_per_site = 500;

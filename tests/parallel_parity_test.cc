@@ -3,17 +3,20 @@
 // The engine's contract: a sharded run of one (configuration, seed) is
 // bit-for-bit identical for EVERY thread count, because each shard fires its
 // events under the plain Simulator's (timestamp, schedule-order) rule and
-// every cross-shard insertion happens at a window barrier in a canonical
-// (time, sender, seq) order that no worker schedule can perturb. This suite
+// every cross-shard insertion is drained from per-edge staging cells in a
+// canonical sender order that no worker schedule can perturb. This suite
 // pins that: identical commit histories (every field, including commit
 // timestamps and write values), identical checker verdicts, identical metric
 // counters and identical sizes of the tables the ordering layer trims below
 // the stable floor across sharded runs with 1, 2, 4 and 8 threads - over both
 // class-queue engines, mixed workloads (queries, cross-class updates,
 // TPC-C-lite with remote transactions), and loss/partition/crash chaos.
+// Only switched topologies shard, so every sharded scenario runs on one
+// (metro unless it sweeps profiles); a shared-bus (lan) cluster must run the
+// classic loop whatever its parallelism settings say.
 //
 // This binary is the payload of the CI TSan job: any data race in the
-// barrier/mailbox protocol fails it under -fsanitize=thread.
+// barrier/staging protocol fails it under -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -98,6 +101,7 @@ struct RunResult {
   std::vector<std::uint64_t> history;  // per-site commit-history digests
   std::uint64_t stores = 0;
   std::uint64_t delivered = 0;
+  bool sharded = false;                 // the sharded engine drove the run
   std::uint64_t events = 0;
   std::uint64_t rounds = 0;             // barrier rounds (EngineStats::rounds)
   std::vector<std::uint64_t> counters;  // per-site metric counters, flattened
@@ -107,6 +111,14 @@ struct RunResult {
   bool converged = false;
   std::uint64_t committed = 0;
 };
+
+/// Which driver ran, and its event and barrier-round counts.
+void collect_driver(Cluster& cluster, RunResult& out) {
+  const ShardedEngine* engine = cluster.engine();
+  out.sharded = engine != nullptr;
+  out.events = engine ? engine->executed() : cluster.sim().executed();
+  out.rounds = engine ? engine->stats().rounds : 0;
+}
 
 void collect_metrics(Cluster& cluster, RunResult& out) {
   for (SiteId s = 0; s < cluster.site_count(); ++s) {
@@ -141,7 +153,7 @@ void collect_metrics(Cluster& cluster, RunResult& out) {
 ParallelismConfig sharded(unsigned threads) {
   ParallelismConfig p;
   p.threads = threads;
-  p.force_sharded = true;  // threads == 1 still runs the sharded windowed loop
+  p.force_sharded = true;  // threads == 1 still runs the sharded engine
   return p;
 }
 
@@ -158,6 +170,7 @@ RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durabl
   config.n_classes = 8;
   config.seed = 77;
   config.parallel = sharded(threads);
+  config.net.topology = TopologyProfile::metro;
   config.net.loss_prob = chaos ? 0.01 : 0.0;
   if (durable) config.storage.backend = StorageBackendKind::durable;
   auto cluster = engine == EngineKind::conservative
@@ -205,8 +218,8 @@ RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durabl
   out.history = history_digests(recorder);
   out.stores = store_digest(*cluster);
   out.delivered = cluster->net().delivered_count();
-  out.events = cluster->engine()->executed();
-  out.rounds = cluster->engine()->stats().rounds;
+  collect_driver(*cluster, out);
+  EXPECT_TRUE(out.sharded) << "metro must run the sharded engine";
   out.committed = cluster->total_committed();
   collect_metrics(*cluster, out);
   if (durable) {
@@ -256,6 +269,7 @@ RunResult run_tpcc(unsigned threads) {
   config.objects_per_class = layout.objects_per_warehouse();
   config.seed = 1999;
   config.parallel = sharded(threads);
+  config.net.topology = TopologyProfile::metro;
   auto cluster = std::make_unique<Cluster>(config);
   HistoryRecorder recorder(*cluster);
 
@@ -273,8 +287,8 @@ RunResult run_tpcc(unsigned threads) {
   out.history = history_digests(recorder);
   out.stores = store_digest(*cluster);
   out.delivered = cluster->net().delivered_count();
-  out.events = cluster->engine()->executed();
-  out.rounds = cluster->engine()->stats().rounds;
+  collect_driver(*cluster, out);
+  EXPECT_TRUE(out.sharded) << "metro must run the sharded engine";
   out.committed = cluster->total_committed();
   collect_metrics(*cluster, out);
   out.serializable = check_one_copy_serializability(recorder.site_logs()).ok();
@@ -289,6 +303,7 @@ void expect_equal(const RunResult& base, const RunResult& other, unsigned thread
   EXPECT_EQ(base.history, other.history) << "commit histories diverge at threads=" << threads;
   EXPECT_EQ(base.stores, other.stores) << "final states diverge at threads=" << threads;
   EXPECT_EQ(base.delivered, other.delivered) << "deliveries diverge at threads=" << threads;
+  EXPECT_EQ(base.sharded, other.sharded) << "drivers differ at threads=" << threads;
   EXPECT_EQ(base.events, other.events) << "event counts diverge at threads=" << threads;
   EXPECT_EQ(base.rounds, other.rounds) << "barrier rounds diverge at threads=" << threads;
   EXPECT_EQ(base.counters, other.counters) << "metrics diverge at threads=" << threads;
@@ -385,23 +400,23 @@ TEST(ParallelParity, TpccRemoteMix) {
 
 // -- topology sweeps ---------------------------------------------------------
 //
-// Every topology profile must uphold the same contract: one (profile, seed)
-// configuration is bit-for-bit identical at every thread count. The switched
-// profiles additionally exercise the per-edge channel-clock path (per-sender
-// links, per-edge rng streams, double-buffered staging cells), so these
-// sweeps are the oracle for the whole PR-6 medium/engine rework. Each profile
-// gets its own TEST name so CI can select subsets with --gtest_filter
-// (e.g. the TSan job runs *TopologyWan* alongside the default suite).
+// Every switched topology profile must uphold the same contract: one
+// (profile, seed) configuration is bit-for-bit identical at every thread
+// count. The profiles differ in their lookahead structure (uniform
+// sub-millisecond edges on metro, a 500us/40ms split on wan, a latency
+// triangle on geo-3dc), which drives the channel clocks, per-edge rng
+// streams and double-buffered staging cells through different round shapes.
+// Each profile gets its own TEST name, so a failure names its profile.
 
 /// Cluster tuned for a topology: the wide-area profiles (40ms+ RTTs) need the
 /// protocol timers rescaled, or retransmission/failure-detector false
 /// positives swamp the run with noise that has nothing to do with parity.
-ClusterConfig topology_config(TopologyProfile profile, unsigned threads) {
+ClusterConfig topology_config(TopologyProfile profile, ParallelismConfig parallel) {
   ClusterConfig config;
   config.n_sites = 5;
   config.n_classes = 8;
   config.seed = 77;
-  config.parallel = sharded(threads);
+  config.parallel = parallel;
   config.net.topology = profile;
   config.net.loss_prob = 0.005;
   if (profile == TopologyProfile::wan || profile == TopologyProfile::geo_3dc) {
@@ -415,11 +430,8 @@ ClusterConfig topology_config(TopologyProfile profile, unsigned threads) {
   return config;
 }
 
-RunResult run_topology(TopologyProfile profile, unsigned threads,
-                       WindowStrategy strategy = WindowStrategy::automatic) {
-  ClusterConfig config = topology_config(profile, threads);
-  config.parallel.strategy = strategy;
-  auto cluster = std::make_unique<Cluster>(config);
+RunResult run_topology(TopologyProfile profile, ParallelismConfig parallel) {
+  auto cluster = std::make_unique<Cluster>(topology_config(profile, parallel));
   HistoryRecorder recorder(*cluster);
 
   WorkloadConfig wl;
@@ -437,8 +449,7 @@ RunResult run_topology(TopologyProfile profile, unsigned threads,
   out.history = history_digests(recorder);
   out.stores = store_digest(*cluster);
   out.delivered = cluster->net().delivered_count();
-  out.events = cluster->engine()->executed();
-  out.rounds = cluster->engine()->stats().rounds;
+  collect_driver(*cluster, out);
   out.committed = cluster->total_committed();
   collect_metrics(*cluster, out);
   out.serializable = check_one_copy_serializability(recorder.site_logs()).ok();
@@ -449,45 +460,39 @@ RunResult run_topology(TopologyProfile profile, unsigned threads,
 }
 
 void sweep_topology(TopologyProfile profile) {
-  const RunResult base = run_topology(profile, 1);
+  const RunResult base = run_topology(profile, sharded(1));
+  EXPECT_TRUE(base.sharded) << topology_profile_name(profile) << " must shard";
   EXPECT_TRUE(base.serializable);
   EXPECT_TRUE(base.converged);
   EXPECT_GT(base.committed, 0u);
   for (unsigned threads : kThreadCounts) {
     if (threads == 1) continue;
-    expect_equal(base, run_topology(profile, threads), threads);
+    expect_equal(base, run_topology(profile, sharded(threads)), threads);
   }
 }
 
-TEST(ParallelParity, TopologyLanParity) { sweep_topology(TopologyProfile::lan); }
 TEST(ParallelParity, TopologyMetroParity) { sweep_topology(TopologyProfile::metro); }
 TEST(ParallelParity, TopologyWanParity) { sweep_topology(TopologyProfile::wan); }
 TEST(ParallelParity, TopologyGeo3dcParity) { sweep_topology(TopologyProfile::geo_3dc); }
 
-/// `lan` is the flat shared-bus parameters spelled as a uniform matrix; the
-/// Network keeps it on the bus path with the original rng stream, so a lan
-/// cluster run is bitwise the same as a flat one - histories, stores,
-/// metrics, and barrier rounds alike.
-TEST(ParallelParity, TopologyLanMatchesFlat) {
-  expect_equal(run_topology(TopologyProfile::flat, 2), run_topology(TopologyProfile::lan, 2), 2);
-}
-
-/// The point of channel clocks: on wide-area profiles, sites connected by
-/// short intra-region edges advance many windows while cross-region channels
-/// coast, so the channel strategy needs strictly fewer barrier rounds than
-/// the global-window strategy on the identical workload. (Digests are NOT
-/// compared across strategies: they are two different deterministic
-/// schedules.)
-TEST(ParallelParity, ChannelClocksBeatGlobalWindowsOnWideArea) {
-  for (TopologyProfile profile : {TopologyProfile::wan, TopologyProfile::geo_3dc}) {
-    const RunResult channel = run_topology(profile, 2, WindowStrategy::channel);
-    const RunResult global = run_topology(profile, 2, WindowStrategy::global);
-    EXPECT_TRUE(channel.serializable);
-    EXPECT_TRUE(global.serializable);
-    EXPECT_GT(channel.committed, 0u);
-    EXPECT_LT(channel.rounds, global.rounds)
-        << "channel clocks must cut barrier rounds on profile "
-        << topology_profile_name(profile);
+/// A shared bus serializes every frame through one global clock, so it
+/// leaves the sharded engine no lookahead gap: a lan cluster runs the classic
+/// loop whatever its parallelism settings ask for, and reproduces the
+/// threads = 1 run bit for bit - histories, stores, metrics and event counts.
+TEST(ParallelParity, SharedBusRunsTheClassicLoop) {
+  const RunResult base = run_topology(TopologyProfile::lan, ParallelismConfig{});
+  EXPECT_FALSE(base.sharded);
+  EXPECT_TRUE(base.serializable);
+  EXPECT_TRUE(base.converged);
+  EXPECT_GT(base.committed, 0u);
+  ParallelismConfig four_threads;
+  four_threads.threads = 4;
+  ParallelismConfig forced;
+  forced.force_sharded = true;
+  for (const ParallelismConfig& parallel : {four_threads, forced}) {
+    const RunResult run = run_topology(TopologyProfile::lan, parallel);
+    EXPECT_FALSE(run.sharded) << "lan built a sharded engine";
+    expect_equal(base, run, parallel.threads);
   }
 }
 
@@ -496,7 +501,8 @@ TEST(ParallelParity, ChannelClocksBeatGlobalWindowsOnWideArea) {
 /// (global same-timestamp ties across shards have no global order there),
 /// but it must satisfy the same logical invariants on the same workload, and
 /// both modes must see the identical offered client load (the per-site
-/// submission streams depend only on site-local clocks and rngs).
+/// submission streams depend only on site-local clocks and rngs). Both legs
+/// run on metro, where threads = 2 does shard.
 TEST(ParallelParity, ClassicLoopInvariantsAndOfferedLoadUnchanged) {
   WorkloadConfig wl;
   wl.updates_per_second_per_site = 80;
@@ -512,7 +518,9 @@ TEST(ParallelParity, ClassicLoopInvariantsAndOfferedLoadUnchanged) {
     config.n_classes = 8;
     config.seed = 77;
     config.parallel = parallel;
+    config.net.topology = TopologyProfile::metro;
     Cluster cluster(config);
+    EXPECT_EQ(cluster.engine() != nullptr, parallel.threads > 1);
     HistoryRecorder recorder(cluster);
     WorkloadDriver driver(cluster, wl, 4242);
     driver.start();
@@ -568,9 +576,10 @@ TEST(ParallelParity, CliHelpByteIdenticalAcrossRuns) {
 }
 
 TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRunsAndThreads) {
-  const std::string base =
+  const std::string lan =
       "run --engine=otp --sites=3 --classes=4 --objects=64 --rate=100 "
       "--seconds=1 --seed=7";
+  const std::string base = lan + " --topology=metro";
   // Repeat-run stability holds for any thread count; cross-thread byte
   // identity is only contractual within the sharded engine (--threads >= 2).
   // The classic loop (--threads=1) is a legitimately different schedule.
@@ -587,6 +596,13 @@ TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRunsAndThreads) {
   EXPECT_EQ(code_t, 0) << t4;
   EXPECT_EQ(t2, t4) << "run summary differs across sharded --threads values "
                        "(parallel-engine parity broken at the CLI surface)";
+  // The default lan topology never shards: every --threads value prints the
+  // classic loop's summary.
+  int code_l = 0;
+  const std::string l1 = run_cli(lan + " --threads=1", &code_l);
+  EXPECT_EQ(code_l, 0) << l1;
+  EXPECT_EQ(l1, run_cli(lan + " --threads=4", &code_l))
+      << "--threads changed a lan run (shared-bus clusters run the classic loop)";
 }
 #else
 TEST(ParallelParity, CliHelpByteIdenticalAcrossRuns) {

@@ -43,7 +43,8 @@ int usage() {
                "              --cross-frac=F --cross-span=N (multi-class updates;\n"
                "              otp/conservative engines)\n"
                "              --abcast=opt|sequencer --seed=N --crash-site=S --crash-ms=T\n"
-               "              --threads=N (1 = classic loop, >=2 = sharded parallel driver)\n"
+               "              --threads=N (1 = classic loop, >=2 = sharded parallel driver\n"
+               "              on switched topologies)\n"
                "              --topology=PROFILE (network shape; see below)\n"
                "              --storage=memory|durable --data-dir=PATH\n"
                "              --chaos=PROFILE (fault schedule; see below)\n"
@@ -91,7 +92,8 @@ int usage() {
                "\n"
                "topology profiles (--topology):\n"
                "  %s\n"
-               "  flat/lan ride the shared-bus medium; metro/wan/geo-3dc are\n"
+               "  lan (default) rides the shared-bus medium and always runs the\n"
+               "  classic loop, whatever --threads says; metro/wan/geo-3dc are\n"
                "  switched (per-site-pair delay matrix, per-edge jitter streams,\n"
                "  channel-clock parallel driver with --threads >= 2)\n",
                chaos_profile_list(), topology_profile_list());
@@ -100,7 +102,7 @@ int usage() {
 
 /// Parses --topology into `config`, exiting with usage() on an unknown name.
 bool apply_topology_flag(const Flags& flags, ClusterConfig& config) {
-  const std::string name = flags.get("topology", "flat");
+  const std::string name = flags.get("topology", "lan");
   const auto profile = parse_topology_profile(name);
   if (!profile) {
     std::fprintf(stderr, "unknown --topology=%s (profiles: %s)\n", name.c_str(),
@@ -331,7 +333,8 @@ int cmd_run(const Flags& flags) {
   config.net.hiccup_prob = flags.get_double("hiccup", config.net.hiccup_prob);
   config.abcast =
       flags.get("abcast", "opt") == "sequencer" ? AbcastKind::sequencer : AbcastKind::optimistic;
-  // 1 = classic single-queue loop; >=2 = site-sharded engine on real cores.
+  // 1 = classic single-queue loop; >=2 = site-sharded engine on real cores
+  // (switched topologies only).
   config.parallel.threads = static_cast<unsigned>(flags.get_int("threads", 1));
   const SimTime duration = static_cast<SimTime>(flags.get_double("seconds", 2.0) * 1e9);
   if (!apply_topology_flag(flags, config)) return usage();
