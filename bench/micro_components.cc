@@ -186,13 +186,9 @@ void BM_ConsensusInstanceFastPath(benchmark::State& state) {
     NetConfig cfg;
     cfg.hiccup_prob = 0;
     Network net(sim, 4, cfg, Rng(1));
-    std::vector<std::unique_ptr<FailureDetector>> fds;
     std::vector<std::unique_ptr<ConsensusHost>> hosts;
     for (SiteId s = 0; s < 4; ++s) {
-      fds.push_back(std::make_unique<FailureDetector>(sim, net, s, FailureDetectorConfig{}));
-    }
-    for (SiteId s = 0; s < 4; ++s) {
-      hosts.push_back(std::make_unique<ConsensusHost>(sim, net, *fds[s], s, ConsensusConfig{}));
+      hosts.push_back(std::make_unique<ConsensusHost>(sim, net, s, ConsensusConfig{}));
     }
     state.ResumeTiming();
     const auto value =

@@ -12,6 +12,10 @@ namespace {
 
 enum class Kind : std::uint8_t { propose, estimate, coord_prop, ack, decision };
 
+/// The round-advance timeout grows by this factor per round, up to the cap.
+constexpr double kRoundBackoff = 2.0;
+constexpr SimTime kMaxRoundTimeout = 2 * kSecond;
+
 struct ConsensusPayload final : Payload {
   Kind kind;
   std::uint64_t inst = 0;
@@ -33,30 +37,26 @@ PayloadPtr make_payload(Kind kind, std::uint64_t inst, std::uint64_t round, std:
 
 }  // namespace
 
-ConsensusHost::ConsensusHost(Simulator& sim, Network& net, FailureDetector& fd, SiteId self,
-                             ConsensusConfig config)
-    : sim_(sim), net_(net), fd_(fd), self_(self), config_(config) {
+ConsensusHost::ConsensusHost(Simulator& sim, Network& net, SiteId self, ConsensusConfig config)
+    : sim_(sim), net_(net), self_(self), config_(config) {
   net_.subscribe(self_, kChannelConsensus, [this](const Message& m) { on_message(m); });
 }
 
 ConsensusHost::Instance& ConsensusHost::instance(std::uint64_t inst) { return instances_[inst]; }
 
 void ConsensusHost::crash_reset() {
-  // Cancel round timers in ascending instance order: TimerWheel recycles
-  // cancelled slots through a LIFO pool, so the cancel sequence dictates the
-  // slot (and intra-bucket position) of every timer armed after the restart.
   for (Instance& in : instances_) {
-    if (in.timer_armed) wheel_.cancel(in.round_timer);
+    if (in.timer_armed) sim_.cancel(in.round_timer);
   }
   instances_.clear();
 }
 
 void ConsensusHost::trim_below(std::uint64_t inst) {
-  // Ascending cancel order, as in crash_reset. A site that learned a
-  // decision through catch-up may still run a round timer on the instance.
+  // A site that learned a decision through catch-up may still run a round
+  // timer on the instance.
   std::uint64_t k = instances_.first_key();
   for (auto it = instances_.begin(); it != instances_.end() && k < inst; ++it, ++k) {
-    if (it->timer_armed) wheel_.cancel(it->round_timer);
+    if (it->timer_armed) sim_.cancel(it->round_timer);
   }
   instances_.trim_front(inst);
 }
@@ -242,7 +242,7 @@ void ConsensusHost::decide(std::uint64_t inst, const Value& value, bool fast, bo
   in.decided = true;
   in.decision = value;
   if (in.timer_armed) {
-    wheel_.cancel(in.round_timer);
+    sim_.cancel(in.round_timer);
     in.timer_armed = false;
   }
   ++stats_.instances_decided;
@@ -270,15 +270,14 @@ void ConsensusHost::decide(std::uint64_t inst, const Value& value, bool fast, bo
 void ConsensusHost::arm_round_timer(std::uint64_t inst) {
   Instance& in = instance(inst);
   if (in.decided) return;
-  if (in.timer_armed) wheel_.cancel(in.round_timer);
+  if (in.timer_armed) sim_.cancel(in.round_timer);
   double timeout = static_cast<double>(config_.round_timeout);
-  for (std::uint64_t k = 0; k < in.round && timeout < static_cast<double>(config_.max_round_timeout);
-       ++k) {
-    timeout *= config_.backoff;
+  for (std::uint64_t k = 0; k < in.round && timeout < static_cast<double>(kMaxRoundTimeout); ++k) {
+    timeout *= kRoundBackoff;
   }
-  timeout = std::min(timeout, static_cast<double>(config_.max_round_timeout));
-  in.round_timer = wheel_.schedule_after(static_cast<SimTime>(timeout),
-                                         [this, inst] { advance_round(inst); });
+  timeout = std::min(timeout, static_cast<double>(kMaxRoundTimeout));
+  in.round_timer = sim_.schedule_after(static_cast<SimTime>(timeout),
+                                       [this, inst] { advance_round(inst); });
   in.timer_armed = true;
 }
 

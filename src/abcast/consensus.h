@@ -22,10 +22,11 @@
 //   adopts the estimate with the highest adoption timestamp, and multicasts
 //   CoordProp(inst, k, v). Participants adopt v (timestamp k+1) and ack; on a
 //   majority of acks the coordinator decides and multicasts Decision(inst, v).
-//   Participants advance rounds on a backoff timer or when the failure
-//   detector suspects the coordinator. Quorum intersection plus the max-
-//   timestamp rule gives the usual locking argument: once any round gathers a
-//   majority of acks for v, every later coordinator adopts v.
+//   Participants advance rounds on a timer whose timeout doubles per round
+//   (capped at 2 s); they do not consult a failure detector. Quorum
+//   intersection plus the max-timestamp rule gives the usual locking
+//   argument: once any round gathers a majority of acks for v, every later
+//   coordinator adopts v.
 //
 // Late joiners: a site receiving traffic for an instance it already decided
 // replies with the Decision, so laggards catch up. Instances below the
@@ -41,10 +42,8 @@
 #include <set>
 #include <vector>
 
-#include "abcast/failure_detector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
-#include "sim/timer_wheel.h"
 #include "util/dense_deque.h"
 #include "util/types.h"
 
@@ -54,10 +53,8 @@ struct ConsensusConfig {
   /// How long a round-0 coordinator waits for the fast path to win before
   /// driving a coordinated round.
   SimTime fast_wait = 2 * kMillisecond;
-  /// Base round-advance timeout; grows by `backoff` per round.
+  /// Base round-advance timeout; doubles per round, up to 2 s.
   SimTime round_timeout = 30 * kMillisecond;
-  double backoff = 2.0;
-  SimTime max_round_timeout = 2 * kSecond;
 };
 
 struct ConsensusStats {
@@ -80,8 +77,7 @@ class ConsensusHost {
   using Value = std::shared_ptr<const Sequence>;
   using DecideFn = std::function<void(std::uint64_t inst, const Value& value)>;
 
-  ConsensusHost(Simulator& sim, Network& net, FailureDetector& fd, SiteId self,
-                ConsensusConfig config);
+  ConsensusHost(Simulator& sim, Network& net, SiteId self, ConsensusConfig config);
 
   /// Joins instance `inst` with the given initial proposal. Each site proposes
   /// at most once per instance.
@@ -112,7 +108,7 @@ class ConsensusHost {
     bool decided = false;
     bool coord_proposed_round0 = false;
     bool timer_armed = false;
-    TimerWheel::TimerId round_timer{};
+    EventId round_timer{};
     Value est;
     std::uint64_t ts = 0;  // round in which est was adopted (+1); 0 = initial
     std::uint64_t round = 0;
@@ -145,14 +141,8 @@ class ConsensusHost {
 
   Simulator& sim_;
   Network& net_;
-  FailureDetector& fd_;
   SiteId self_;
   ConsensusConfig config_;
-  /// Round timers are the canonical cancel-heavy timer population (armed per
-  /// undecided instance, cancelled on decide), so they live on a wheel: O(1)
-  /// arm/cancel and a single pending simulator event however many instances
-  /// are in flight.
-  TimerWheel wheel_{sim_};
   /// Indexed by instance number; growth keeps references stable.
   DenseDeque<Instance> instances_;
   DecideFn on_decide_;

@@ -12,6 +12,9 @@ namespace {
 struct HeartbeatPayload final : Payload {
   TOIndex floor = 0;  // the sender's stable floor at send time
 };
+
+/// Cap on the backed-off timeout, as a multiple of `suspect_timeout`.
+constexpr double kMaxTimeoutFactor = 8.0;
 }  // namespace
 
 FailureDetector::FailureDetector(Simulator& sim, Network& net, SiteId self,
@@ -83,7 +86,7 @@ void FailureDetector::on_heartbeat(const Message& msg) {
     // off this peer's timeout before the next round of lateness.
     if (config_.timeout_backoff > 1.0) {
       const auto cap = static_cast<SimTime>(static_cast<double>(config_.suspect_timeout) *
-                                            config_.max_timeout_factor);
+                                            kMaxTimeoutFactor);
       timeout_[msg.from] = std::min(
           cap, static_cast<SimTime>(static_cast<double>(timeout_[msg.from]) *
                                     config_.timeout_backoff));

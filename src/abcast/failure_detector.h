@@ -37,10 +37,9 @@ struct FailureDetectorConfig {
   SimTime interval = 25 * kMillisecond;
   SimTime suspect_timeout = 120 * kMillisecond;
   /// Per-peer timeout multiplier applied on every restore (<= 1 disables the
-  /// hysteresis and restores the pre-chaos fixed-timeout behavior).
+  /// hysteresis and restores the pre-chaos fixed-timeout behavior). The
+  /// backed-off timeout is capped at 8 x `suspect_timeout`.
   double timeout_backoff = 2.0;
-  /// Cap on the backed-off timeout, as a multiple of `suspect_timeout`.
-  double max_timeout_factor = 8.0;
 };
 
 /// Churn counters; merge()-able across a cluster's detectors.

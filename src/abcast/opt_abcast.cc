@@ -7,6 +7,12 @@
 #include "util/log.h"
 
 namespace otpdb {
+namespace {
+
+/// Cap on messages proposed per stage.
+constexpr std::size_t kMaxBatch = 128;
+
+}  // namespace
 
 OptAbcast::OptAbcast(Simulator& sim, Network& net, FailureDetector& fd, SiteId self,
                      OptAbcastConfig config)
@@ -15,7 +21,7 @@ OptAbcast::OptAbcast(Simulator& sim, Network& net, FailureDetector& fd, SiteId s
       fd_(fd),
       self_(self),
       config_(config),
-      consensus_(sim, net, fd, self, config.consensus),
+      consensus_(sim, net, self, config.consensus),
       msgs_(net.site_count()) {
   net_.subscribe(self_, kChannelData, [this](const Message& m) { on_data(m); });
   net_.subscribe(self_, kChannelRecovery, [this](const Message& m) { on_recovery_message(m); });
@@ -106,7 +112,7 @@ void OptAbcast::start_stage() {
   std::vector<MsgId>& batch = proposal_scratch_;
   batch.clear();
   for (const auto& [id, st] : pending_) {
-    if (batch.size() >= config_.max_batch) break;
+    if (batch.size() >= kMaxBatch) break;
     if (st->opt_time > cutoff) break;  // arrival order: the rest is fresher
     if (st->in_proposal) continue;
     st->in_proposal = true;
@@ -385,7 +391,7 @@ void OptAbcast::crash_reset() {
   trimmed_floor_ = 0;
   need_base_ = false;
   held_back_.clear();
-  if (body_request_outstanding_) wheel_.cancel(body_retry_timer_);
+  if (body_request_outstanding_) sim_.cancel(body_retry_timer_);
   body_request_outstanding_ = false;
   body_request_attempts_ = 0;
   recovering_ = false;
@@ -428,7 +434,7 @@ void OptAbcast::request_missing_bodies() {
   net_.unicast(self_, peer, kChannelRecovery, std::move(request));
   // Retry against the next peer if this one does not answer (crashed, or the
   // reply was lost); a received response cancels the timer.
-  body_retry_timer_ = wheel_.schedule_after(50 * kMillisecond, [this] {
+  body_retry_timer_ = sim_.schedule_after(50 * kMillisecond, [this] {
     body_request_outstanding_ = false;
     ++body_request_attempts_;
     drain_decided();
@@ -553,7 +559,7 @@ void OptAbcast::on_recovery_message(const Message& msg) {
     case RecoveryKind::body_response: {
       if (need_base_) return;  // answers a request sent before the crash
       if (body_request_outstanding_) {
-        wheel_.cancel(body_retry_timer_);
+        sim_.cancel(body_retry_timer_);
         body_request_outstanding_ = false;
         body_request_attempts_ = 0;
       }

@@ -44,8 +44,8 @@
 
 #include "abcast/abcast.h"
 #include "abcast/consensus.h"
+#include "abcast/failure_detector.h"
 #include "net/network.h"
-#include "sim/timer_wheel.h"
 #include "sim/simulator.h"
 #include "util/dense_deque.h"
 
@@ -65,8 +65,6 @@ struct OptAbcastConfig {
   /// which costs more than the pipelining gains at LAN latencies (see
   /// bench/ablation_protocol for the measured tradeoff).
   std::size_t max_outstanding_stages = 1;
-  /// Cap on messages proposed per stage.
-  std::size_t max_batch = 128;
   /// Sender-side backpressure: maximum own broadcasts in flight (sent but not
   /// yet TO-delivered here). 0 = unbounded (the historical behavior). While
   /// at the cap, backpressured() turns true and the ingress gate refuses new
@@ -213,7 +211,6 @@ class OptAbcast final : public AtomicBroadcast {
   FailureDetector& fd_;
   SiteId self_;
   OptAbcastConfig config_;
-  TimerWheel wheel_{sim_};  // retransmission timers (body_retry_timer_)
   ConsensusHost consensus_;
   AbcastCallbacks callbacks_;
 
@@ -268,9 +265,8 @@ class OptAbcast final : public AtomicBroadcast {
   std::vector<HeldArrival> held_back_;  // arrivals while need_base_, in order
   bool recovering_ = false;
   bool body_request_outstanding_ = false;
-  /// Retransmission timer on wheel_ (cancelled by the body_response in the
-  /// common case - exactly the cancel-heavy shape the wheel exists for).
-  TimerWheel::TimerId body_retry_timer_{};
+  /// Retransmission timer (cancelled by the body_response in the common case).
+  EventId body_retry_timer_{};
   std::uint32_t body_request_attempts_ = 0;  // rotates the peer asked
 };
 

@@ -39,9 +39,9 @@ class ClassQueue {
   TxnRecord* at(std::size_t i) { return queue_[i]; }
   const TxnRecord* at(std::size_t i) const { return queue_[i]; }
 
-  /// Serialization module step S1: append in tentative (Opt-deliver) order.
-  /// (The conservative engine appends already-committable transactions in
-  /// definitive order; the committable prefix then spans the whole queue.)
+  /// Serialization module step S1: append in tentative (Opt-deliver) order,
+  /// marked pending. A record appended already committable behind an
+  /// all-committable queue extends the prefix (test fixtures build queues so).
   void append(TxnRecord* txn);
 
   /// Removes the head (commit path). Pre: txn is the head.

@@ -11,6 +11,12 @@ namespace otpdb {
 OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                        const PartitionCatalog& catalog, const ProcedureRegistry& registry,
                        SiteId self, OtpReplicaConfig config)
+    : OtpReplica(sim, abcast, storage, catalog, registry, self, config,
+                 Serialize::at_opt_delivery) {}
+
+OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
+                       const PartitionCatalog& catalog, const ProcedureRegistry& registry,
+                       SiteId self, OtpReplicaConfig config, Serialize serialize)
     : sim_(sim),
       abcast_(abcast),
       backend_(storage),
@@ -19,6 +25,7 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
       registry_(registry),
       self_(self),
       config_(config),
+      serialize_at_to_(serialize == Serialize::at_to_delivery),
       service_clock_(catalog.class_count()),
       queries_(sim, store_, catalog, metrics_) {
   queues_.reserve(catalog.class_count());
@@ -94,15 +101,11 @@ void OtpReplica::on_opt_deliver(const Message& msg) {
   // acquire() checks against duplicate Opt-delivery.
   TxnRecord* txn = txns_.acquire(msg.id, std::move(request));
   txn->opt_delivered_at = sim_.now();
-  serialization_module(txn);
+  if (!serialize_at_to_) serialization_module(txn);
 }
 
 void OtpReplica::serialization_module(TxnRecord* txn) {
-  txn->deliv = DeliveryState::pending;  // S2: mark pending and active
-  txn->exec = ExecState::active;
-  // S1: append to every covered queue, in ascending class order (identical at
-  // all sites, so the head-of-all gating below is deadlock-free).
-  for (ClassId c : txn->request->class_span()) queues_[c].append(txn);
+  enqueue(txn);  // S1-S2
   if (txn->request->deadline != 0 && sim_.now() > txn->request->deadline) {
     // Already past its budget when it arrived: skip the optimistic execution
     // (pure waste - its effects would be undone). Site-local economy only;
@@ -114,6 +117,14 @@ void OtpReplica::serialization_module(TxnRecord* txn) {
     try_execute(txn);  // S3-S5: submit iff heading all covered queues
   }
   if (config_.paranoid_checks) check_invariants(txn);
+}
+
+void OtpReplica::enqueue(TxnRecord* txn) {
+  txn->deliv = DeliveryState::pending;  // S2: mark pending and active
+  txn->exec = ExecState::active;
+  // S1: append to every covered queue, in ascending class order (identical at
+  // all sites, so the head-of-all gating is deadlock-free).
+  for (ClassId c : txn->request->class_span()) queues_[c].append(txn);
 }
 
 // ---------------------------------------------------------------------------
@@ -157,6 +168,10 @@ void OtpReplica::on_to_deliver_batch(std::span<const ToDelivery> batch) {
 }
 
 void OtpReplica::to_deliver_one(TxnRecord* txn) {
+  // The conservative baseline serializes in definitive order: everything
+  // queued ahead of txn is committable, so the checks below never undo or
+  // reorder, and txn runs once it heads its queues (CC11-CC12).
+  if (serialize_at_to_) enqueue(txn);
   const TOIndex index = txn->to_index;
   txn->to_delivered_at = sim_.now();
   const auto classes = txn->request->class_span();

@@ -38,6 +38,10 @@
 // MsgId becomes a dense site-local TxnId, and the transaction table, the
 // store's provisional write-sets and the commit path all index flat arrays by
 // it. Retired ids (and their record/write-set storage) are recycled.
+//
+// The conservative baseline (baseline/conservative_replica.h) is this engine
+// with S1-S2 moved from Opt-delivery to TO-delivery; everything after them
+// is the same code.
 #pragma once
 
 #include <memory>
@@ -66,7 +70,7 @@ struct OtpReplicaConfig {
   bool paranoid_checks = false;
 };
 
-class OtpReplica final : public ReplicaBase {
+class OtpReplica : public ReplicaBase {
  public:
   OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
              const PartitionCatalog& catalog, const ProcedureRegistry& registry, SiteId self,
@@ -126,9 +130,18 @@ class OtpReplica final : public ReplicaBase {
   void restart_from_disk(std::span<const TOIndex> class_watermarks,
                          TOIndex durable_floor) override;
 
+ protected:
+  /// When a transaction enters its class queues (serialization steps S1-S2).
+  enum class Serialize : std::uint8_t { at_opt_delivery, at_to_delivery };
+  OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
+             const PartitionCatalog& catalog, const ProcedureRegistry& registry, SiteId self,
+             OtpReplicaConfig config, Serialize serialize);
+
  private:
   // -- Figure 4: serialization module ---------------------------------------
   void serialization_module(TxnRecord* txn);
+  /// S1-S2: append to every covered queue, marked pending and active.
+  void enqueue(TxnRecord* txn);
   // -- Figure 5: execution module --------------------------------------------
   void execution_module(TxnRecord* txn);
   // -- Figure 6: correctness check module ------------------------------------
@@ -169,6 +182,7 @@ class OtpReplica final : public ReplicaBase {
   const ProcedureRegistry& registry_;
   SiteId self_;
   OtpReplicaConfig config_;
+  bool serialize_at_to_;  // the conservative baseline: S1-S2 at TO-delivery
 
   std::vector<ClassQueue> queues_;
   TxnTable txns_;

@@ -7,6 +7,8 @@ namespace otpdb {
 namespace {
 
 constexpr const char* kCheckpointFile = "checkpoint.bin";
+/// First retry delay after a failed flush; doubles per consecutive failure.
+constexpr SimTime kIoRetryBackoff = 10 * kMillisecond;
 
 /// Parses the <seq> out of "wal-<seq>.log"; 0 when the name doesn't match.
 std::uint64_t parse_segment_seq(const std::string& name) {
@@ -175,7 +177,7 @@ void DurableStore::note_flush_failure(bool tail_clean) {
   health_ = StorageHealth::degraded;
   ++stats_.io_retries;
   const int shift = std::min(consecutive_flush_failures_ - 1, 6);
-  const SimTime backoff = config_.io_retry_backoff << shift;
+  const SimTime backoff = kIoRetryBackoff << shift;
   if (flush_scheduled_) sim_.cancel(flush_event_);
   flush_scheduled_ = true;
   flush_event_ = sim_.schedule_at(sim_.now() + backoff, [this] {

@@ -63,8 +63,6 @@ struct StorageConfig {
   SimTime checkpoint_interval = 1 * kSecond;
   /// Segment roll threshold; smaller segments truncate at a finer grain.
   std::uint64_t segment_bytes = 1 << 20;
-  /// First retry delay after a failed flush; doubles per consecutive failure.
-  SimTime io_retry_backoff = 10 * kMillisecond;
   /// Consecutive failed flush attempts before the site goes
   /// StorageHealth::failed and stops logging.
   int io_max_retries = 8;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "abcast/consensus.h"
-#include "abcast/failure_detector.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -23,15 +22,11 @@ class ConsensusFixture {
                    ConsensusConfig config = {})
       : net_(sim_, n, net_config, Rng(seed)), decisions_(n) {
     for (SiteId s = 0; s < n; ++s) {
-      fds_.push_back(std::make_unique<FailureDetector>(sim_, net_, s, FailureDetectorConfig{}));
-    }
-    for (SiteId s = 0; s < n; ++s) {
-      hosts_.push_back(std::make_unique<ConsensusHost>(sim_, net_, *fds_[s], s, config));
+      hosts_.push_back(std::make_unique<ConsensusHost>(sim_, net_, s, config));
       auto& mine = decisions_[s];
       hosts_[s]->set_on_decide(
           [&mine](std::uint64_t inst, const ConsensusHost::Value& v) { mine[inst] = *v; });
     }
-    for (auto& fd : fds_) fd->start();
   }
 
   Simulator& sim() { return sim_; }
@@ -63,7 +58,6 @@ class ConsensusFixture {
  private:
   Simulator sim_;
   Network net_;
-  std::vector<std::unique_ptr<FailureDetector>> fds_;
   std::vector<std::unique_ptr<ConsensusHost>> hosts_;
   std::vector<std::map<std::uint64_t, ConsensusHost::Sequence>> decisions_;
 };

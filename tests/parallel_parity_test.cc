@@ -18,6 +18,7 @@
 // This binary is the payload of the CI TSan job: any data race in the
 // barrier/staging protocol fails it under -fsanitize=thread.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdint>
 #include <memory>
@@ -603,6 +604,21 @@ TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRunsAndThreads) {
   EXPECT_EQ(code_l, 0) << l1;
   EXPECT_EQ(l1, run_cli(lan + " --threads=4", &code_l))
       << "--threads changed a lan run (shared-bus clusters run the classic loop)";
+}
+
+TEST(ParallelParity, CliRejectsUnknownEngineAndAbcast) {
+  // A misspelt choice fails with the valid choices, usage and exit code 2,
+  // like --topology/--storage/--admission - it must not run the default.
+  for (const char* args :
+       {"run --engine=optt --seconds=0.1", "run --abcast=seqencer --seconds=0.1"}) {
+    int status = 0;
+    const std::string out = run_cli(args, &status);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args << "\n" << out;
+    EXPECT_NE(out.find("unknown --"), std::string::npos) << out;
+    EXPECT_NE(out.find("usage: otpdb_cli"), std::string::npos) << out;
+    EXPECT_EQ(out.find("run: engine="), std::string::npos) << "ran anyway:\n" << out;
+  }
 }
 #else
 TEST(ParallelParity, CliHelpByteIdenticalAcrossRuns) {

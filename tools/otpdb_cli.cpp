@@ -113,6 +113,18 @@ bool apply_topology_flag(const Flags& flags, ClusterConfig& config) {
   return true;
 }
 
+/// Parses --abcast into `config.abcast`.
+bool apply_abcast_flag(const Flags& flags, ClusterConfig& config) {
+  const std::string abcast = flags.get("abcast", "opt");
+  if (abcast == "sequencer") {
+    config.abcast = AbcastKind::sequencer;
+  } else if (abcast != "opt") {
+    std::fprintf(stderr, "unknown --abcast=%s (opt|sequencer)\n", abcast.c_str());
+    return false;
+  }
+  return true;
+}
+
 /// Parses --storage / --data-dir into `config.storage`.
 bool apply_storage_flags(const Flags& flags, ClusterConfig& config) {
   const std::string backend = flags.get("storage", "memory");
@@ -325,18 +337,22 @@ void print_cluster_summary(Cluster& cluster, double seconds, bool lazy_engine) {
 
 int cmd_run(const Flags& flags) {
   const std::string engine = flags.get("engine", "otp");
+  if (engine != "otp" && engine != "conservative" && engine != "lazy" && engine != "locktable") {
+    std::fprintf(stderr, "unknown --engine=%s (otp|conservative|lazy|locktable)\n",
+                 engine.c_str());
+    return usage();
+  }
   ClusterConfig config;
   config.n_sites = static_cast<std::size_t>(flags.get_int("sites", 4));
   config.n_classes = static_cast<std::size_t>(flags.get_int("classes", 8));
   config.objects_per_class = static_cast<std::uint64_t>(flags.get_int("objects", 32));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   config.net.hiccup_prob = flags.get_double("hiccup", config.net.hiccup_prob);
-  config.abcast =
-      flags.get("abcast", "opt") == "sequencer" ? AbcastKind::sequencer : AbcastKind::optimistic;
   // 1 = classic single-queue loop; >=2 = site-sharded engine on real cores
   // (switched topologies only).
   config.parallel.threads = static_cast<unsigned>(flags.get_int("threads", 1));
   const SimTime duration = static_cast<SimTime>(flags.get_double("seconds", 2.0) * 1e9);
+  if (!apply_abcast_flag(flags, config)) return usage();
   if (!apply_topology_flag(flags, config)) return usage();
   if (!apply_storage_flags(flags, config)) return usage();
   if (!apply_chaos_flag(flags, config, duration)) return usage();
