@@ -4,13 +4,13 @@ namespace otpdb {
 
 void ClassQueue::append(TxnRecord* txn) {
   const std::uint64_t ticket = base_ + queue_.size();
-  if (TxnRecord::QueuePos* stale = txn->find_queue_pos(klass_)) {
+  if (TxnRecord::QueuePos* stale = txn->find_queue_pos(id_)) {
     // A queue destroyed wholesale (bench teardown, crash reset with reused
     // records) leaves its entries on the records; a record lives in at most
-    // one queue per class id, so re-appending reclaims the slot.
+    // one queue per id, so re-appending reclaims the slot.
     stale->ticket = ticket;
   } else {
-    txn->queue_pos.push_back(TxnRecord::QueuePos{klass_, ticket});
+    txn->queue_pos.push_back(TxnRecord::QueuePos{id_, ticket});
   }
   queue_.push_back(txn);
   if (txn->deliv == DeliveryState::committable && committable_ + 1 == queue_.size()) {
@@ -24,7 +24,7 @@ void ClassQueue::remove_head(TxnRecord* txn) {
   ++base_;  // cached tickets of the remaining entries stay valid
   if (committable_ > 0) --committable_;
   for (auto it = txn->queue_pos.begin(); it != txn->queue_pos.end(); ++it) {
-    if (it->klass == klass_) {
+    if (it->queue == id_) {
       txn->queue_pos.erase(it);
       break;
     }
@@ -32,7 +32,7 @@ void ClassQueue::remove_head(TxnRecord* txn) {
 }
 
 bool ClassQueue::reorder_before_first_pending(TxnRecord* txn) {
-  TxnRecord::QueuePos* pos = txn->find_queue_pos(klass_);
+  TxnRecord::QueuePos* pos = txn->find_queue_pos(id_);
   OTPDB_CHECK_MSG(pos != nullptr, "CC10 on a transaction missing from its queue");
   const std::size_t old_pos = index_of(*pos);
   OTPDB_CHECK_MSG(old_pos < queue_.size() && queue_[old_pos] == txn,
@@ -47,7 +47,7 @@ bool ClassQueue::reorder_before_first_pending(TxnRecord* txn) {
   pos->ticket = base_ + new_pos;
   // The displaced entries (previously [new_pos, old_pos)) shifted up by one.
   for (std::size_t i = new_pos + 1; i <= old_pos; ++i) {
-    TxnRecord::QueuePos* moved = queue_[i]->find_queue_pos(klass_);
+    TxnRecord::QueuePos* moved = queue_[i]->find_queue_pos(id_);
     OTPDB_ASSERT(moved != nullptr);
     moved->ticket = base_ + i;
   }
@@ -69,7 +69,7 @@ void ClassQueue::check_invariants() const {
       OTPDB_CHECK_MSG(!t->running && t->exec == ExecState::active,
                       "only the head may be running or executed");
     }
-    const TxnRecord::QueuePos* pos = t->find_queue_pos(klass_);
+    const TxnRecord::QueuePos* pos = t->find_queue_pos(id_);
     OTPDB_CHECK_MSG(pos != nullptr && index_of(*pos) == i,
                     "cached queue position out of sync with the queue");
   }

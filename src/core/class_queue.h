@@ -1,6 +1,8 @@
 // FIFO class queue with the reordering primitive of the OTP algorithm.
 //
-// One queue exists per conflict class (paper Figure 2). The queue upholds two
+// One queue exists per conflict class (paper Figure 2) - or, under object keys
+// (the lock-table engine), one per object that transactions wait on, drawn
+// from a pool; the queue's id is then its pool slot. The queue upholds two
 // structural invariants that the correctness-check module relies on:
 //   * committable transactions always form a prefix of the queue (step CC10
 //     inserts newly TO-delivered transactions right after that prefix), and
@@ -26,9 +28,9 @@ namespace otpdb {
 class ClassQueue {
  public:
   ClassQueue() = default;
-  explicit ClassQueue(ClassId klass) : klass_(klass) {}
-
-  ClassId conflict_class() const { return klass_; }
+  /// `id` is the queue's index in its engine's queue table: a conflict
+  /// class, or a pooled slot under object keys.
+  explicit ClassQueue(ClassId id) : id_(id) {}
 
   bool empty() const { return queue_.empty(); }
   std::size_t size() const { return queue_.size(); }
@@ -49,9 +51,9 @@ class ClassQueue {
 
   /// True if the transaction is currently queued. O(1) via the cached
   /// position; the element comparison rejects stale entries left behind by a
-  /// since-destroyed same-class queue.
+  /// since-destroyed same-id queue.
   bool contains(const TxnRecord* txn) const {
-    const TxnRecord::QueuePos* pos = txn->find_queue_pos(klass_);
+    const TxnRecord::QueuePos* pos = txn->find_queue_pos(id_);
     if (pos == nullptr) return false;
     const std::size_t index = index_of(*pos);
     return index < queue_.size() && queue_[index] == txn;
@@ -80,7 +82,7 @@ class ClassQueue {
   }
 
   std::deque<TxnRecord*> queue_;
-  ClassId klass_ = 0;
+  ClassId id_ = 0;
   std::uint64_t base_ = 0;        ///< head removals so far (ticket of the head)
   std::size_t committable_ = 0;   ///< length of the committable prefix
 };

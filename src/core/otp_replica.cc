@@ -1,12 +1,17 @@
 #include "core/otp_replica.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/assert.h"
 #include "util/log.h"
 
 namespace otpdb {
+
+namespace {
+constexpr std::uint32_t kIdle = std::numeric_limits<std::uint32_t>::max();
+}  // namespace
 
 OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                        const PartitionCatalog& catalog, const ProcedureRegistry& registry,
@@ -16,7 +21,7 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
 
 OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
                        const PartitionCatalog& catalog, const ProcedureRegistry& registry,
-                       SiteId self, OtpReplicaConfig config, Serialize serialize)
+                       SiteId self, OtpReplicaConfig config, Serialize serialize, Keys keys)
     : sim_(sim),
       abcast_(abcast),
       backend_(storage),
@@ -26,11 +31,19 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
       self_(self),
       config_(config),
       serialize_at_to_(serialize == Serialize::at_to_delivery),
-      service_clock_(catalog.class_count()),
-      queries_(sim, store_, catalog, metrics_) {
-  queues_.reserve(catalog.class_count());
-  for (std::size_t c = 0; c < catalog.class_count(); ++c) {
-    queues_.emplace_back(static_cast<ClassId>(c));
+      by_object_(keys == Keys::objects),
+      service_clock_(by_object_ ? catalog.object_count() : catalog.class_count()),
+      queries_(by_object_ ? QueryEngine(sim, store_, catalog.object_count(),
+                                        [](ObjectId obj) { return QueryEngine::Domain{obj}; },
+                                        metrics_)
+                          : QueryEngine(sim, store_, catalog, metrics_)) {
+  if (by_object_) {
+    queue_slot_.assign(catalog.object_count(), kIdle);
+  } else {
+    queues_.reserve(catalog.class_count());
+    for (std::size_t c = 0; c < catalog.class_count(); ++c) {
+      queues_.emplace_back(static_cast<ClassId>(c));
+    }
   }
   abcast_.set_callbacks(AbcastCallbacks{
       [this](const Message& msg) { on_opt_deliver(msg); },
@@ -39,8 +52,16 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
   });
 }
 
-void OtpReplica::broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                                   TxnArgs args, SimTime exec_duration, SimTime deadline) {
+SubmitResult OtpReplica::gate_and_broadcast(ProcId proc, ClassId klass,
+                                            std::vector<ClassId> classes,
+                                            std::vector<ObjectId> access_set, TxnArgs args,
+                                            SimTime exec_duration, SimTime deadline) {
+  const AbcastStats& ab = abcast_.stats();
+  const std::uint64_t lag =
+      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
+  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
+                                         abcast_.backpressured(), metrics_);
+  if (gate != SubmitResult::admitted) return gate;
   auto request = std::make_shared<TxnRequest>();
   request->proc = proc;
   request->klass = klass;
@@ -51,21 +72,16 @@ void OtpReplica::broadcast_request(ProcId proc, ClassId klass, std::vector<Class
   request->submitted_at = sim_.now();
   request->exec_duration = exec_duration;
   request->deadline = deadline;
+  request->access_set = std::move(access_set);
   ++metrics_.submitted_updates;
   abcast_.broadcast(std::move(request));
+  return SubmitResult::admitted;
 }
 
 SubmitResult OtpReplica::submit_update(ProcId proc, ClassId klass, TxnArgs args,
                                        SimTime exec_duration, SimTime deadline) {
   OTPDB_CHECK(klass < catalog_.class_count());
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
-  broadcast_request(proc, klass, {}, std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
+  return gate_and_broadcast(proc, klass, {}, {}, std::move(args), exec_duration, deadline);
 }
 
 SubmitResult OtpReplica::submit_update_multi(ProcId proc, std::vector<ClassId> classes,
@@ -76,15 +92,9 @@ SubmitResult OtpReplica::submit_update_multi(ProcId proc, std::vector<ClassId> c
   if (classes.size() == 1) {  // the base model's case: no class vector needed
     return submit_update(proc, classes.front(), std::move(args), exec_duration, deadline);
   }
-  const AbcastStats& ab = abcast_.stats();
-  const std::uint64_t lag =
-      ab.opt_delivered > ab.to_delivered ? ab.opt_delivered - ab.to_delivered : 0;
-  const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
-                                         abcast_.backpressured(), metrics_);
-  if (gate != SubmitResult::admitted) return gate;
   const ClassId primary = classes.front();
-  broadcast_request(proc, primary, std::move(classes), std::move(args), exec_duration, deadline);
-  return SubmitResult::admitted;
+  return gate_and_broadcast(proc, primary, std::move(classes), {}, std::move(args),
+                            exec_duration, deadline);
 }
 
 void OtpReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
@@ -122,9 +132,18 @@ void OtpReplica::serialization_module(TxnRecord* txn) {
 void OtpReplica::enqueue(TxnRecord* txn) {
   txn->deliv = DeliveryState::pending;  // S2: mark pending and active
   txn->exec = ExecState::active;
-  // S1: append to every covered queue, in ascending class order (identical at
-  // all sites, so the head-of-all gating is deadlock-free).
-  for (ClassId c : txn->request->class_span()) queues_[c].append(txn);
+  OTPDB_CHECK_MSG(!by_object_ || !txn->request->access_set.empty(),
+                  "lock-table engine requires pre-declared access sets");
+  // S1: append to every covered queue at one instant, classes in ascending
+  // order (identical at all sites, so the head-of-all gating is
+  // deadlock-free).
+  for (QueueKey key : keys_of(txn)) {
+    ClassQueue& q = bind_queue(key);
+    // A record holds one position per queue: an extractor's access set must
+    // not name an object twice.
+    OTPDB_CHECK_MSG(!q.contains(txn), "an access set declares an object twice");
+    q.append(txn);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -174,27 +193,28 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
   if (serialize_at_to_) enqueue(txn);
   const TOIndex index = txn->to_index;
   txn->to_delivered_at = sim_.now();
-  const auto classes = txn->request->class_span();
+  const QueueKeys keys = keys_of(txn);
   queries_.advance_to_index(index);
-  for (ClassId c : classes) queries_.note_to_delivered(c, index);
+  for (QueueKey key : keys) queries_.note_to_delivered(key, index);
 
   // Deadline budget: a drop is decided by the definitive order alone.
   // Replays at or below the committed floor are not charged again - a warm
   // recovery wound the clock back to that floor.
-  if (!service_clock_.admit(*txn->request, index, queries_.committed_floor())) {
+  if (!service_clock_.admit(*txn->request, keys, index, queries_.committed_floor())) {
     txn->expired = true;  // dropped: occupies no service time
   }
 
-  // Crash-recovery replay: a TO-delivery at or below the covered classes'
-  // durable commit watermarks was already committed before the crash -
-  // acknowledge it without re-executing (its versions are in the store). The
-  // queue handling mirrors CC7-CC12 per covered queue: a wrongly ordered live
-  // head is undone, the replayed transaction surfaces to the head of every
-  // covered queue, and is then silently retired.
-  if (index <= queries_.last_committed(classes.front())) {
+  // Crash-recovery replay: a TO-delivery at or below the covered keys'
+  // commit watermarks was already committed before the crash - acknowledge
+  // it without re-executing (its versions are in the store). The queue
+  // handling mirrors CC7-CC12 per covered queue: a wrongly ordered live head
+  // is undone, the replayed transaction surfaces to the head of every covered
+  // queue, and is then silently retired.
+  if (index <= queries_.last_committed(keys.front())) {
 #ifndef NDEBUG
-    // Commits are atomic across the covered classes, so the watermarks agree.
-    for (ClassId c : classes) OTPDB_ASSERT(index <= queries_.last_committed(c));
+    // Commits are atomic across the covered keys, and each key commits in
+    // definitive order, so the watermarks agree.
+    for (QueueKey key : keys) OTPDB_ASSERT(index <= queries_.last_committed(key));
 #endif
     txn->deliv = DeliveryState::committable;
     if (txn->running) {
@@ -202,20 +222,20 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
       txn->running = false;
     }
     backend_.abort(txn->tid);  // drop any provisional re-execution of replayed work
-    for (ClassId c : classes) {
-      ClassQueue& queue = queues_[c];
-      TxnRecord* head = queue.head();
+    for (QueueKey key : keys) {
+      ClassQueue& q = queue(key);
+      TxnRecord* head = q.head();
       if (head != txn && head->deliv == DeliveryState::pending &&
           (head->running || head->exec == ExecState::executed)) {
         abort_transaction(head);
       }
-      queue.reorder_before_first_pending(txn);
+      q.reorder_before_first_pending(txn);
       // Replayed indices precede every live transaction's index, so no
       // committable transaction can sit ahead of this one.
-      OTPDB_CHECK(queue.head() == txn);
+      OTPDB_CHECK(q.head() == txn);
     }
-    for (ClassId c : classes) queues_[c].remove_head(txn);
-    promote_heads(classes);  // before retire: `classes` views the request
+    for (QueueKey key : keys) pop_head(key, txn);
+    promote_heads(keys);  // before retire: `keys` views the request
     txns_.retire(txn);
     return;
   }
@@ -235,17 +255,18 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
     }
     backend_.abort(txn->tid);  // undo provisional effects, if any
     txn->exec = ExecState::active;
-    for (ClassId c : classes) {
-      ClassQueue& queue = queues_[c];
-      TxnRecord* head = queue.head();
+    for (QueueKey key : keys) {
+      ClassQueue& q = queue(key);
+      TxnRecord* head = q.head();
       if (head != txn && head->deliv == DeliveryState::pending &&
           (head->running || head->exec == ExecState::executed)) {
         abort_transaction(head);  // CC8 applies equally ahead of a drop
       }
-      queue.reorder_before_first_pending(txn);
+      q.reorder_before_first_pending(txn);
     }
     if (heads_all_queues(txn)) {
-      retire_expired(txn);
+      retire_expired(txn);  // txn is retired: nothing left to check
+      return;
     }
     // Else: a committable predecessor is still executing; the retire happens
     // when its commit promotes this transaction to head (promote_heads).
@@ -261,9 +282,9 @@ void OtpReplica::retire_expired(TxnRecord* txn) {
   OTPDB_CHECK(txn->deliv == DeliveryState::committable);
   OTPDB_CHECK(heads_all_queues(txn));
   OTPDB_CHECK(!txn->running && txn->exec == ExecState::active);
-  const auto classes = txn->request->class_span();
+  const QueueKeys keys = keys_of(txn);
   const TOIndex index = txn->to_index;
-  for (ClassId c : classes) queues_[c].remove_head(txn);
+  for (QueueKey key : keys) pop_head(key, txn);
   ++metrics_.deadline_expired_queue;
   OTPDB_TRACE("otp") << "site " << self_ << " drops expired txn (" << txn->id.sender << ","
                      << txn->id.seq << ") at index " << index;
@@ -271,24 +292,25 @@ void OtpReplica::retire_expired(TxnRecord* txn) {
   // wake): a query waiting on this index would otherwise block forever, and
   // the recovery replay relies on the watermark covering dropped slots. Reads
   // at this index fall back to the predecessor version - a drop is a no-op.
-  for (ClassId c : classes) queries_.note_committed(c, index);
+  for (QueueKey key : keys) queries_.note_committed(key, index);
   queries_.finish_commit(index);
-  promote_heads(classes);  // before retire: `classes` views the request
+  promote_heads(keys);  // before retire: `keys` views the request
   txns_.retire(txn);
 }
 
-void OtpReplica::promote_heads(std::span<const ClassId> classes) {
-  promote_stack_.insert(promote_stack_.end(), classes.begin(), classes.end());
+void OtpReplica::promote_heads(QueueKeys keys) {
+  promote_stack_.insert(promote_stack_.end(), keys.begin(), keys.end());
   if (promoting_) return;  // the active drain below picks the new entries up
   promoting_ = true;
   while (!promote_stack_.empty()) {
-    const ClassId c = promote_stack_.back();
+    const QueueKey key = promote_stack_.back();
     promote_stack_.pop_back();
-    TxnRecord* next = queues_[c].head();
+    if (find_queue(key) == nullptr) continue;  // an idle object
+    TxnRecord* next = queue(key).head();
     if (next == nullptr) continue;
     if (next->expired) {
       // A chained drop: the newly exposed head is itself expired-committable.
-      // Its retire pushes its covered classes back onto the worklist.
+      // Its retire pushes its covered keys back onto the worklist.
       if (next->deliv == DeliveryState::committable && heads_all_queues(next)) {
         retire_expired(next);
       }
@@ -304,8 +326,14 @@ void OtpReplica::crash_recover_reset() {
     if (txn->running) sim_.cancel(txn->completion);
   });
   txns_.clear();
-  for (std::size_t c = 0; c < queues_.size(); ++c) {
-    queues_[c] = ClassQueue(static_cast<ClassId>(c));
+  if (by_object_) {
+    queues_.clear();
+    free_slots_.clear();
+    std::fill(queue_slot_.begin(), queue_slot_.end(), kIdle);
+  } else {
+    for (std::size_t c = 0; c < queues_.size(); ++c) {
+      queues_[c] = ClassQueue(static_cast<ClassId>(c));
+    }
   }
   backend_.clear_provisional();
   queries_.reset_volatile();
@@ -319,6 +347,9 @@ void OtpReplica::crash_recover_reset() {
 
 void OtpReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
                                    TOIndex durable_floor) {
+  // A class's durable watermark is the maximum index committed in it (see
+  // DurableStore::commit), not a committed prefix of each of its objects.
+  OTPDB_CHECK_MSG(!by_object_, "object keys have no durable restart path");
   crash_recover_reset();  // volatile state is equally gone on a cold restart
   queries_.restore_watermarks(class_watermarks, durable_floor);
   service_clock_.reset(durable_floor);  // RAM is gone, and the clock with it
@@ -333,10 +364,10 @@ void OtpReplica::correctness_check_module(TxnRecord* txn) {
   }
   txn->deliv = DeliveryState::committable;  // CC6
   bool moved = false;
-  for (ClassId c : txn->request->class_span()) {
-    ClassQueue& queue = queues_[c];
-    OTPDB_ASSERT(queue.contains(txn));
-    TxnRecord* head = queue.head();
+  for (QueueKey key : keys_of(txn)) {
+    ClassQueue& q = queue(key);
+    OTPDB_ASSERT(q.contains(txn));
+    TxnRecord* head = q.head();
     // CC7: a pending head that has produced (or is producing) optimistic
     // effects ahead of txn is wrongly ordered - undo it (CC8). A pending head
     // that never started (a multi-class transaction waiting on another queue)
@@ -345,7 +376,7 @@ void OtpReplica::correctness_check_module(TxnRecord* txn) {
         (head->running || head->exec == ExecState::executed)) {
       abort_transaction(head);  // CC8
     }
-    moved |= queue.reorder_before_first_pending(txn);  // CC10
+    moved |= q.reorder_before_first_pending(txn);  // CC10
   }
   if (moved) ++metrics_.mismatch_reorders;
   if (!txn->running && heads_all_queues(txn)) {  // CC11 (unless already executing)
@@ -358,9 +389,48 @@ void OtpReplica::correctness_check_module(TxnRecord* txn) {
 // Execution, abort (undo), commit
 // ---------------------------------------------------------------------------
 
+QueueKeys OtpReplica::keys_of(const TxnRecord* txn) const {
+  const TxnRequest& request = *txn->request;
+  return by_object_ ? QueueKeys(std::span<const ObjectId>(request.access_set))
+                    : QueueKeys(request.class_span());
+}
+
+const ClassQueue* OtpReplica::find_queue(QueueKey key) const {
+  if (!by_object_) return &queues_[key];
+  if (key >= queue_slot_.size() || queue_slot_[key] == kIdle) return nullptr;
+  return &queues_[queue_slot_[key]];
+}
+
+ClassQueue& OtpReplica::bind_queue(QueueKey key) {
+  if (by_object_) {
+    // A user-supplied extractor declaring an out-of-catalog id must fail
+    // loudly here, not index past the object table.
+    OTPDB_CHECK_MSG(key < queue_slot_.size(), "declared object outside the catalog");
+    if (queue_slot_[key] == kIdle) {
+      if (free_slots_.empty()) {
+        free_slots_.push_back(static_cast<std::uint32_t>(queues_.size()));
+        queues_.emplace_back(static_cast<ClassId>(queues_.size()));
+      }
+      queue_slot_[key] = free_slots_.back();
+      free_slots_.pop_back();
+    }
+  }
+  return queue(key);
+}
+
+void OtpReplica::pop_head(QueueKey key, TxnRecord* txn) {
+  ClassQueue& q = queue(key);
+  q.remove_head(txn);
+  if (by_object_ && q.empty()) {
+    free_slots_.push_back(queue_slot_[key]);
+    queue_slot_[key] = kIdle;
+  }
+}
+
 bool OtpReplica::heads_all_queues(const TxnRecord* txn) const {
-  for (ClassId c : txn->request->class_span()) {
-    if (queues_[c].head() != txn) return false;
+  for (QueueKey key : keys_of(txn)) {
+    const ClassQueue* q = find_queue(key);
+    if (q == nullptr || q->head() != txn) return false;
   }
   return true;
 }
@@ -386,7 +456,10 @@ void OtpReplica::submit_execution(TxnRecord* txn) {
   ReadLog* const reads = commit_hook_ ? &txn->last_reads : nullptr;  // the checker's read sets
   const TxnRequest& request = *txn->request;
   const Procedure& procedure = registry_.get(request.proc);
-  if (request.multi_class()) {
+  if (by_object_) {  // the procedure may touch exactly its declared objects
+    TxnContext ctx(store_, request.access_set, txn->tid, request.klass, request.args, reads);
+    procedure(ctx);
+  } else if (request.multi_class()) {
     TxnContext ctx(store_, catalog_, request.class_span(), txn->tid, request.args, reads);
     procedure(ctx);
   } else {
@@ -419,15 +492,15 @@ void OtpReplica::commit(TxnRecord* txn) {
   OTPDB_CHECK(txn->deliv == DeliveryState::committable);
   OTPDB_CHECK(txn->to_index > 0);
   OTPDB_CHECK(heads_all_queues(txn));
-  const auto classes = txn->request->class_span();
+  const QueueKeys keys = keys_of(txn);
 
   txn->committed_at = sim_.now();
   if (commit_hook_) {
     fill_commit_record(commit_record_, self_, *txn, store_.provisional_writes(txn->tid));
   }
 
-  backend_.commit(txn->tid, txn->to_index, classes, queries_.gc_horizon());
-  for (ClassId c : classes) queues_[c].remove_head(txn);
+  backend_.commit(txn->tid, txn->to_index, txn->request->class_span(), queries_.gc_horizon());
+  for (QueueKey key : keys) pop_head(key, txn);
 
   ++metrics_.committed;
   if (txn->request->origin == self_) {
@@ -442,22 +515,24 @@ void OtpReplica::commit(TxnRecord* txn) {
 
   const TOIndex committed_index = txn->to_index;
 
-  // Advance every covered class watermark before waking waiters, so a query
-  // spanning several covered classes never observes a half-committed state.
-  for (ClassId c : classes) queries_.note_committed(c, committed_index);
+  // Advance every covered watermark before waking waiters, so a query
+  // spanning several covered domains never observes a half-committed state.
+  for (QueueKey key : keys) queries_.note_committed(key, committed_index);
   queries_.finish_commit(committed_index);
   if (config_.paranoid_checks) check_invariants(txn);
   // E3/CC4: removing txn may promote the next head of every covered queue to
   // heads-all status; start whichever can now run, and retire expired
   // committable heads exposed by the removal (promote_heads' guards make the
-  // per-class passes idempotent for successors sharing several classes).
-  // Before retire: `classes` views the request the retire drops.
-  promote_heads(classes);
+  // per-key passes idempotent for successors sharing several keys).
+  // Before retire: `keys` views the request the retire drops.
+  promote_heads(keys);
   txns_.retire(txn);  // txn's slot is reusable beyond this point
 }
 
 void OtpReplica::check_invariants(const TxnRecord* txn) const {
-  for (ClassId c : txn->request->class_span()) queues_[c].check_invariants();
+  for (QueueKey key : keys_of(txn)) {
+    if (const ClassQueue* q = find_queue(key)) q->check_invariants();
+  }
 }
 
 }  // namespace otpdb

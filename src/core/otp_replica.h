@@ -39,11 +39,20 @@
 // store's provisional write-sets and the commit path all index flat arrays by
 // it. Retired ids (and their record/write-set storage) are recycled.
 //
-// The conservative baseline (baseline/conservative_replica.h) is this engine
-// with S1-S2 moved from Opt-delivery to TO-delivery; everything after them
-// is the same code.
+// Two choices are fixed at construction, and every module above is the same
+// code under each of them:
+//   * when a transaction enters its queues (S1-S2): at Opt-delivery (OTP),
+//     or at TO-delivery - the conservative baseline
+//     (baseline/conservative_replica.h);
+//   * what a queue key is (QueueKeys): a covered conflict class, or a
+//     declared object of the request's access set - the lock-table engine
+//     (core/lock_table_replica.h). The queues, the query engine's domains
+//     and the service clock's lanes are all indexed by the key. Under object
+//     keys an object holds a pooled queue only while transactions wait on
+//     it, so an idle object allocates nothing.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -99,7 +108,7 @@ class OtpReplica : public ReplicaBase {
     return txns_.live() + metrics_.queries_in_flight();
   }
 
-  /// Introspection for tests: the class queue of `klass`.
+  /// Introspection for tests: the class queue of `klass` (class keys).
   const ClassQueue& class_queue(ClassId klass) const { return queues_[klass]; }
   /// Highest definitive index processed at this site.
   TOIndex last_to_index() const { return queries_.last_to_index(); }
@@ -126,16 +135,31 @@ class OtpReplica : public ReplicaBase {
   /// Cold restart over the durable tier: the store was already rebuilt from
   /// checkpoint + WAL; this winds the query watermarks back to the durable
   /// marks, starts query snapshots at `durable_floor` and accepts body-less
-  /// TO-delivery tombstones up to it during catch-up.
+  /// TO-delivery tombstones up to it during catch-up. Class keys only: the
+  /// durable tier keeps per-class watermarks, which are maxima rather than
+  /// the committed prefix an object's domain needs.
   void restart_from_disk(std::span<const TOIndex> class_watermarks,
                          TOIndex durable_floor) override;
 
  protected:
-  /// When a transaction enters its class queues (serialization steps S1-S2).
+  /// When a transaction enters its queues (serialization steps S1-S2).
   enum class Serialize : std::uint8_t { at_opt_delivery, at_to_delivery };
+  /// What the queues, query domains and service-clock lanes are keyed by.
+  enum class Keys : std::uint8_t { classes, objects };
   OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& storage,
              const PartitionCatalog& catalog, const ProcedureRegistry& registry, SiteId self,
-             OtpReplicaConfig config, Serialize serialize);
+             OtpReplicaConfig config, Serialize serialize, Keys keys = Keys::classes);
+
+  /// The submit paths' shared tail: runs the ingress gate and, once admitted,
+  /// TO-broadcasts the request. `classes` is empty for single-class
+  /// submissions, the normalized set (and klass its first element)
+  /// otherwise; `access_set` is empty except under object keys.
+  SubmitResult gate_and_broadcast(ProcId proc, ClassId klass, std::vector<ClassId> classes,
+                                  std::vector<ObjectId> access_set, TxnArgs args,
+                                  SimTime exec_duration, SimTime deadline);
+
+  /// The queue of `key`; nullptr for an idle object under object keys.
+  const ClassQueue* find_queue(QueueKey key) const;
 
  private:
   // -- Figure 4: serialization module ---------------------------------------
@@ -147,10 +171,16 @@ class OtpReplica : public ReplicaBase {
   // -- Figure 6: correctness check module ------------------------------------
   void correctness_check_module(TxnRecord* txn);
 
-  /// Builds and TO-broadcasts a request. `classes` is empty for single-class
-  /// submissions, the normalized set (and klass its first element) otherwise.
-  void broadcast_request(ProcId proc, ClassId klass, std::vector<ClassId> classes,
-                         TxnArgs args, SimTime exec_duration, SimTime deadline);
+  /// The transaction's queue keys (a view over its request).
+  QueueKeys keys_of(const TxnRecord* txn) const;
+  /// The queue of `key`. Pre: bound, under object keys.
+  ClassQueue& queue(QueueKey key) { return queues_[by_object_ ? queue_slot_[key] : key]; }
+  /// S1's queue for `key`: under object keys an idle object first binds a
+  /// pooled queue.
+  ClassQueue& bind_queue(QueueKey key);
+  /// Removes `txn` from the head of `key`'s queue; under object keys an
+  /// emptied queue goes back to the pool.
+  void pop_head(QueueKey key, TxnRecord* txn);
 
   void to_deliver_one(TxnRecord* txn);
   /// Retires an expired transaction heading all its covered queues: no
@@ -161,9 +191,9 @@ class OtpReplica : public ReplicaBase {
   /// newly exposed heads, retiring expired committable ones. A worklist (not
   /// recursion) because N consecutive expired heads retire each other in a
   /// chain under overload.
-  void promote_heads(std::span<const ClassId> classes);
-  /// True when `txn` heads every class queue it covers (trivially its single
-  /// queue in the base model). Only such a transaction may run or commit.
+  void promote_heads(QueueKeys keys);
+  /// True when `txn` heads every queue it covers (trivially its single queue
+  /// in the base model). Only such a transaction may run or commit.
   bool heads_all_queues(const TxnRecord* txn) const;
   /// Starts execution if `txn` is active, not running, and heads all its
   /// queues (S3-S5 / CC11-CC12 generalized).
@@ -183,13 +213,18 @@ class OtpReplica : public ReplicaBase {
   SiteId self_;
   OtpReplicaConfig config_;
   bool serialize_at_to_;  // the conservative baseline: S1-S2 at TO-delivery
+  bool by_object_;        // the lock-table engine: queue keys are objects
 
+  /// Class keys: one queue per class. Object keys: the pool of queues bound
+  /// to objects with waiters (queue_slot_), and the unbound ones (free_slots_).
   std::vector<ClassQueue> queues_;
+  std::vector<std::uint32_t> queue_slot_;  // per object: its queue, or kIdle
+  std::vector<std::uint32_t> free_slots_;
   TxnTable txns_;
   /// Deadline budgets: drops are a pure function of the definitive order, so
   /// every site drops the same transactions (see core/service_clock.h).
   ServiceClock service_clock_;
-  std::vector<ClassId> promote_stack_;  // promote_heads worklist
+  std::vector<QueueKey> promote_stack_;  // promote_heads worklist
   bool promoting_ = false;              // reentrancy guard for promote_heads
 
   std::uint64_t next_client_seq_ = 0;

@@ -45,7 +45,6 @@ namespace detail {
 /// TO-delivered but not yet committed. The query runner catches it, waits for
 /// the commit of `index`, and re-runs the query body.
 struct SnapshotNotReady {
-  ClassId klass = 0;
   TOIndex index = 0;
 };
 }  // namespace detail

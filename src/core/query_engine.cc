@@ -167,7 +167,7 @@ Value QueryEngine::read(ObjectId obj, TOIndex snapshot) const {
   if (bound > last_committed_[domain]) {
     // The version this snapshot must observe is TO-delivered but its commit
     // is still in flight locally: the query has to wait for it.
-    throw detail::SnapshotNotReady{static_cast<ClassId>(domain), bound};
+    throw detail::SnapshotNotReady{bound};
   }
   return store_.read_snapshot(obj, snapshot).value_or(Value{std::int64_t{0}});
 }

@@ -1,10 +1,10 @@
-// Shared snapshot-query machinery (paper Section 5), used by every engine
-// that processes update transactions in definitive order (OTP, the
-// conservative baseline, and the fine-granularity lock-table engine).
+// Shared snapshot-query machinery (paper Section 5), used by OtpReplica and
+// so by every engine built on it: OTP, the conservative baseline and the
+// lock-table engine.
 //
-// The engine tracks state per *conflict domain*. For the class-queue engines
-// a domain is a conflict class (the paper's model); for the lock-table engine
-// a domain is a single object. Per domain it records the definitive indices
+// The engine tracks state per *conflict domain*, which is the replica's queue
+// key: a conflict class (the paper's model), or a single object under object
+// keys (the lock-table engine). Per domain it records the definitive indices
 // TO-delivered at this site and the last locally committed index. A query
 // started after the i-th TO-delivery reads snapshot "i.5": for each domain it
 // observes the version written by the youngest domain transaction with
@@ -35,7 +35,8 @@ namespace otpdb {
 
 class QueryEngine {
  public:
-  /// Domain identifier: a conflict class, or a dense object index.
+  /// Domain identifier: a conflict class, or a dense object index (a
+  /// QueueKey).
   using Domain = std::uint64_t;
   using DomainOf = std::function<Domain(ObjectId)>;
 

@@ -1,17 +1,18 @@
-// ServiceClock - the per-class virtual service clock behind deadline budgets.
+// ServiceClock - the virtual service clock behind deadline budgets.
 //
-// Every non-dropped transaction occupies exec_duration of virtual serial
-// service per covered class, starting no earlier than its submission and the
-// covered classes' backlogs. A transaction whose virtual finish overruns its
-// deadline is dropped and occupies nothing. Under overload the clock runs
-// ahead of real submit times - that growing gap is exactly the queueing delay
-// the deadline is budgeting against. The clock is fed only agreed data
-// (definitive order, submitted_at, exec_duration, deadline), so every site
-// drops the same transactions.
+// The clock has one lane per queue key: a conflict class, or an object under
+// object keys (the lock-table engine). Every non-dropped transaction occupies
+// exec_duration of virtual serial service on each of its lanes, starting no
+// earlier than its submission and those lanes' backlogs. A transaction whose
+// virtual finish overruns its deadline is dropped and occupies nothing. Under
+// overload the clock runs ahead of real submit times - that growing gap is
+// exactly the queueing delay the deadline is budgeting against. The clock is
+// fed only agreed data (definitive order, submitted_at, exec_duration,
+// deadline, queue keys), so every site drops the same transactions.
 //
 // A warm recovery re-enters the definitive order just above the committed
 // floor, so the clock must be wound back to its value as of that floor. It
-// keeps an undo entry per class update above the floor; entries are settled
+// keeps an undo entry per lane update above the floor; entries are settled
 // (forgotten) as the committed floor passes them.
 #pragma once
 
@@ -26,23 +27,24 @@ namespace otpdb {
 
 class ServiceClock {
  public:
-  explicit ServiceClock(std::size_t n_classes) : clock_(n_classes, 0) {}
+  explicit ServiceClock(std::size_t n_lanes) : clock_(n_lanes, 0) {}
 
-  /// Charges `request`, TO-delivered with `index`, and returns false when it
-  /// must be dropped. An index at or below the last one charged is a replay
-  /// the clock already holds: it is admitted without a charge.
-  /// `committed_floor` settles the undo entries at or below it.
-  bool admit(const TxnRequest& request, TOIndex index, TOIndex committed_floor) {
+  /// Charges `request`, TO-delivered with `index`, to its `lanes`, and
+  /// returns false when it must be dropped. An index at or below the last one
+  /// charged is a replay the clock already holds: it is admitted without a
+  /// charge. `committed_floor` settles the undo entries at or below it.
+  bool admit(const TxnRequest& request, QueueKeys lanes, TOIndex index,
+             TOIndex committed_floor) {
     if (index <= last_index_) return true;
     last_index_ = index;
     settle(committed_floor);
     SimTime vstart = request.submitted_at;
-    for (ClassId c : request.class_span()) vstart = std::max(vstart, clock_[c]);
+    for (QueueKey lane : lanes) vstart = std::max(vstart, clock_[lane]);
     const SimTime vfinish = vstart + request.exec_duration;
     if (request.deadline != 0 && vfinish > request.deadline) return false;
-    for (ClassId c : request.class_span()) {
-      undo_.push_back(Undo{index, c, clock_[c]});
-      clock_[c] = vfinish;
+    for (QueueKey lane : lanes) {
+      undo_.push_back(Undo{index, lane, clock_[lane]});
+      clock_[lane] = vfinish;
     }
     return true;
   }
@@ -50,7 +52,7 @@ class ServiceClock {
   /// Winds the clock back to its value right after `floor` was charged.
   void rewind(TOIndex floor) {
     while (undo_.size() > head_ && undo_.back().index > floor) {
-      clock_[undo_.back().klass] = undo_.back().previous;
+      clock_[undo_.back().lane] = undo_.back().previous;
       undo_.pop_back();
     }
     last_index_ = std::min(last_index_, floor);
@@ -68,7 +70,7 @@ class ServiceClock {
  private:
   struct Undo {
     TOIndex index;
-    ClassId klass;
+    QueueKey lane;
     SimTime previous;
   };
 
@@ -82,7 +84,7 @@ class ServiceClock {
     }
   }
 
-  std::vector<SimTime> clock_;  // per class
+  std::vector<SimTime> clock_;  // per lane
   std::vector<Undo> undo_;      // updates above the settled floor, from head_
   std::size_t head_ = 0;
   TOIndex last_index_ = 0;

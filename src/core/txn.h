@@ -5,17 +5,21 @@
 //   delivery state:  pending (after Opt-deliver) or committable (after
 //                    TO-deliver)
 // A transaction commits only when it is both executed and committable and sits
-// at the head of *every* class queue it covers. The paper's base model
-// (Section 2.3) pins each update to exactly one conflict class; the
-// fine-granularity generalization (Section 6) lets an update span a sorted
-// *set* of classes - it enqueues into all covered queues in tentative order
-// and runs only while heading all of them.
+// at the head of *every* queue it covers. The paper's base model (Section 2.3)
+// pins each update to exactly one conflict class; the fine-granularity
+// generalization (Section 6) lets an update span a sorted *set* of classes -
+// it enqueues into all covered queues in tentative order and runs only while
+// heading all of them. Under object keys the queues belong to the objects of
+// a pre-declared access set instead (QueueKeys).
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "db/procedures.h"
@@ -25,6 +29,46 @@
 #include "util/types.h"
 
 namespace otpdb {
+
+/// What a transaction queues on: a covered conflict class (the paper's model)
+/// or, under object keys (the lock-table engine), a declared object.
+using QueueKey = std::uint64_t;
+
+/// A transaction's queue keys, widened to QueueKey: a view over its covered
+/// classes or over its declared access set.
+class QueueKeys {
+ public:
+  explicit QueueKeys(std::span<const ClassId> classes)
+      : classes_(classes.data()), size_(classes.size()) {}
+  explicit QueueKeys(std::span<const ObjectId> objects)
+      : objects_(objects.data()), size_(objects.size()) {}
+
+  std::size_t size() const { return size_; }
+  QueueKey operator[](std::size_t i) const {
+    return objects_ != nullptr ? objects_[i] : classes_[i];
+  }
+  QueueKey front() const { return (*this)[0]; }
+
+  struct iterator {
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = QueueKey;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = QueueKey;
+    const QueueKeys* keys = nullptr;
+    std::size_t i = 0;
+    QueueKey operator*() const { return (*keys)[i]; }
+    iterator& operator++() { ++i; return *this; }
+    bool operator==(const iterator& other) const { return i == other.i; }
+  };
+  iterator begin() const { return {this, 0}; }
+  iterator end() const { return {this, size_}; }
+
+ private:
+  const ClassId* classes_ = nullptr;
+  const ObjectId* objects_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// Normalizes a submitted class set in place: ascending, duplicate-free.
 /// CHECK-fails on an empty set. Every engine's submit_update_multi runs this
@@ -59,12 +103,14 @@ struct TxnRequest final : Payload {
   SimTime exec_duration = 0;   ///< modelled execution cost of the procedure
   /// Absolute sim-time deadline; 0 means none. Past it the transaction is a
   /// drop candidate at every stage (pre-broadcast, opt-deliver, queue head).
-  /// The queue-head decision is made against the per-class virtual service
-  /// clock (see OtpReplica), a pure function of the definitive order, so all
-  /// sites agree on every drop.
+  /// The queue-head decision is made against the virtual service clock of
+  /// its queue keys (core/service_clock.h), a pure function of the
+  /// definitive order, so all sites agree on every drop.
   SimTime deadline = 0;
-  /// Pre-declared object access set; used by the fine-granularity lock-table
-  /// engine (paper Section 6 / [13]). Empty under the class-queue model.
+  /// Pre-declared object access set: under object keys (the lock-table
+  /// engine, paper Section 6 / [13]) the transaction queues on each of these
+  /// objects, and its procedure may touch only them. Empty under the
+  /// class-queue model.
   std::vector<ObjectId> access_set;
 
   /// The covered classes as a span (always non-empty, ascending).
@@ -104,31 +150,30 @@ struct TxnRecord {
   /// the store's provisional write set (VersionedStore::provisional_writes).
   ReadLog last_reads;
 
-  /// Cached class-queue membership: one entry per ClassQueue currently
-  /// holding this record (at most one queue per class id). `ticket` is an
+  /// Cached queue membership: one entry per ClassQueue currently holding
+  /// this record (at most one queue per queue id - a conflict class, or a
+  /// pooled object-queue slot under object keys). `ticket` is an
   /// absolute position stamp (queue index = ticket - queue base; the base
   /// advances on every head removal, so pops never touch cached positions).
   /// Maintained exclusively by ClassQueue - it turns contains() and the CC10
   /// self-lookup into O(1) instead of pointer scans over the queue, which
   /// matters once multi-class commits touch several queues - and
   /// cross-checked by check_invariants(). A queue destroyed wholesale leaves
-  /// stale entries behind; the next append to a same-class queue reclaims
+  /// stale entries behind; the next append to a same-id queue reclaims
   /// them.
   struct QueuePos {
-    ClassId klass = 0;
+    ClassId queue = 0;  ///< the holding queue's id (ClassQueue's table index)
     std::uint64_t ticket = 0;
   };
   std::vector<QueuePos> queue_pos;
 
-  QueuePos* find_queue_pos(ClassId klass) {
-    for (auto& p : queue_pos)
-      if (p.klass == klass) return &p;
+  const QueuePos* find_queue_pos(ClassId queue) const {
+    for (const auto& p : queue_pos)
+      if (p.queue == queue) return &p;
     return nullptr;
   }
-  const QueuePos* find_queue_pos(ClassId klass) const {
-    for (const auto& p : queue_pos)
-      if (p.klass == klass) return &p;
-    return nullptr;
+  QueuePos* find_queue_pos(ClassId queue) {
+    return const_cast<QueuePos*>(std::as_const(*this).find_queue_pos(queue));
   }
 
   /// Reinitializes the record for a fresh transaction reusing this slot. The

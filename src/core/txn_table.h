@@ -30,14 +30,6 @@ class TxnTable {
     return txn;
   }
 
-  /// The live record bound to `id`; CHECK-fails when absent (Local Order
-  /// guarantees Opt-deliver precedes TO-deliver).
-  TxnRecord* lookup(const MsgId& id) {
-    const TxnId tid = interner_.find(id);
-    OTPDB_CHECK_MSG(tid != kInvalidTxnId, "TO-delivery without prior Opt-delivery");
-    return records_[tid].get();
-  }
-
   /// The live record bound to `id`, or nullptr when absent. Only the durable
   /// catch-up path may observe an absent binding: a commit at or below the
   /// restarting site's durable floor is TO-delivered as a body-less

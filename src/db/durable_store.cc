@@ -66,7 +66,6 @@ void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> cla
     // consumes it. The span is already sorted by object, so the record bytes
     // are identical at every site.
     wal::append_commit(pending_, index, classes, store_.provisional_writes(txn));
-    ++pending_count_;
     ++stats_.commits_logged;
     // max(), not plain assignment: the class-queue engines commit a class's
     // transactions in ascending definitive order, but the lock-table engine
@@ -129,12 +128,10 @@ void DurableStore::flush() {
     health_ = StorageHealth::ok;
     ++stats_.fsyncs;
     stats_.wal_bytes += pending_.size();
-    if (pending_count_ > 0) stats_.group_commit_batch.add(static_cast<double>(pending_count_));
     durable_watermark_ = pending_watermark_;
     durable_max_index_ = std::max(durable_max_index_, pending_max_index_);
     active_max_index_ = std::max(active_max_index_, pending_max_index_);
     pending_.clear();
-    pending_count_ = 0;
     pending_max_index_ = 0;
     next_flush_allowed_ = sim_.now() + config_.fsync_latency;
     if (writer_.size() >= config_.segment_bytes) roll_segment();
@@ -169,7 +166,6 @@ void DurableStore::note_flush_failure(bool tail_clean) {
     // and surface it. The in-memory store keeps serving; watermarks freeze.
     health_ = StorageHealth::failed;
     pending_.clear();
-    pending_count_ = 0;
     pending_max_index_ = 0;
     pending_watermark_ = durable_watermark_;
     return;
@@ -290,7 +286,6 @@ RecoveredState DurableStore::restart_from_disk() {
   down_ = false;
   // RAM is gone: the unflushed tail and the in-memory chains are lost.
   pending_.clear();
-  pending_count_ = 0;
   pending_max_index_ = 0;
   if (flush_scheduled_) {
     sim_.cancel(flush_event_);

@@ -50,7 +50,6 @@
 #include "db/storage_backend.h"
 #include "db/wal.h"
 #include "sim/simulator.h"
-#include "util/stats.h"
 
 namespace otpdb {
 
@@ -69,8 +68,6 @@ struct WalStats {
   std::uint64_t segments_sealed_on_error = 0;  ///< segments abandoned at their valid prefix
   std::uint64_t checkpoints_skipped = 0;  ///< checkpoints deferred (flush failure pending)
   std::uint64_t checkpoints_failed = 0;   ///< checkpoint writes that errored
-  /// Commits per fsync - the group-commit batch size distribution.
-  Histogram group_commit_batch{0.5, 64.5, 64};
 };
 
 class DurableStore final : public StorageBackend {
@@ -131,7 +128,6 @@ class DurableStore final : public StorageBackend {
   std::vector<SealedSegment> sealed_;     ///< rolled segments awaiting truncation
 
   std::vector<std::uint8_t> pending_;     ///< encoded, unflushed records
-  std::uint64_t pending_count_ = 0;       ///< commit records in pending_
   std::vector<TOIndex> pending_watermark_;  ///< per-class, incl. unflushed
   std::vector<TOIndex> durable_watermark_;  ///< per-class, fsynced only
   TOIndex pending_max_index_ = 0;

@@ -98,12 +98,6 @@ class TxnContext {
   /// transactions - procedures spanning classes should address objects via
   /// explicit ids or classes carried in their arguments).
   ClassId conflict_class() const { return klass_; }
-  /// All covered classes; a single-element span for class-scoped contexts,
-  /// empty for set-scoped (lock-table) contexts.
-  std::span<const ClassId> covered_classes() const {
-    return classes_.empty() && access_set_ == nullptr ? std::span<const ClassId>(&klass_, 1)
-                                                      : classes_;
-  }
   TxnId txn_id() const { return txn_; }
 
  private:

@@ -1,7 +1,6 @@
 #include "util/stats.h"
 
 #include <cmath>
-#include <sstream>
 
 #include "util/assert.h"
 
@@ -50,44 +49,6 @@ double PercentileTracker::percentile(double p) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(p / 100.0 * static_cast<double>(samples_.size())));
   return samples_[rank == 0 ? 0 : rank - 1];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  OTPDB_CHECK(hi > lo);
-  OTPDB_CHECK(buckets > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-  } else if (x >= hi_) {
-    ++overflow_;
-  } else {
-    // (x - lo_)/width_ can round up to counts_.size() for x just below hi_
-    // (width_ is a rounded quotient), so clamp: the in-range guard above
-    // already decided this sample belongs to the top bucket.
-    const auto index = static_cast<std::size_t>((x - lo_) / width_);
-    ++counts_[index < counts_.size() ? index : counts_.size() - 1];
-  }
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + static_cast<double>(i) * width_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) * static_cast<double>(width));
-    out << "[" << bucket_lo(i) << ", " << bucket_lo(i + 1) << ") "
-        << std::string(bar, '#') << " " << counts_[i] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace otpdb

@@ -3,9 +3,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace otpdb {
@@ -54,30 +52,6 @@ class PercentileTracker {
  private:
   std::vector<double> samples_;
   bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-
-  /// Lower edge of bucket i.
-  double bucket_lo(std::size_t i) const;
-
-  /// Render as a compact multi-line ASCII chart (for example programs).
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 }  // namespace otpdb

@@ -1,7 +1,5 @@
 #include "workload/tpcc_lite.h"
 
-#include <algorithm>
-#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -124,7 +122,11 @@ void load_initial_state(Cluster& cluster, const Layout& layout) {
 }
 
 TpccDriver::TpccDriver(Cluster& cluster, Layout layout, MixConfig config, std::uint64_t seed)
-    : cluster_(cluster), layout_(layout), config_(config), site_stats_(cluster.site_count()) {
+    : cluster_(cluster),
+      layout_(layout),
+      config_(config),
+      client_(cluster, site_rngs_, config.max_retries),
+      site_stats_(cluster.site_count()) {
   Rng master(seed);
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
 }
@@ -140,7 +142,12 @@ void TpccDriver::start() {
 
 MixStats TpccDriver::stats() const {
   MixStats merged;
-  for (const MixStats& s : site_stats_) merged += s;
+  for (SiteId s = 0; s < site_stats_.size(); ++s) {
+    merged += site_stats_[s];
+    merged.retries += client_.counters(s).retries;
+    merged.gave_up += client_.counters(s).gave_up;
+    merged.expired_presubmit += client_.counters(s).expired_presubmit;
+  }
   return merged;
 }
 
@@ -183,10 +190,10 @@ void TpccDriver::submit_one(SiteId site) {
     return r >= warehouse ? static_cast<ClassId>(r + 1) : r;
   };
 
-  // Every update goes through attempt_submit (deadline tagging + retry); the
-  // arguments are drawn exactly once, here, so retried attempts resubmit the
-  // same transaction.
-  PendingTxn pending;
+  // Every update goes through the retrying client (deadline tagging +
+  // retry); the arguments are drawn exactly once, here, so retried attempts
+  // resubmit the same transaction.
+  PendingUpdate pending;
   pending.exec_duration = exec;
   if (config_.deadline_budget != 0) {
     pending.deadline = cluster_.site_sim(site).now() + config_.deadline_budget;
@@ -216,7 +223,7 @@ void TpccDriver::submit_one(SiteId site) {
       pending.proc = procs_.new_order;
       pending.klass = warehouse;
     }
-    attempt_submit(site, std::move(pending));
+    client_.submit(site, std::move(pending));
   } else if (dice < pay_w) {
     TxnArgs args;
     const std::int64_t amount = rng.uniform_int(1, 100);
@@ -238,7 +245,7 @@ void TpccDriver::submit_one(SiteId site) {
       pending.klass = warehouse;
     }
     pending.args = std::move(args);
-    attempt_submit(site, std::move(pending));
+    client_.submit(site, std::move(pending));
   } else if (dice < del_w) {
     TxnArgs args;
     args.ints = {rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_districts) - 1)};
@@ -246,7 +253,7 @@ void TpccDriver::submit_one(SiteId site) {
     pending.proc = procs_.delivery;
     pending.klass = warehouse;
     pending.args = std::move(args);
-    attempt_submit(site, std::move(pending));
+    client_.submit(site, std::move(pending));
   } else {
     // StockLevel: snapshot query counting low-stock items of one warehouse.
     const Layout layout = layout_;
@@ -266,47 +273,6 @@ void TpccDriver::submit_one(SiteId site) {
         },
         query_exec, nullptr);
   }
-}
-
-void TpccDriver::attempt_submit(SiteId site, PendingTxn pending) {
-  // Arguments are copied into each attempt so a refusal keeps the original.
-  ReplicaBase& replica = cluster_.replica(site);
-  const SubmitResult result =
-      pending.cross ? replica.submit_update_multi(pending.proc, pending.classes, pending.args,
-                                                  pending.exec_duration, pending.deadline)
-                    : replica.submit_update(pending.proc, pending.klass, pending.args,
-                                            pending.exec_duration, pending.deadline);
-  MixStats& stats = site_stats_[site];
-  switch (result) {
-    case SubmitResult::admitted:
-      return;
-    case SubmitResult::expired:
-      ++stats.expired_presubmit;
-      return;
-    case SubmitResult::shed:
-    case SubmitResult::backpressure:
-      break;  // retryable refusals
-  }
-  if (pending.attempts >= config_.max_retries) {
-    ++stats.gave_up;
-    return;
-  }
-  // Deterministic exponential backoff; the jitter draw happens ONLY on a
-  // refusal, keeping non-shedding runs' rng streams identical to before.
-  const std::size_t shift = std::min<std::size_t>(pending.attempts, 20);
-  SimTime delay = std::min(config_.backoff_cap, config_.backoff_base << shift);
-  if (config_.backoff_jitter > 0) {
-    delay += static_cast<SimTime>(site_rngs_[site].uniform_int(
-        0, static_cast<std::int64_t>(config_.backoff_jitter)));
-  }
-  ++pending.attempts;
-  ++stats.retries;
-  // Boxed: the event capture must stay within InlineAction::kCapacity, and a
-  // PendingTxn (two vectors + scalars) does not.
-  cluster_.site_sim(site).schedule_after(
-      delay, [this, site, boxed = std::make_unique<PendingTxn>(std::move(pending))]() {
-        attempt_submit(site, std::move(*boxed));
-      });
 }
 
 std::vector<std::string> TpccDriver::audit(SiteId site) {

@@ -22,6 +22,7 @@
 #include "db/partition.h"
 #include "db/procedures.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace otpdb::tpcc {
 
@@ -94,13 +95,9 @@ struct MixConfig {
   /// Deadline budget per update (0 = none): absolute deadline = first-attempt
   /// time + budget; retries keep the original deadline.
   SimTime deadline_budget = 0;
-  /// Client retries after a shed/backpressure refusal (0 = fire-and-forget).
+  /// Client retries after a shed/backpressure refusal (0 = fire-and-forget),
+  /// with RetryingClient's deterministic backoff.
   std::size_t max_retries = 0;
-  /// delay = min(backoff_cap, backoff_base << attempt) + uniform jitter in
-  /// [0, backoff_jitter], drawn from the site rng ONLY on a refusal.
-  SimTime backoff_base = 2 * kMillisecond;
-  SimTime backoff_cap = 64 * kMillisecond;
-  SimTime backoff_jitter = 1 * kMillisecond;
 };
 
 /// Per-transaction-type counters reported by the driver.
@@ -153,29 +150,16 @@ class TpccDriver {
   std::vector<std::string> audit(SiteId site);
 
  private:
-  /// A generated update held across retry attempts: the arguments were drawn
-  /// once; every attempt resubmits the same transaction with its original
-  /// deadline (audit invariants hold because a refused attempt writes
-  /// nothing - the audit only counts *admitted* work).
-  struct PendingTxn {
-    bool cross = false;
-    ProcId proc = 0;
-    ClassId klass = 0;
-    std::vector<ClassId> classes;  // cross-warehouse only
-    TxnArgs args;
-    SimTime exec_duration = 0;
-    SimTime deadline = 0;  // absolute; 0 = none
-    std::size_t attempts = 0;
-  };
-
   void schedule_next(SiteId site, SimTime horizon);
   void submit_one(SiteId site);
-  void attempt_submit(SiteId site, PendingTxn pending);
 
   Cluster& cluster_;
   Layout layout_;
   MixConfig config_;
   std::vector<Rng> site_rngs_;
+  // Audit invariants hold across retries because a refused attempt writes
+  // nothing - the audit only counts *admitted* work.
+  RetryingClient client_;  // after site_rngs_, which it draws jitter from
   Procedures procs_;
   std::vector<MixStats> site_stats_;  // shard-confined, merged by stats()
   bool started_ = false;

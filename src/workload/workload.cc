@@ -8,6 +8,52 @@
 
 namespace otpdb {
 
+namespace {
+constexpr SimTime kBackoffBase = 2 * kMillisecond;
+constexpr SimTime kBackoffCap = 64 * kMillisecond;
+constexpr SimTime kBackoffJitter = 1 * kMillisecond;
+}  // namespace
+
+void RetryingClient::submit(SiteId site, PendingUpdate pending) {
+  // Arguments are copied into each attempt so a refusal keeps the original.
+  ReplicaBase& replica = cluster_.replica(site);
+  const SubmitResult result =
+      pending.cross ? replica.submit_update_multi(pending.proc, pending.classes, pending.args,
+                                                  pending.exec_duration, pending.deadline)
+                    : replica.submit_update(pending.proc, pending.klass, pending.args,
+                                            pending.exec_duration, pending.deadline);
+  RetryCounters& counters = counters_[site];
+  switch (result) {
+    case SubmitResult::admitted:
+      return;
+    case SubmitResult::expired:
+      // Deadline budget ran out while the client was backing off (or the
+      // site's queue never cleared in time). Nothing more to do.
+      ++counters.expired_presubmit;
+      return;
+    case SubmitResult::shed:
+    case SubmitResult::backpressure:
+      break;  // retryable refusals
+  }
+  if (pending.attempts >= max_retries_) {
+    ++counters.gave_up;
+    return;
+  }
+  const std::size_t shift = std::min<std::size_t>(pending.attempts, 20);
+  const SimTime delay =
+      std::min(kBackoffCap, kBackoffBase << shift) +
+      static_cast<SimTime>(
+          site_rngs_[site].uniform_int(0, static_cast<std::int64_t>(kBackoffJitter)));
+  ++pending.attempts;
+  ++counters.retries;
+  // Boxed: the event capture must stay within InlineAction::kCapacity, and a
+  // PendingUpdate (two vectors + scalars) does not.
+  cluster_.site_sim(site).schedule_after(
+      delay, [this, site, boxed = std::make_unique<PendingUpdate>(std::move(pending))]() {
+        submit(site, std::move(*boxed));
+      });
+}
+
 ProcId register_rmw_procedure(ProcedureRegistry& registry, const PartitionCatalog& catalog) {
   return registry.add("rmw", [&catalog](TxnContext& ctx) {
     const auto& ints = ctx.args().ints;
@@ -36,12 +82,10 @@ ProcId register_rmw_cross_procedure(ProcedureRegistry& registry) {
 WorkloadDriver::WorkloadDriver(Cluster& cluster, WorkloadConfig config, std::uint64_t seed)
     : cluster_(cluster),
       config_(config),
+      client_(cluster, site_rngs_, config.max_retries),
       updates_submitted_(cluster.site_count(), 0),
       cross_class_submitted_(cluster.site_count(), 0),
-      queries_submitted_(cluster.site_count(), 0),
-      retries_(cluster.site_count(), 0),
-      gave_up_(cluster.site_count(), 0),
-      expired_presubmit_(cluster.site_count(), 0) {
+      queries_submitted_(cluster.site_count(), 0) {
   Rng master(seed);
   site_rngs_.reserve(cluster.site_count());
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
@@ -136,50 +180,7 @@ void WorkloadDriver::submit_one(SiteId site) {
   if (config_.deadline_budget != 0) {
     pending.deadline = cluster_.site_sim(site).now() + config_.deadline_budget;
   }
-  attempt_submit(site, std::move(pending));
-}
-
-void WorkloadDriver::attempt_submit(SiteId site, PendingUpdate pending) {
-  // Arguments are copied into each attempt so a refusal keeps the original.
-  ReplicaBase& replica = cluster_.replica(site);
-  const SubmitResult result =
-      pending.cross ? replica.submit_update_multi(pending.proc, pending.classes, pending.args,
-                                                  pending.exec_duration, pending.deadline)
-                    : replica.submit_update(pending.proc, pending.klass, pending.args,
-                                            pending.exec_duration, pending.deadline);
-  switch (result) {
-    case SubmitResult::admitted:
-      return;
-    case SubmitResult::expired:
-      // Deadline budget ran out while the client was backing off (or the
-      // site's queue never cleared in time). Nothing more to do.
-      ++expired_presubmit_[site];
-      return;
-    case SubmitResult::shed:
-    case SubmitResult::backpressure:
-      break;  // retryable refusals
-  }
-  if (pending.attempts >= config_.max_retries) {
-    ++gave_up_[site];
-    return;
-  }
-  // Deterministic exponential backoff. The jitter draw happens ONLY here, on
-  // a refusal, so runs that never shed consume the exact same rng stream as
-  // the pre-overload driver.
-  const std::size_t shift = std::min<std::size_t>(pending.attempts, 20);
-  SimTime delay = std::min(config_.backoff_cap, config_.backoff_base << shift);
-  if (config_.backoff_jitter > 0) {
-    delay += static_cast<SimTime>(site_rngs_[site].uniform_int(
-        0, static_cast<std::int64_t>(config_.backoff_jitter)));
-  }
-  ++pending.attempts;
-  ++retries_[site];
-  // Boxed: the event capture must stay within InlineAction::kCapacity, and a
-  // PendingUpdate (two vectors + scalars) does not.
-  cluster_.site_sim(site).schedule_after(
-      delay, [this, site, boxed = std::make_unique<PendingUpdate>(std::move(pending))]() {
-        attempt_submit(site, std::move(*boxed));
-      });
+  client_.submit(site, std::move(pending));
 }
 
 void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
@@ -219,7 +220,7 @@ void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
   if (config_.deadline_budget != 0) {
     pending.deadline = cluster_.site_sim(site).now() + config_.deadline_budget;
   }
-  attempt_submit(site, std::move(pending));
+  client_.submit(site, std::move(pending));
 }
 
 }  // namespace otpdb

@@ -1,10 +1,10 @@
 // Workload generation: client arrival processes, conflict-class selection,
-// stored-procedure mixes, and snapshot-query mixes. Drives any Cluster
-// deterministically from a seed.
+// stored-procedure mixes, snapshot-query mixes and the clients' retry loop.
+// Drives any Cluster deterministically from a seed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/cluster.h"
@@ -57,15 +57,60 @@ struct WorkloadConfig {
   /// deadline of first-submission time + this budget; retries keep the
   /// original deadline, so backing off consumes the budget.
   SimTime deadline_budget = 0;
-  /// Client retries after a shed/backpressure refusal (0 = fire-and-forget).
+  /// Client retries after a shed/backpressure refusal (0 = fire-and-forget),
+  /// with RetryingClient's deterministic backoff.
   std::size_t max_retries = 0;
-  /// Deterministic exponential backoff between attempts:
-  /// delay = min(backoff_cap, backoff_base << attempt) + uniform jitter in
-  /// [0, backoff_jitter], drawn from the site rng ONLY on a refusal (so
-  /// non-shedding runs draw the exact same streams as before).
-  SimTime backoff_base = 2 * kMillisecond;
-  SimTime backoff_cap = 64 * kMillisecond;
-  SimTime backoff_jitter = 1 * kMillisecond;
+};
+
+/// A generated update held by a client across retry attempts. Arguments are
+/// drawn once; every attempt submits the same transaction with the same
+/// (original) deadline.
+struct PendingUpdate {
+  bool cross = false;
+  ProcId proc = 0;
+  ClassId klass = 0;
+  std::vector<ClassId> classes;  // cross-class only
+  TxnArgs args;
+  SimTime exec_duration = 0;
+  SimTime deadline = 0;  // absolute; 0 = none
+  std::size_t attempts = 0;
+};
+
+/// What one site's client did about refusals.
+struct RetryCounters {
+  std::uint64_t retries = 0;            ///< re-submissions after shed/backpressure
+  std::uint64_t gave_up = 0;            ///< updates abandoned after max_retries
+  std::uint64_t expired_presubmit = 0;  ///< deadline passed before admission
+};
+
+/// The client retry loop shared by WorkloadDriver and tpcc::TpccDriver. A
+/// generated update is submitted at its site; after a shed or backpressure
+/// refusal it is resubmitted, unchanged and with its original deadline, after
+/// a deterministic exponential backoff:
+///   delay = min(64 ms, 2 ms << attempt) + uniform jitter in [0, 1 ms].
+/// The jitter is drawn from the site's rng only on a refusal, so runs that
+/// never shed draw the same streams as fire-and-forget clients.
+class RetryingClient {
+ public:
+  /// `site_rngs` are the driver's per-site streams (the jitter draws from
+  /// them); `max_retries` = 0 gives up at the first refusal.
+  RetryingClient(Cluster& cluster, std::vector<Rng>& site_rngs, std::size_t max_retries)
+      : cluster_(cluster),
+        site_rngs_(site_rngs),
+        max_retries_(max_retries),
+        counters_(cluster.site_count()) {}
+
+  /// Submits `pending` at `site`, on that site's shard; retries are
+  /// scheduled there too, so all state it touches stays shard-confined.
+  void submit(SiteId site, PendingUpdate pending);
+
+  const RetryCounters& counters(SiteId site) const { return counters_[site]; }
+
+ private:
+  Cluster& cluster_;
+  std::vector<Rng>& site_rngs_;
+  std::size_t max_retries_;
+  std::vector<RetryCounters> counters_;  // per site
 };
 
 /// Registers the standard read-modify-write stored procedure used by the
@@ -98,51 +143,39 @@ class WorkloadDriver {
   std::uint64_t cross_class_submitted() const { return sum(cross_class_submitted_); }
   std::uint64_t queries_submitted() const { return sum(queries_submitted_); }
   /// Re-submissions after a shed/backpressure refusal.
-  std::uint64_t retries() const { return sum(retries_); }
+  std::uint64_t retries() const { return sum(&RetryCounters::retries); }
   /// Updates abandoned after exhausting max_retries.
-  std::uint64_t gave_up() const { return sum(gave_up_); }
+  std::uint64_t gave_up() const { return sum(&RetryCounters::gave_up); }
   /// Updates whose deadline passed before an attempt was admitted.
-  std::uint64_t expired_presubmit() const { return sum(expired_presubmit_); }
+  std::uint64_t expired_presubmit() const { return sum(&RetryCounters::expired_presubmit); }
   ProcId rmw_proc() const { return rmw_proc_; }
   ProcId rmw_cross_proc() const { return rmw_cross_proc_; }
 
  private:
-  /// A generated update held by the client across retry attempts. Arguments
-  /// are drawn once; every attempt submits the same transaction with the same
-  /// (original) deadline.
-  struct PendingUpdate {
-    bool cross = false;
-    ProcId proc = 0;
-    ClassId klass = 0;
-    std::vector<ClassId> classes;  // cross-class only
-    TxnArgs args;
-    SimTime exec_duration = 0;
-    SimTime deadline = 0;  // absolute; 0 = none
-    std::size_t attempts = 0;
-  };
-
   void schedule_next(SiteId site, SimTime horizon);
   void submit_one(SiteId site);
   void submit_cross_class(SiteId site, Rng& rng);
-  void attempt_submit(SiteId site, PendingUpdate pending);
   SimTime next_gap(Rng& rng) const;
   static std::uint64_t sum(const std::vector<std::uint64_t>& per_site) {
     std::uint64_t n = 0;
     for (std::uint64_t v : per_site) n += v;
     return n;
   }
+  std::uint64_t sum(std::uint64_t RetryCounters::*counter) const {
+    std::uint64_t n = 0;
+    for (SiteId s = 0; s < cluster_.site_count(); ++s) n += client_.counters(s).*counter;
+    return n;
+  }
 
   Cluster& cluster_;
   WorkloadConfig config_;
   std::vector<Rng> site_rngs_;
+  RetryingClient client_;  // after site_rngs_, which it draws jitter from
   ProcId rmw_proc_ = 0;
   ProcId rmw_cross_proc_ = 0;
   std::vector<std::uint64_t> updates_submitted_;      // per site
   std::vector<std::uint64_t> cross_class_submitted_;  // per site
   std::vector<std::uint64_t> queries_submitted_;      // per site
-  std::vector<std::uint64_t> retries_;                // per site
-  std::vector<std::uint64_t> gave_up_;                // per site
-  std::vector<std::uint64_t> expired_presubmit_;      // per site
   bool started_ = false;
 };
 

@@ -151,6 +151,22 @@ TEST(LockTable, WrongTentativeOrderAbortsAndRedoes) {
   EXPECT_EQ(site.commits[1].txn, id_of(1));
   EXPECT_EQ(as_int(*site.store.read_latest(5)), 110);
   EXPECT_EQ(site.replica->metrics().reexecutions, 1u);
+  // T2 moved ahead of T1 once; T1 then stayed behind the committable T2.
+  EXPECT_EQ(site.replica->metrics().mismatch_reorders, 1u);
+}
+
+TEST(LockTable, InOrderDeliveryCountsNoReorder) {
+  // CC10 counts a reorder only when the TO-delivered transaction changes
+  // position. A transaction Opt- and TO-delivered before its execution
+  // finishes heads its queues throughout, so nothing moved.
+  LockSite site;
+  site.abcast.opt(id_of(1), site.request({1, 2}, 10 * kMillisecond));
+  site.sim.run_until(2 * kMillisecond);  // executing optimistically
+  site.abcast.to(id_of(1));
+  site.sim.run();
+  ASSERT_EQ(site.commits.size(), 1u);
+  EXPECT_EQ(site.replica->metrics().aborts, 0u);
+  EXPECT_EQ(site.replica->metrics().mismatch_reorders, 0u);
 }
 
 TEST(LockTable, PartialOverlapAbortsOnlyConflicting) {
@@ -174,6 +190,21 @@ TEST(LockTable, UndeclaredAccessDies) {
   bad->args.ints.push_back(2);  // proc iterates args -> touches object 2
   // Execution starts right at Opt-delivery; the scope check fires there.
   EXPECT_DEATH(site.abcast.opt(id_of(1), bad), "undeclared object");
+}
+
+TEST(LockTable, DuplicateDeclaredObjectDies) {
+  LockSite site;
+  EXPECT_DEATH(site.abcast.opt(id_of(1), site.request({3, 3}, kMillisecond)),
+               "declares an object twice");
+}
+
+TEST(LockTable, ColdRestartIsRefused) {
+  // The durable tier's per-class watermarks are maxima, not the committed
+  // prefix of each object, so object keys cannot restart from them.
+  LockSite site;
+  const std::vector<TOIndex> class_watermarks(2, 0);
+  EXPECT_DEATH(site.replica->restart_from_disk(class_watermarks, 0),
+               "object keys have no durable restart path");
 }
 
 TEST(LockTable, ChainedWaitsResolveInDefinitiveOrder) {

@@ -22,6 +22,7 @@
 #include "checker/history.h"
 #include "core/admission.h"
 #include "core/cluster.h"
+#include "core/lock_table_replica.h"
 #include "workload/workload.h"
 
 namespace otpdb {
@@ -82,15 +83,32 @@ TEST(Admission, LagSignalAloneEngages) {
 
 // -- engine-level gates -------------------------------------------------------
 
+enum class Engine { otp, conservative, locktable };
+
+ReplicaFactory factory_of(Engine engine) {
+  if (engine == Engine::conservative) {
+    return [](const ReplicaDeps& d) {
+      return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                                   d.registry, d.site);
+    };
+  }
+  return [](const ReplicaDeps& d) {
+    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
+                                              d.registry, d.site, rmw_access_extractor(d.catalog));
+  };
+}
+
+/// The lock-table engine serializes per object, so its histories are checked
+/// at object granularity.
+CheckResult check_serializable(Engine engine,
+                               const std::vector<std::vector<CommitRecord>>& logs) {
+  return engine == Engine::locktable ? check_object_level_serializability(logs)
+                                     : check_one_copy_serializability(logs);
+}
+
 struct DirectFixture {
-  explicit DirectFixture(ClusterConfig config, bool conservative = false)
-      : cluster(conservative
-                    ? Cluster(config,
-                              [](const ReplicaDeps& d) {
-                                return std::make_unique<ConservativeReplica>(
-                                    d.sim, d.abcast, d.storage, d.catalog, d.registry, d.site);
-                              })
-                    : Cluster(config)) {
+  explicit DirectFixture(ClusterConfig config, Engine engine = Engine::otp)
+      : cluster(engine == Engine::otp ? Cluster(config) : Cluster(config, factory_of(engine))) {
     proc = register_rmw_procedure(cluster.procedures(), cluster.catalog());
   }
   TxnArgs args() const {
@@ -206,11 +224,11 @@ TEST(Deadline, OptDeliverSkipDoesNotDropTheTransaction) {
 /// Floods one conflict class so the virtual service clock pushes later
 /// transactions past their budget; every site must drop exactly the same
 /// suffix, keep serving the survivors, and converge.
-void flood_one_class_and_check(bool conservative) {
+void flood_one_class_and_check(Engine engine) {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = 2;
-  DirectFixture f(config, conservative);
+  DirectFixture f(config, engine);
   HistoryRecorder recorder(f.cluster);
   constexpr int kTxns = 10;
   constexpr SimTime kExec = 10 * kMillisecond;
@@ -231,7 +249,7 @@ void flood_one_class_and_check(bool conservative) {
   }
   // A drop is a no-op in the history: the committed prefix is still 1CSR and
   // all stores agree (object 0 advanced once per committed transaction).
-  EXPECT_TRUE(check_one_copy_serializability(recorder.site_logs()).ok());
+  EXPECT_TRUE(check_serializable(engine, recorder.site_logs()).ok());
   std::vector<const VersionedStore*> stores;
   for (SiteId s = 0; s < f.cluster.site_count(); ++s) stores.push_back(&f.cluster.store(s));
   EXPECT_TRUE(compare_final_states(stores, f.cluster.catalog()).ok());
@@ -241,11 +259,17 @@ void flood_one_class_and_check(bool conservative) {
 }
 
 TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteOtp) {
-  flood_one_class_and_check(/*conservative=*/false);
+  flood_one_class_and_check(Engine::otp);
 }
 
 TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteConservative) {
-  flood_one_class_and_check(/*conservative=*/true);
+  flood_one_class_and_check(Engine::conservative);
+}
+
+TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteLockTable) {
+  // Every transaction writes the same object, so its lane of the service
+  // clock fills exactly as the class lane does in the class-keyed engines.
+  flood_one_class_and_check(Engine::locktable);
 }
 
 /// A steady deadline flood on one class, then a warm crash/recovery of a site
@@ -253,11 +277,11 @@ TEST(Deadline, QueueHeadDropsAreIdenticalAtEverySiteConservative) {
 /// of the flood, so catch-up resumes there instead of at stage 0: the
 /// recovered site must rewind its virtual service clock to its committed
 /// floor and re-derive every later drop exactly as the others do.
-void warm_recovery_rederives_drops(bool conservative) {
+void warm_recovery_rederives_drops(Engine engine) {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = 2;
-  DirectFixture f(config, conservative);
+  DirectFixture f(config, engine);
   HistoryRecorder recorder(f.cluster);
   constexpr int kTxns = 300;
   constexpr SimTime kGap = 2 * kMillisecond;
@@ -300,18 +324,20 @@ void warm_recovery_rederives_drops(bool conservative) {
   ASSERT_FALSE(dropped.empty());
   EXPECT_GT(dropped.back(), committed_at_crash)
       << "no drop for the recovered site to re-derive after its committed floor";
-  EXPECT_TRUE(check_one_copy_serializability(recorder.site_logs()).ok());
+  EXPECT_TRUE(check_serializable(engine, recorder.site_logs()).ok());
   std::vector<const VersionedStore*> stores;
   for (SiteId s = 0; s < f.cluster.site_count(); ++s) stores.push_back(&f.cluster.store(s));
   EXPECT_TRUE(compare_final_states(stores, f.cluster.catalog()).ok());
 }
 
-TEST(Deadline, WarmRecoveryRederivesDropsOtp) {
-  warm_recovery_rederives_drops(/*conservative=*/false);
-}
+TEST(Deadline, WarmRecoveryRederivesDropsOtp) { warm_recovery_rederives_drops(Engine::otp); }
 
 TEST(Deadline, WarmRecoveryRederivesDropsConservative) {
-  warm_recovery_rederives_drops(/*conservative=*/true);
+  warm_recovery_rederives_drops(Engine::conservative);
+}
+
+TEST(Deadline, WarmRecoveryRederivesDropsLockTable) {
+  warm_recovery_rederives_drops(Engine::locktable);
 }
 
 /// The conservative engine must retire a drop in queue order, after the
@@ -323,7 +349,7 @@ TEST(Deadline, ConservativeDropsRetireInQueueOrder) {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = 2;
-  DirectFixture f(config, /*conservative=*/true);
+  DirectFixture f(config, Engine::conservative);
   HistoryRecorder recorder(f.cluster);
   constexpr int kTxns = 10;
   constexpr SimTime kExec = 10 * kMillisecond;

@@ -230,7 +230,7 @@ RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durabl
       const WalStats* w = cluster->wal_stats(s);
       for (std::uint64_t v : {w->commits_logged, w->fsyncs, w->wal_bytes, w->checkpoints,
                               w->segments_truncated, w->replayed_commits,
-                              w->checkpoint_restores, w->group_commit_batch.total()}) {
+                              w->checkpoint_restores}) {
         out.counters.push_back(v);
       }
     }

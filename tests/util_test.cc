@@ -1,7 +1,6 @@
 // Unit tests for src/util: deterministic RNG, distributions, statistics.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 #include "util/dense_deque.h"
@@ -184,54 +183,6 @@ TEST(PercentileTracker, InterleavedAddAndQuery) {
   p.add(1);
   p.add(9);
   EXPECT_DOUBLE_EQ(p.median(), 5.0);
-}
-
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1);
-  h.add(0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10);
-  h.add(100);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(5), 1u);
-  EXPECT_EQ(h.bucket(9), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, RoundingNeverEscapesTheTopBucket) {
-  // Regression: (x - lo)/width can round up to bucket_count() for x just
-  // below hi when width = (hi-lo)/buckets is a rounded quotient - that index
-  // used to write one past the end of the counts array. Adversarial
-  // lo/hi/bucket combinations whose width is not exactly representable:
-  const double cases[][2] = {{0.0, 0.7}, {0.1, 0.9}, {-1.3, 1.1}, {0.0, 1e9}, {1e-9, 3e-9}};
-  for (const auto& [lo, hi] : cases) {
-    for (std::size_t buckets : {1u, 3u, 7u, 10u, 1000u}) {
-      Histogram h(lo, hi, buckets);
-      // The largest double strictly below hi plus a dense sweep near hi.
-      h.add(std::nextafter(hi, lo));
-      for (int i = 1; i <= 64; ++i) {
-        const double x = hi - (hi - lo) * static_cast<double>(i) / 1e6;
-        if (x >= lo && x < hi) h.add(x);
-      }
-      std::uint64_t in_buckets = 0;
-      for (std::size_t b = 0; b < h.bucket_count(); ++b) in_buckets += h.bucket(b);
-      EXPECT_EQ(in_buckets + h.underflow() + h.overflow(), h.total())
-          << "lo=" << lo << " hi=" << hi << " buckets=" << buckets;
-      EXPECT_EQ(h.overflow(), 0u) << "in-range samples must not count as overflow";
-    }
-  }
-}
-
-TEST(Histogram, RenderProducesOneLinePerBucket) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(1);
-  h.add(1.5);
-  const std::string s = h.render();
-  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
 }
 
 TEST(DenseDeque, FindReturnsNullOutsideTheRange) {
