@@ -191,8 +191,7 @@ void BM_ConsensusInstanceFastPath(benchmark::State& state) {
       hosts.push_back(std::make_unique<ConsensusHost>(sim, net, s, ConsensusConfig{}));
     }
     state.ResumeTiming();
-    const auto value =
-        std::make_shared<const ConsensusHost::Sequence>(ConsensusHost::Sequence{{0, 1}, {1, 1}});
+    const ConsensusHost::Sequence value{{0, 1}, {1, 1}};
     for (SiteId s = 0; s < 4; ++s) hosts[s]->propose(0, value);
     sim.run_until(kSecond);
     benchmark::DoNotOptimize(hosts[0]->stats().instances_decided);

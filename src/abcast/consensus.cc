@@ -1,6 +1,7 @@
 #include "abcast/consensus.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "abcast/channels.h"
@@ -21,7 +22,13 @@ struct ConsensusPayload final : Payload {
   std::uint64_t inst = 0;
   std::uint64_t round = 0;
   std::uint64_t ts = 0;
-  ConsensusHost::Value value;  // null in acks
+  /// The value of an estimate, CoordProp or Decision; null in acks and
+  /// proposals. Never a Value into this payload itself, which would keep the
+  /// payload alive for good.
+  ConsensusHost::Value value;
+  /// A Propose's own sequence, handed out as a Value that shares the
+  /// payload's ownership (aliasing shared_ptr: no allocation).
+  ConsensusHost::Sequence proposal;
 };
 
 PayloadPtr make_payload(Kind kind, std::uint64_t inst, std::uint64_t round, std::uint64_t ts,
@@ -35,14 +42,35 @@ PayloadPtr make_payload(Kind kind, std::uint64_t inst, std::uint64_t round, std:
   return p;
 }
 
+std::uint64_t bit(SiteId site) { return std::uint64_t{1} << site; }
+
+std::size_t count(std::uint64_t sites) { return static_cast<std::size_t>(std::popcount(sites)); }
+
 }  // namespace
 
 ConsensusHost::ConsensusHost(Simulator& sim, Network& net, SiteId self, ConsensusConfig config)
     : sim_(sim), net_(net), self_(self), config_(config) {
+  OTPDB_CHECK_MSG(net_.site_count() <= kMaxSites, "consensus supports at most 64 sites");
   net_.subscribe(self_, kChannelConsensus, [this](const Message& m) { on_message(m); });
 }
 
 ConsensusHost::Instance& ConsensusHost::instance(std::uint64_t inst) { return instances_[inst]; }
+
+ConsensusHost::Round* ConsensusHost::find_round(Instance& in, std::uint64_t round) {
+  if (in.coordinated.number == round) return &in.coordinated;
+  for (Round& r : in.later_rounds) {
+    if (r.number == round) return &r;
+  }
+  return nullptr;
+}
+
+ConsensusHost::Round& ConsensusHost::round_state(Instance& in, std::uint64_t round) {
+  if (Round* r = find_round(in, round)) return *r;
+  Round& r = in.coordinated.number == Round::kUnused ? in.coordinated
+                                                     : in.later_rounds.emplace_back();
+  r.number = round;
+  return r;
+}
 
 void ConsensusHost::crash_reset() {
   for (Instance& in : instances_) {
@@ -61,22 +89,26 @@ void ConsensusHost::trim_below(std::uint64_t inst) {
   instances_.trim_front(inst);
 }
 
-void ConsensusHost::propose(std::uint64_t inst, Value value) {
-  OTPDB_CHECK(value != nullptr);
+ConsensusHost::Value ConsensusHost::propose(std::uint64_t inst, std::span<const MsgId> batch) {
   Instance& in = instance(inst);
   OTPDB_CHECK_MSG(!in.proposed, "duplicate propose for consensus instance");
   in.proposed = true;
-  if (in.decided) return;  // learned the decision before getting to propose
+  auto payload = std::make_shared<ConsensusPayload>();
+  payload->kind = Kind::propose;
+  payload->inst = inst;
+  payload->proposal.assign(batch.begin(), batch.end());
+  Value value(payload, &payload->proposal);
+  if (in.decided) return value;  // learned the decision before getting to propose
   in.est = value;
   in.ts = 0;
-  net_.multicast(self_, kChannelConsensus,
-                 make_payload(Kind::propose, inst, 0, 0, std::move(value)));
+  net_.multicast(self_, kChannelConsensus, std::move(payload));
   arm_round_timer(inst);
   // If this site coordinates round 0, give the fast path a window, then drive
   // a coordinated round for liveness.
   if (coordinator(inst, 0) == self_) {
     sim_.schedule_after(config_.fast_wait, [this, inst] { maybe_coord_round0(inst); });
   }
+  return value;
 }
 
 void ConsensusHost::on_message(const Message& msg) {
@@ -99,16 +131,18 @@ void ConsensusHost::on_message(const Message& msg) {
 
   switch (p->kind) {
     case Kind::propose: {
-      bool known = false;
-      for (const auto& [site, payload] : in.proposals) known |= site == msg.from;
-      if (!known) {
-        if (in.proposals.empty()) in.proposals.reserve(net_.site_count());
-        in.proposals.emplace_back(msg.from, msg.payload);
+      if ((in.proposers & bit(msg.from)) == 0) {
+        in.proposers |= bit(msg.from);
+        if (!in.first_proposal) {
+          in.first_proposal = Value(msg.payload, &p->proposal);
+        } else if (in.proposals_agree && in.first_proposal.get() != &p->proposal) {
+          in.proposals_agree = *in.first_proposal == p->proposal;  // compares contents
+        }
       }
       // A proposal also serves as a round-0 estimate with timestamp 0.
       maybe_fast_decide(p->inst);
       if (!in.decided && coordinator(p->inst, 0) == self_ &&
-          in.proposals.size() == net_.site_count()) {
+          count(in.proposers) == net_.site_count()) {
         // Everyone proposed but the fast path failed: no point waiting longer.
         maybe_coord_round0(p->inst);
       }
@@ -131,19 +165,11 @@ void ConsensusHost::on_message(const Message& msg) {
 
 void ConsensusHost::maybe_fast_decide(std::uint64_t inst) {
   Instance& in = instance(inst);
-  if (in.decided || in.proposals.size() != net_.site_count()) return;
-  const auto value_of = [](const PayloadPtr& p) -> const Value& {
-    return static_cast<const ConsensusPayload*>(p.get())->value;
-  };
-  const Value& first = value_of(in.proposals.front().second);
-  for (const auto& [site, payload] : in.proposals) {
-    const Value& value = value_of(payload);
-    if (value != first && *value != *first) return;  // compares contents
-  }
+  if (in.decided || count(in.proposers) != net_.site_count() || !in.proposals_agree) return;
   // All n proposals identical: decide without any further coordination. No
   // announcement is needed - every correct site receives the same n proposals
   // and takes this same branch.
-  decide(inst, first, /*fast=*/true, /*announce=*/false);
+  decide(inst, in.first_proposal, /*fast=*/true, /*announce=*/false);
 }
 
 void ConsensusHost::maybe_coord_round0(std::uint64_t inst) {
@@ -151,7 +177,7 @@ void ConsensusHost::maybe_coord_round0(std::uint64_t inst) {
   Instance& in = instance(inst);
   if (in.decided || in.coord_proposed_round0 || in.round > 0) return;
   if (!in.proposed) return;  // cannot coordinate before having a value
-  if (in.proposals.size() < majority()) {
+  if (count(in.proposers) < majority()) {
     // Not enough proposals yet; retry shortly (liveness under slow links).
     sim_.schedule_after(config_.fast_wait, [this, inst] { maybe_coord_round0(inst); });
     return;
@@ -165,7 +191,8 @@ void ConsensusHost::maybe_coord_round0(std::uint64_t inst) {
 
 void ConsensusHost::coord_propose(std::uint64_t inst, std::uint64_t round, Value value) {
   Instance& in = instance(inst);
-  in.coord_value[round] = value;
+  Round& r = round_state(in, round);
+  r.value = value;
   ++stats_.rounds_started;
   // Adopt our own proposal at send time, under the same staleness rule a peer
   // applies in handle_coord_prop. Counting self in the ack set is only sound
@@ -178,7 +205,7 @@ void ConsensusHost::coord_propose(std::uint64_t inst, std::uint64_t round, Value
   if (round + 1 >= in.ts) {
     in.est = value;
     in.ts = round + 1;
-    in.acks[round].insert(self_);
+    r.acks |= bit(self_);
   }
   net_.multicast(self_, kChannelConsensus,
                  make_payload(Kind::coord_prop, inst, round, 0, std::move(value)));
@@ -193,15 +220,23 @@ void ConsensusHost::handle_estimate(std::uint64_t inst, std::uint64_t round, Sit
   // self-adopting here could let two overlapping rounds lock different
   // values with disjoint majorities.
   if (round < in.round) return;
-  in.estimates[round][from] = {ts, value};
-  if (in.coord_value.contains(round)) return;  // already proposed this round
+  Round& r = round_state(in, round);
+  if (r.estimates.empty()) r.estimates.resize(net_.site_count());
+  const auto record = [&r](SiteId site, std::uint64_t site_ts, const Value& estimate) {
+    r.estimated |= bit(site);
+    r.estimates[site] = {site_ts, estimate};
+  };
+  record(from, ts, value);
+  if (r.value) return;  // already proposed this round
   // Include our own estimate once we have one.
-  if (in.proposed) in.estimates[round][self_] = {in.ts, in.est};
-  if (in.estimates[round].size() < majority()) return;
-  // Adopt the estimate with the highest adoption timestamp (locking rule).
+  if (in.proposed) record(self_, in.ts, in.est);
+  if (count(r.estimated) < majority()) return;
+  // Adopt the estimate with the highest adoption timestamp (locking rule);
+  // ties go to the lowest site.
   const std::pair<std::uint64_t, Value>* best = nullptr;
-  for (const auto& [site, tsv] : in.estimates[round]) {
-    if (!best || tsv.first > best->first) best = &tsv;
+  for (SiteId site = 0; site < r.estimates.size(); ++site) {
+    if ((r.estimated & bit(site)) == 0) continue;
+    if (!best || r.estimates[site].first > best->first) best = &r.estimates[site];
   }
   coord_propose(inst, round, best->second);
 }
@@ -227,12 +262,11 @@ void ConsensusHost::handle_coord_prop(std::uint64_t inst, std::uint64_t round, S
 
 void ConsensusHost::handle_ack(std::uint64_t inst, std::uint64_t round, SiteId from) {
   Instance& in = instance(inst);
-  auto cv = in.coord_value.find(round);
-  if (cv == in.coord_value.end()) return;
-  auto& acks = in.acks[round];
-  acks.insert(from);  // self was inserted in coord_propose iff we adopted
-  if (acks.size() >= majority()) {
-    decide(inst, cv->second, /*fast=*/false, /*announce=*/true);
+  Round* r = find_round(in, round);
+  if (r == nullptr || !r->value) return;
+  r->acks |= bit(from);  // self was counted in coord_propose iff we adopted
+  if (count(r->acks) >= majority()) {
+    decide(inst, r->value, /*fast=*/false, /*announce=*/true);
   }
 }
 
@@ -256,15 +290,14 @@ void ConsensusHost::decide(std::uint64_t inst, const Value& value, bool fast, bo
   }
   OTPDB_TRACE("consensus") << "site " << self_ << " decides inst " << inst << " ("
                            << (fast ? "fast" : "round") << ", " << value->size() << " msgs)";
-  // `value` may alias a proposal payload or coord_value: hand out the
+  // `value` may be the first proposal or a round's CoordProp: hand out the
   // instance's own reference, and release the round state only once the
   // callback has returned.
   if (on_decide_) on_decide_(inst, in.decision);
   in.est = {};
-  in.proposals = {};
-  in.estimates.clear();
-  in.acks.clear();
-  in.coord_value.clear();
+  in.first_proposal = {};
+  in.coordinated = {};
+  in.later_rounds = {};
 }
 
 void ConsensusHost::arm_round_timer(std::uint64_t inst) {

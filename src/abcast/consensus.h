@@ -6,6 +6,20 @@
 // sequence of MsgIds (a proposed delivery order), immutable once proposed:
 // payloads, estimates and decisions share it instead of copying it.
 //
+// Allocation. A fault-free stage allocates only what it sends: each site's
+// Propose payload and that payload's sequence storage. The Propose payload
+// owns its sequence, and a Value for it is an aliasing shared_ptr that
+// shares the payload's ownership; the proposer's log, the receivers'
+// estimates and a decision that adopts it all hold that one payload. A
+// payload never holds a Value into itself (it would never be freed), so a
+// Propose carries its sequence by value and every other message a Value.
+// Payloads live on the global heap: their last reference may drop on another
+// site's shard. An instance keeps flat state inline in a recycled table slot
+// (DenseDeque): a bitmask of proposers, the first proposal and whether every
+// later one equals it, and for each round this site coordinates its
+// CoordProp and an ack bitmask. The bitmasks cap a cluster at kMaxSites
+// sites.
+//
 // Protocol (rotating coordinator, Chandra-Toueg style, majority quorums,
 // f < n/2 crash faults, eventually-accurate failure detector for liveness):
 //
@@ -37,9 +51,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <set>
+#include <span>
 #include <vector>
 
 #include "net/network.h"
@@ -77,11 +90,16 @@ class ConsensusHost {
   using Value = std::shared_ptr<const Sequence>;
   using DecideFn = std::function<void(std::uint64_t inst, const Value& value)>;
 
+  /// Largest cluster an instance's site bitmasks can describe.
+  static constexpr std::size_t kMaxSites = 64;
+
+  /// CHECK-fails when the network has more than kMaxSites sites.
   ConsensusHost(Simulator& sim, Network& net, SiteId self, ConsensusConfig config);
 
-  /// Joins instance `inst` with the given initial proposal. Each site proposes
-  /// at most once per instance.
-  void propose(std::uint64_t inst, Value value);
+  /// Joins instance `inst`, proposing `batch` (copied once, exactly sized,
+  /// into the Propose payload). Each site proposes at most once per instance.
+  /// Returns the proposal, which shares the payload's ownership.
+  Value propose(std::uint64_t inst, std::span<const MsgId> batch);
 
   /// Registers the decision callback (invoked exactly once per instance).
   void set_on_decide(DecideFn fn) { on_decide_ = std::move(fn); }
@@ -99,6 +117,18 @@ class ConsensusHost {
   void crash_reset();
 
  private:
+  /// What this site did as the coordinator of one round.
+  struct Round {
+    static constexpr std::uint64_t kUnused = ~std::uint64_t{0};
+    std::uint64_t number = kUnused;
+    Value value;                  ///< its CoordProp; null until sent
+    std::uint64_t acks = 0;       ///< sites that acked `value`, as a bitmask
+    std::uint64_t estimated = 0;  ///< sites whose estimate arrived, as a bitmask
+    /// (adoption timestamp, estimate) by site; sized on the first estimate
+    /// (rounds >= 1 only: round 0 takes the Propose messages as estimates).
+    std::vector<std::pair<std::uint64_t, Value>> estimates;
+  };
+
   /// Once decided, an instance keeps only `proposed`, `decided` and
   /// `decision` (late messages and a late propose() read them); decide()
   /// releases the round state. `decision` shares its sequence with the
@@ -108,16 +138,20 @@ class ConsensusHost {
     bool decided = false;
     bool coord_proposed_round0 = false;
     bool timer_armed = false;
+    /// Every Propose received so far equals `first_proposal`.
+    bool proposals_agree = true;
     EventId round_timer{};
     Value est;
     std::uint64_t ts = 0;  // round in which est was adopted (+1); 0 = initial
     std::uint64_t round = 0;
-    /// Round-0 estimates: the received Propose payloads, by sender. Kept as
-    /// payload pointers (no Value copy) - the fast path only compares them.
-    std::vector<std::pair<SiteId, PayloadPtr>> proposals;
-    std::map<std::uint64_t, std::map<SiteId, std::pair<std::uint64_t, Value>>> estimates;
-    std::map<std::uint64_t, std::set<SiteId>> acks;
-    std::map<std::uint64_t, Value> coord_value;  // what this site proposed as coordinator
+    /// Round-0 estimates are the Propose messages: which sites sent one, and
+    /// the first to arrive (the fast path only compares the rest with it).
+    std::uint64_t proposers = 0;
+    Value first_proposal;
+    /// The first round this site coordinates, inline; any later one (only
+    /// after round timeouts) goes to `later_rounds`.
+    Round coordinated;
+    std::vector<Round> later_rounds;
     Value decision;
   };
 
@@ -127,6 +161,10 @@ class ConsensusHost {
   std::size_t majority() const { return net_.site_count() / 2 + 1; }
 
   Instance& instance(std::uint64_t inst);
+  /// This site's state as coordinator of `round`, created if absent.
+  Round& round_state(Instance& in, std::uint64_t round);
+  /// The same, or nullptr when this site has not touched the round.
+  static Round* find_round(Instance& in, std::uint64_t round);
   void on_message(const Message& msg);
   void maybe_fast_decide(std::uint64_t inst);
   void maybe_coord_round0(std::uint64_t inst);

@@ -133,13 +133,11 @@ void OptAbcast::start_stage() {
     return;
   }
   const std::uint64_t inst = next_propose_++;
-  // Built once, exactly sized: the proposal, and the decision when it wins,
-  // share this sequence for the rest of the run.
-  auto proposal = std::make_shared<const ConsensusHost::Sequence>(batch);
-  my_proposals_[inst] = proposal;
+  // The Propose payload owns the sequence: the proposal, and the decision
+  // when it wins, share it for the rest of the run.
+  my_proposals_[inst] = consensus_.propose(inst, batch);
   OTPDB_TRACE("optabcast") << "site " << self_ << " proposes stage " << inst << " with "
-                           << proposal->size() << " msgs";
-  consensus_.propose(inst, std::move(proposal));
+                           << batch.size() << " msgs";
   consider_stage();  // maybe pipeline another stage for the remaining backlog
 }
 
@@ -203,14 +201,13 @@ void OptAbcast::apply_decision(SharedSequence sequence) {
   }
   // Messages this site proposed for the stage but the decision left out roll
   // back to proposable state (they will enter a later stage).
-  auto mine = my_proposals_.find(inst);
-  if (mine != my_proposals_.end()) {
-    for (const MsgId& id : *mine->second) {
+  if (const SharedSequence* mine = my_proposals_.find(inst); mine != nullptr && *mine) {
+    for (const MsgId& id : **mine) {
       MsgState* st = state(id);
       if (st != nullptr && !st->ordered) st->in_proposal = false;
     }
-    my_proposals_.erase(mine);
   }
+  my_proposals_.trim_front(inst + 1);
   // Keep next_propose_ monotone across sites that never proposed this stage.
   next_propose_ = std::max(next_propose_, inst + 1);
   // Drop ordered messages from the local pending list (they may sit at any

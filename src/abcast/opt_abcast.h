@@ -231,7 +231,7 @@ class OptAbcast final : public AtomicBroadcast {
   std::deque<MsgRef> pending_;        // arrived, not yet definitively ordered
   std::deque<MsgRef> decided_queue_;  // decided, awaiting TO-delivery
   std::map<std::uint64_t, SharedSequence> decided_buffer_;  // out-of-order decisions
-  std::map<std::uint64_t, SharedSequence> my_proposals_;    // per in-flight stage
+  DenseDeque<SharedSequence> my_proposals_;  // per in-flight stage, from next_apply()
   std::vector<MsgId> proposal_scratch_;                     // reused by start_stage
   std::uint64_t next_propose_ = 0;  // next stage this site will propose for
   bool stage_timer_armed_ = false;

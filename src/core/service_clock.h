@@ -4,11 +4,16 @@
 // object keys (the lock-table engine). Every non-dropped transaction occupies
 // exec_duration of virtual serial service on each of its lanes, starting no
 // earlier than its submission and those lanes' backlogs. A transaction whose
-// virtual finish overruns its deadline is dropped and occupies nothing. Under
-// overload the clock runs ahead of real submit times - that growing gap is
-// exactly the queueing delay the deadline is budgeting against. The clock is
-// fed only agreed data (definitive order, submitted_at, exec_duration,
-// deadline, queue keys), so every site drops the same transactions.
+// virtual finish overruns its deadline is dropped and occupies no service
+// time, but it still advances each of its lanes to its virtual start: in the
+// real queues it waits in every covered queue until it heads them all, so a
+// multi-lane drop holds its idle lanes until its busiest lane reaches it. A
+// single-lane drop moves its lane only when the lane was idle before the
+// submission (its virtual start is then submitted_at). Under overload the
+// clock runs ahead of real submit times - that growing gap is exactly the
+// queueing delay the deadline is budgeting against. The clock is fed only
+// agreed data (definitive order, submitted_at, exec_duration, deadline, queue
+// keys), so every site drops the same transactions.
 //
 // A warm recovery re-enters the definitive order just above the committed
 // floor, so the clock must be wound back to its value as of that floor. It
@@ -41,12 +46,13 @@ class ServiceClock {
     SimTime vstart = request.submitted_at;
     for (QueueKey lane : lanes) vstart = std::max(vstart, clock_[lane]);
     const SimTime vfinish = vstart + request.exec_duration;
-    if (request.deadline != 0 && vfinish > request.deadline) return false;
+    const bool admitted = request.deadline == 0 || vfinish <= request.deadline;
+    const SimTime until = admitted ? vfinish : vstart;  // a drop takes no service
     for (QueueKey lane : lanes) {
       undo_.push_back(Undo{index, lane, clock_[lane]});
-      clock_[lane] = vfinish;
+      clock_[lane] = until;
     }
-    return true;
+    return admitted;
   }
 
   /// Winds the clock back to its value right after `floor` was charged.

@@ -224,16 +224,13 @@ void DurableStore::do_checkpoint() {
   // chain is saved from its newest version at or below the floor: the file
   // holds the live state, not the history.
   const TOIndex floor = durable_floor();
-  wal::CheckpointData data;
-  data.class_watermarks = durable_watermark_;
-  data.max_index = durable_max_index_;
-  store_.for_each_chain(floor, [&](ObjectId obj, std::span<const VersionedStore::Version> chain) {
-    std::vector<std::pair<TOIndex, Value>> versions;
-    versions.reserve(chain.size());
-    for (const auto& v : chain) versions.emplace_back(v.index, v.value);
-    data.chains.emplace_back(obj, std::move(versions));
+  wal::CheckpointWriter writer(checkpoint_buffer_, durable_watermark_, durable_max_index_);
+  store_.for_each_chain(floor, [&writer](ObjectId obj,
+                                         std::span<const VersionedStore::Version> chain) {
+    writer.add_chain(obj, static_cast<std::uint32_t>(chain.size()));
+    for (const auto& v : chain) writer.add_version(v.index, v.value);
   });
-  if (!wal::write_checkpoint(dir_ / kCheckpointFile, data, io())) {
+  if (!writer.write(dir_ / kCheckpointFile, io())) {
     // Temp-file + rename means the previous checkpoint survives untouched;
     // just count it and try again next cycle.
     ++stats_.io_errors;

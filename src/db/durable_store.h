@@ -128,6 +128,7 @@ class DurableStore final : public StorageBackend {
   std::vector<SealedSegment> sealed_;     ///< rolled segments awaiting truncation
 
   std::vector<std::uint8_t> pending_;     ///< encoded, unflushed records
+  std::vector<std::uint8_t> checkpoint_buffer_;  ///< the last checkpoint image, reused
   std::vector<TOIndex> pending_watermark_;  ///< per-class, incl. unflushed
   std::vector<TOIndex> durable_watermark_;  ///< per-class, fsynced only
   TOIndex pending_max_index_ = 0;

@@ -21,14 +21,30 @@ constexpr std::uint8_t kTagInt64 = 0;
 constexpr std::uint8_t kTagDouble = 1;
 constexpr std::uint8_t kTagString = 2;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 CRC tables: [0] is the bytewise table; [k][i] is the CRC of
+/// byte i followed by k zero bytes, so eight table lookups advance the CRC
+/// by eight bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+std::uint32_t read_u32le(const std::uint8_t* p) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+  return v;
 }
 
 // --- little-endian encode helpers -----------------------------------------
@@ -163,16 +179,24 @@ bool decode_load(Cursor& cur, LoadRecord& rec) {
   return cur.p == cur.end;
 }
 
-void frame(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& payload) {
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload.data(), payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
+constexpr std::size_t kFrameHeader = 8;  // u32 payload_len | u32 crc32(payload)
+
+/// Reserves a frame header at the end of `out`; returns where it starts.
+std::size_t begin_frame(std::vector<std::uint8_t>& out) {
+  const std::size_t at = out.size();
+  out.resize(at + kFrameHeader);
+  return at;
 }
 
-std::uint32_t read_u32le(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
+void patch_u32(std::vector<std::uint8_t>& out, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Fills in the header at `at` for the payload encoded after it.
+void end_frame(std::vector<std::uint8_t>& out, std::size_t at) {
+  const std::size_t len = out.size() - at - kFrameHeader;
+  patch_u32(out, at, static_cast<std::uint32_t>(len));
+  patch_u32(out, at + 4, crc32(out.data() + at + kFrameHeader, len));
 }
 
 bool read_all(const std::filesystem::path& path, std::vector<std::uint8_t>& out) {
@@ -235,10 +259,16 @@ ScanResult scan_frames(std::span<const std::uint8_t> bytes, const ScanCallbacks&
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = 0xffffffffu;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ read_u32le(p);
+    const std::uint32_t hi = read_u32le(p + 4);
+    c = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^ t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xff] ^ t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -246,26 +276,25 @@ void append_commit(std::vector<std::uint8_t>& out, TOIndex index,
                    std::span<const ClassId> classes,
                    std::span<const std::pair<ObjectId, Value>> writes) {
   OTPDB_CHECK_MSG(!classes.empty(), "commit record needs at least one class");
-  std::vector<std::uint8_t> payload;
-  payload.reserve(32 + writes.size() * 24);
-  put_u8(payload, kRecordCommit);
-  put_u64(payload, index);
-  put_u16(payload, static_cast<std::uint16_t>(classes.size()));
-  for (ClassId c : classes) put_u32(payload, c);
-  put_u32(payload, static_cast<std::uint32_t>(writes.size()));
+  const std::size_t frame = begin_frame(out);
+  put_u8(out, kRecordCommit);
+  put_u64(out, index);
+  put_u16(out, static_cast<std::uint16_t>(classes.size()));
+  for (ClassId c : classes) put_u32(out, c);
+  put_u32(out, static_cast<std::uint32_t>(writes.size()));
   for (const auto& [object, value] : writes) {
-    put_u64(payload, object);
-    put_value(payload, value);
+    put_u64(out, object);
+    put_value(out, value);
   }
-  frame(out, payload);
+  end_frame(out, frame);
 }
 
 void append_load(std::vector<std::uint8_t>& out, ObjectId object, const Value& value) {
-  std::vector<std::uint8_t> payload;
-  put_u8(payload, kRecordLoad);
-  put_u64(payload, object);
-  put_value(payload, value);
-  frame(out, payload);
+  const std::size_t frame = begin_frame(out);
+  put_u8(out, kRecordLoad);
+  put_u64(out, object);
+  put_value(out, value);
+  end_frame(out, frame);
 }
 
 ScanResult scan_segment(const std::filesystem::path& path, const ScanCallbacks& callbacks) {
@@ -334,33 +363,41 @@ bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
   return io.truncate(path.c_str(), static_cast<off_t>(valid_bytes)) == 0;
 }
 
-bool write_checkpoint(const std::filesystem::path& path, const CheckpointData& data, IoEnv& io) {
-  std::vector<std::uint8_t> payload;
-  put_u32(payload, static_cast<std::uint32_t>(data.class_watermarks.size()));
-  for (TOIndex w : data.class_watermarks) put_u64(payload, w);
-  put_u64(payload, data.max_index);
-  put_u64(payload, data.chains.size());
-  for (const auto& [object, versions] : data.chains) {
-    put_u64(payload, object);
-    put_u32(payload, static_cast<std::uint32_t>(versions.size()));
-    for (const auto& [index, value] : versions) {
-      put_u64(payload, index);
-      put_value(payload, value);
-    }
-  }
+CheckpointWriter::CheckpointWriter(std::vector<std::uint8_t>& buffer,
+                                   std::span<const TOIndex> class_watermarks, TOIndex max_index)
+    : buffer_(buffer) {
+  buffer_.assign(kCheckpointMagic, kCheckpointMagic + sizeof(kCheckpointMagic));
+  begin_frame(buffer_);
+  put_u32(buffer_, static_cast<std::uint32_t>(class_watermarks.size()));
+  for (TOIndex w : class_watermarks) put_u64(buffer_, w);
+  put_u64(buffer_, max_index);
+  n_objects_at_ = buffer_.size();
+  put_u64(buffer_, 0);  // n_objects, patched by write()
+}
 
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(sizeof(kCheckpointMagic) + 8 + payload.size());
-  bytes.insert(bytes.end(), kCheckpointMagic, kCheckpointMagic + sizeof(kCheckpointMagic));
-  frame(bytes, payload);
+void CheckpointWriter::add_chain(ObjectId object, std::uint32_t n_versions) {
+  ++chains_;
+  put_u64(buffer_, object);
+  put_u32(buffer_, n_versions);
+}
+
+void CheckpointWriter::add_version(TOIndex index, const Value& value) {
+  put_u64(buffer_, index);
+  put_value(buffer_, value);
+}
+
+bool CheckpointWriter::write(const std::filesystem::path& path, IoEnv& io) {
+  patch_u32(buffer_, n_objects_at_, static_cast<std::uint32_t>(chains_));
+  patch_u32(buffer_, n_objects_at_ + 4, static_cast<std::uint32_t>(chains_ >> 32));
+  end_frame(buffer_, sizeof(kCheckpointMagic));
 
   const std::filesystem::path tmp = path.string() + ".tmp";
   {
     const int fd = io.open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) return false;
     std::size_t done = 0;
-    while (done < bytes.size()) {
-      const ssize_t w = io.write(fd, bytes.data() + done, bytes.size() - done);
+    while (done < buffer_.size()) {
+      const ssize_t w = io.write(fd, buffer_.data() + done, buffer_.size() - done);
       if (w < 0) {
         io.close(fd);
         return false;

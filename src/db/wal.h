@@ -31,6 +31,13 @@
 // frame: everything before it is valid, everything after is discarded. That
 // is exactly the group-commit contract - a crash mid-fsync loses at most the
 // batch being written, never previously synced records.
+//
+// Writers frame in place: a record or checkpoint is encoded straight into
+// the caller's buffer behind a reserved 8-byte header, whose length and CRC
+// are patched in once the payload is complete. The buffers keep their
+// capacity, so a steady log appends without allocating. The CRC is computed
+// slice-by-8 (eight 256-entry tables, eight bytes per step) over the same
+// polynomial as the bytewise form, so the files are unchanged.
 #pragma once
 
 #include <cstdint>
@@ -129,20 +136,39 @@ class SegmentWriter {
 bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
                    IoEnv& io = IoEnv::real());
 
-/// Serialized checkpoint payload: per-class watermarks + per-object version
-/// chains, ascending by index. DurableStore writes only the versions readable
-/// at or above its durable floor; whole chains restore just the same.
+/// Builds a checkpoint image - per-class watermarks, then per-object version
+/// chains ascending by index - in a caller-owned buffer, straight from the
+/// caller's chains, and writes it out. The buffer keeps its capacity from one
+/// checkpoint to the next. DurableStore writes only the versions readable at
+/// or above its durable floor; whole chains restore just the same.
+class CheckpointWriter {
+ public:
+  /// Starts an image in `buffer`, replacing what it held.
+  CheckpointWriter(std::vector<std::uint8_t>& buffer, std::span<const TOIndex> class_watermarks,
+                   TOIndex max_index);
+
+  /// Starts the chain of `object`; the next `n_versions` add_version() calls
+  /// fill it, ascending by index.
+  void add_chain(ObjectId object, std::uint32_t n_versions);
+  void add_version(TOIndex index, const Value& value);
+
+  /// Seals the image and atomically replaces `path` with it: writes a temp
+  /// file in the same directory, fsyncs it, then renames over `path`.
+  /// Returns false on I/O error (the previous checkpoint, if any, survives).
+  bool write(const std::filesystem::path& path, IoEnv& io = IoEnv::real());
+
+ private:
+  std::vector<std::uint8_t>& buffer_;
+  std::size_t n_objects_at_ = 0;  // where write() patches in the chain count
+  std::uint64_t chains_ = 0;
+};
+
+/// A decoded checkpoint.
 struct CheckpointData {
   std::vector<TOIndex> class_watermarks;
   TOIndex max_index = 0;
   std::vector<std::pair<ObjectId, std::vector<std::pair<TOIndex, Value>>>> chains;
 };
-
-/// Atomically replaces `path` with the serialized checkpoint: writes a temp
-/// file in the same directory, fsyncs it, then renames over `path`. Returns
-/// false on I/O error (the previous checkpoint, if any, survives).
-bool write_checkpoint(const std::filesystem::path& path, const CheckpointData& data,
-                      IoEnv& io = IoEnv::real());
 
 /// Reads and validates a checkpoint. Returns false (and leaves `out` empty)
 /// when the file is missing, torn or checksum-corrupt - the caller then

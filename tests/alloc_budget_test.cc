@@ -9,18 +9,24 @@
 // the whole stack - client, network, broadcast, consensus, engine and store -
 // and is deterministic for a fixed seed.
 //
+// The DenseDeque cases check the recycled storage under the ordering
+// layer's tables the same way: a sliding key window allocates nothing.
+//
 // This TU includes util/counting_new.h (the global counting operator new),
 // so it must stay the binary's only TU that does.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <vector>
 
 #include "baseline/conservative_replica.h"
 #include "core/cluster.h"
 #include "core/lock_table_replica.h"
 #include "util/counting_new.h"
+#include "util/dense_deque.h"
 #include "workload/workload.h"
 
 namespace otpdb {
@@ -60,14 +66,14 @@ double allocs_per_commit(const ReplicaFactory& factory) {
 // which absorbs other standard-library versions.
 constexpr double kHeadroom = 1.25;
 
-TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 22.95 * kHeadroom); }
+TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 12.37 * kHeadroom); }
 
 TEST(AllocBudget, ConservativeEngine) {
   const double measured = allocs_per_commit([](const ReplicaDeps& d) {
     return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                                  d.registry, d.site);
   });
-  EXPECT_LT(measured, 22.99 * kHeadroom);
+  EXPECT_LT(measured, 12.40 * kHeadroom);
 }
 
 TEST(AllocBudget, LockTableEngine) {
@@ -75,7 +81,46 @@ TEST(AllocBudget, LockTableEngine) {
     return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                               d.registry, d.site, rmw_access_extractor(d.catalog));
   });
-  EXPECT_LT(measured, 25.36 * kHeadroom);
+  EXPECT_LT(measured, 13.82 * kHeadroom);
+}
+
+TEST(AllocBudget, DenseDequeWindowSlidesWithoutAllocating) {
+  // Keys enter at the back and leave at the front, as message slots and
+  // consensus instances do. 32-byte slots, like OptAbcast's message slots.
+  constexpr std::uint64_t kWindow = 200;
+  DenseDeque<std::array<std::uint64_t, 4>> table;
+  const auto slide = [&table](std::uint64_t from, std::uint64_t to) {
+    for (std::uint64_t key = from; key < to; ++key) {
+      table[key][0] = key;
+      if (key >= kWindow) table.trim_front(key + 1 - kWindow);
+    }
+  };
+  slide(0, 10'000);  // warm-up: the free list reaches the window's blocks
+  const std::uint64_t before = heap_alloc_count.load(std::memory_order_relaxed);
+  slide(10'000, 1'000'000);
+  EXPECT_EQ(heap_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(table.size(), kWindow);
+  EXPECT_EQ(table.first_key(), 1'000'000 - kWindow);
+}
+
+TEST(AllocBudget, DenseDequeReferencesSurviveGrowthAtBothEnds) {
+  DenseDeque<std::uint64_t> table;
+  std::vector<std::uint64_t*> live;
+  for (std::uint64_t key = 1000; key < 1010; ++key) {
+    table[key] = key;
+    live.push_back(&table[key]);
+  }
+  // Grow the back and the front by many blocks, trim below the live slots
+  // (recycling those blocks), then grow the front and back again.
+  for (std::uint64_t key = 1010; key < 5000; ++key) table[key] = key;
+  table[100] = 100;
+  table.trim_front(900);
+  for (std::uint64_t key = 5000; key < 9000; ++key) table[key] = key;
+  EXPECT_TRUE(table.trimmed(899));
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i], &table[1000 + i]) << "slot " << 1000 + i << " moved";
+    EXPECT_EQ(*live[i], 1000 + i);
+  }
 }
 
 }  // namespace

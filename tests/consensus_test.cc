@@ -68,9 +68,9 @@ NetConfig calm() {
   return cfg;
 }
 
-ConsensusHost::Value seq(std::initializer_list<std::uint64_t> seqs) {
-  auto v = std::make_shared<ConsensusHost::Sequence>();
-  for (auto s : seqs) v->push_back(MsgId{0, s});
+ConsensusHost::Sequence seq(std::initializer_list<std::uint64_t> seqs) {
+  ConsensusHost::Sequence v;
+  for (auto s : seqs) v.push_back(MsgId{0, s});
   return v;
 }
 
@@ -80,7 +80,7 @@ TEST(Consensus, IdenticalProposalsDecideFast) {
   f.sim().run_until(1 * kSecond);
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, *seq({1, 2, 3}));
+  EXPECT_EQ(*v, seq({1, 2, 3}));
   for (SiteId s = 0; s < 4; ++s) {
     EXPECT_EQ(f.host(s).stats().fast_decides, 1u) << "site " << s;
     EXPECT_EQ(f.host(s).stats().round_decides, 0u);
@@ -97,7 +97,7 @@ TEST(Consensus, ConflictingProposalsStillAgree) {
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
   // Validity: the decision is one of the proposed values.
-  EXPECT_TRUE(*v == *seq({1, 2}) || *v == *seq({2, 1}));
+  EXPECT_TRUE(*v == seq({1, 2}) || *v == seq({2, 1}));
 }
 
 TEST(Consensus, ValidityWithSingleProposer) {
@@ -109,7 +109,7 @@ TEST(Consensus, ValidityWithSingleProposer) {
   f.sim().run_until(5 * kSecond);
   const auto v = f.agreed_value(0, 3);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, *seq({9}));
+  EXPECT_EQ(*v, seq({9}));
 }
 
 TEST(Consensus, ManyInstancesIndependently) {
@@ -121,7 +121,7 @@ TEST(Consensus, ManyInstancesIndependently) {
   for (std::uint64_t inst = 0; inst < 20; ++inst) {
     const auto v = f.agreed_value(inst, 3);
     ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, *seq({inst}));
+    EXPECT_EQ(*v, seq({inst}));
   }
 }
 
@@ -138,7 +138,7 @@ TEST(Consensus, CoordinatorCrashBeforeProposing) {
   f.sim().run_until(10 * kSecond);
   const auto v = f.agreed_value(0, 3);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, *seq({4}));
+  EXPECT_EQ(*v, seq({4}));
 }
 
 TEST(Consensus, CoordinatorCrashMidRoundStillSafe) {
@@ -157,7 +157,7 @@ TEST(Consensus, CoordinatorCrashMidRoundStillSafe) {
   f.sim().run_until(30 * kSecond);
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_TRUE(*v == *seq({1}) || *v == *seq({2}));
+  EXPECT_TRUE(*v == seq({1}) || *v == seq({2}));
 }
 
 TEST(Consensus, MinorityCrashNeverBlocks) {
@@ -170,7 +170,7 @@ TEST(Consensus, MinorityCrashNeverBlocks) {
   f.sim().run_until(10 * kSecond);
   const auto v = f.agreed_value(0, 3);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, *seq({8}));
+  EXPECT_EQ(*v, seq({8}));
 }
 
 TEST(Consensus, NonProposerLearnsDecisionFromBroadcast) {
@@ -182,7 +182,7 @@ TEST(Consensus, NonProposerLearnsDecisionFromBroadcast) {
   // Site 3 never proposed, yet the Decision broadcast reaches it too.
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, *seq({5}));
+  EXPECT_EQ(*v, seq({5}));
 }
 
 TEST(Consensus, StragglerCatchesUpAfterRecovery) {
@@ -203,13 +203,30 @@ TEST(Consensus, StragglerCatchesUpAfterRecovery) {
   f.sim().run_until(4 * kSecond);
   const auto v = f.agreed_value(0, 4);
   ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, *seq({5}));
+  EXPECT_EQ(*v, seq({5}));
 }
 
 TEST(Consensus, DuplicateProposeIsRejected) {
   ConsensusFixture f(3, calm(), 9);
   f.host(0).propose(0, seq({1}));
   EXPECT_DEATH(f.host(0).propose(0, seq({2})), "duplicate propose");
+}
+
+TEST(Consensus, SixtyFourSitesDecideFast) {
+  // The proposer and ack bitmasks hold exactly 64 sites.
+  ConsensusFixture f(ConsensusHost::kMaxSites, calm(), 10);
+  for (SiteId s = 0; s < ConsensusHost::kMaxSites; ++s) f.host(s).propose(0, seq({7, 8}));
+  f.sim().run_until(1 * kSecond);
+  const auto v = f.agreed_value(0, ConsensusHost::kMaxSites);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(*v, seq({7, 8}));
+  EXPECT_EQ(f.host(63).stats().fast_decides, 1u);
+}
+
+TEST(Consensus, MoreThanSixtyFourSitesAreRejected) {
+  Simulator sim;
+  Network net(sim, ConsensusHost::kMaxSites + 1, calm(), Rng(11));
+  EXPECT_DEATH(ConsensusHost(sim, net, 0, ConsensusConfig{}), "at most 64 sites");
 }
 
 TEST(Consensus, StressRandomizedAgreement) {
@@ -242,7 +259,7 @@ TEST(Consensus, StressRandomizedAgreement) {
       const auto v = f.agreed_value(inst, 1);  // agreement among all deciders
       ASSERT_TRUE(v.has_value()) << "instance " << inst << " never decided (seed " << seed
                                  << ")";
-      EXPECT_TRUE(*v == *seq({inst * 2}) || *v == *seq({inst * 2 + 1})) << "validity";
+      EXPECT_TRUE(*v == seq({inst * 2}) || *v == seq({inst * 2 + 1})) << "validity";
     }
   }
 }

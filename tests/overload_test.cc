@@ -340,6 +340,52 @@ TEST(Deadline, WarmRecoveryRederivesDropsLockTable) {
   warm_recovery_rederives_drops(Engine::locktable);
 }
 
+/// Two classes, 30% of the updates spanning both, offered far past
+/// saturation with a 20 ms budget. A dropped cross-class transaction still
+/// waits in both queues until it heads them, so the service clock must hold
+/// both its lanes until then: if it charged none, the idle class's lane
+/// would admit work that then queues behind the drop, and commit latency
+/// would grow with the backlog (to hundreds of ms). The clock budgets
+/// service; the ordering that follows it is not charged, so every commit
+/// must land within the budget plus an ordering slack of a few lan stages.
+void cross_class_drops_keep_latency_bounded(Engine engine) {
+  constexpr SimTime kBudget = 20 * kMillisecond;
+  constexpr SimTime kOrderingSlack = 10 * kMillisecond;
+  ClusterConfig config;
+  config.n_sites = 4;
+  config.n_classes = 2;
+  Cluster cluster = engine == Engine::otp ? Cluster(config) : Cluster(config, factory_of(engine));
+  HistoryRecorder recorder(cluster);
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 1500;  // ~4.5x the two classes' capacity
+  wl.mean_exec_time = 3 * kMillisecond;
+  wl.cross_class_fraction = 0.3;
+  wl.duration = kSecond;
+  wl.deadline_budget = kBudget;
+  wl.max_retries = 8;
+  WorkloadDriver driver(cluster, wl, 10);
+  driver.start();
+  cluster.run_for(wl.duration);
+  ASSERT_TRUE(cluster.quiesce());
+
+  for (SiteId s = 0; s < cluster.site_count(); ++s) {
+    const ReplicaMetrics& m = cluster.replica(s).metrics();
+    EXPECT_GT(m.deadline_expired_queue, 0u) << "the load never passed saturation";
+    ASSERT_GT(m.commit_latency_ns.count(), 0u);
+    EXPECT_LE(m.commit_latency_ns.max(), static_cast<double>(kBudget + kOrderingSlack))
+        << "a commit at site " << s << " overran its budget by more than the ordering slack";
+  }
+  EXPECT_TRUE(check_serializable(engine, recorder.site_logs()).ok());
+}
+
+TEST(Deadline, CrossClassDropsKeepLatencyBoundedOtp) {
+  cross_class_drops_keep_latency_bounded(Engine::otp);
+}
+
+TEST(Deadline, CrossClassDropsKeepLatencyBoundedConservative) {
+  cross_class_drops_keep_latency_bounded(Engine::conservative);
+}
+
 /// The conservative engine must retire a drop in queue order, after the
 /// predecessors queued ahead of it. The same flood as above, with a snapshot
 /// query and a class-watermark probe at every site each millisecond: a query

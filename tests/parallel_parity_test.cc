@@ -608,9 +608,10 @@ TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRunsAndThreads) {
 
 TEST(ParallelParity, CliRejectsUnknownEngineAndAbcast) {
   // A misspelt choice fails with the valid choices, usage and exit code 2,
-  // like --topology/--storage/--admission - it must not run the default.
-  for (const char* args :
-       {"run --engine=optt --seconds=0.1", "run --abcast=seqencer --seconds=0.1"}) {
+  // like --topology/--storage/--admission - it must not run the default. So
+  // does a cluster larger than consensus supports.
+  for (const char* args : {"run --engine=optt --seconds=0.1", "run --abcast=seqencer --seconds=0.1",
+                           "run --sites=65 --seconds=0.1"}) {
     int status = 0;
     const std::string out = run_cli(args, &status);
     ASSERT_TRUE(WIFEXITED(status)) << args;

@@ -67,6 +67,17 @@ std::vector<std::uint8_t> sample_records(int n) {
   return bytes;
 }
 
+/// Writes `data` through the checkpoint writer.
+bool write_checkpoint(const fs::path& path, const wal::CheckpointData& data) {
+  std::vector<std::uint8_t> buffer;
+  wal::CheckpointWriter writer(buffer, data.class_watermarks, data.max_index);
+  for (const auto& [object, versions] : data.chains) {
+    writer.add_chain(object, static_cast<std::uint32_t>(versions.size()));
+    for (const auto& [index, value] : versions) writer.add_version(index, value);
+  }
+  return writer.write(path);
+}
+
 /// Writes magic + `records` into a fresh segment file.
 fs::path make_segment(const TempDir& tmp, const std::vector<std::uint8_t>& records) {
   const fs::path path = tmp.dir / wal::segment_name(1);
@@ -75,6 +86,34 @@ fs::path make_segment(const TempDir& tmp, const std::vector<std::uint8_t>& recor
   EXPECT_TRUE(writer.append_and_sync(records.data(), records.size()));
   writer.close();
   return path;
+}
+
+TEST(Wal, Crc32KnownAnswer) {
+  // The CRC-32 check value of the IEEE 802.3 (zlib) polynomial.
+  EXPECT_EQ(wal::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(wal::crc32("", 0), 0u);
+}
+
+TEST(Wal, Crc32SliceBy8MatchesBytewise) {
+  // The eight-byte loop and the byte tail must agree with the bytewise
+  // definition at every length and alignment.
+  const auto bytewise = [](const std::uint8_t* p, std::size_t n) {
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+  };
+  Rng rng(5);
+  std::vector<std::uint8_t> bytes(100);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t n = 0; offset + n <= bytes.size(); ++n) {
+      ASSERT_EQ(wal::crc32(bytes.data() + offset, n), bytewise(bytes.data() + offset, n))
+          << "offset " << offset << " length " << n;
+    }
+  }
 }
 
 TEST(Wal, CommitAndLoadRoundTrip) {
@@ -202,7 +241,7 @@ TEST(Wal, CheckpointRoundTrip) {
   data.max_index = 9;
   data.chains.push_back({11, {{2, Value{std::int64_t{5}}}, {9, Value{std::string("x")}}}});
   data.chains.push_back({12, {{4, Value{2.5}}}});
-  ASSERT_TRUE(wal::write_checkpoint(path, data));
+  ASSERT_TRUE(write_checkpoint(path, data));
 
   wal::CheckpointData out;
   ASSERT_TRUE(wal::read_checkpoint(path, out));
@@ -221,7 +260,7 @@ TEST(Wal, CorruptCheckpointIsRejected) {
   data.class_watermarks = {1};
   data.max_index = 1;
   data.chains.push_back({3, {{1, Value{std::int64_t{30}}}}});
-  ASSERT_TRUE(wal::write_checkpoint(path, data));
+  ASSERT_TRUE(write_checkpoint(path, data));
   std::vector<std::uint8_t> bytes = read_file(path);
   // Flip every byte position in turn: read_checkpoint must reject or parse,
   // never crash; flips that break structure or CRC leave `out` empty.
@@ -468,7 +507,7 @@ TEST(DurableStore, CheckpointHoldsOnlyVersionsReadableAtItsFloor) {
   // A checkpoint written before trimming holds whole chains in the same
   // format; restarting from one restores every snapshot.
   ckpt.chains.assign(truth.begin(), truth.end());
-  ASSERT_TRUE(wal::write_checkpoint(dir / "checkpoint.bin", ckpt));
+  ASSERT_TRUE(write_checkpoint(dir / "checkpoint.bin", ckpt));
   store.crash();
   EXPECT_EQ(store.restart_from_disk().durable_floor, floor);
   for (const auto& [obj, chain] : truth) {

@@ -100,6 +100,18 @@ int usage() {
   return 2;
 }
 
+/// Parses --sites into `config`: 1 to ConsensusHost::kMaxSites sites.
+bool apply_sites_flag(const Flags& flags, ClusterConfig& config) {
+  const std::int64_t sites = flags.get_int("sites", 4);
+  if (sites < 1 || sites > static_cast<std::int64_t>(ConsensusHost::kMaxSites)) {
+    std::fprintf(stderr, "unknown --sites=%lld (1-%zu)\n", static_cast<long long>(sites),
+                 ConsensusHost::kMaxSites);
+    return false;
+  }
+  config.n_sites = static_cast<std::size_t>(sites);
+  return true;
+}
+
 /// Parses --topology into `config`, exiting with usage() on an unknown name.
 bool apply_topology_flag(const Flags& flags, ClusterConfig& config) {
   const std::string name = flags.get("topology", "lan");
@@ -343,7 +355,7 @@ int cmd_run(const Flags& flags) {
     return usage();
   }
   ClusterConfig config;
-  config.n_sites = static_cast<std::size_t>(flags.get_int("sites", 4));
+  if (!apply_sites_flag(flags, config)) return usage();
   config.n_classes = static_cast<std::size_t>(flags.get_int("classes", 8));
   config.objects_per_class = static_cast<std::uint64_t>(flags.get_int("objects", 32));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
@@ -420,7 +432,7 @@ int cmd_run(const Flags& flags) {
 
 int cmd_tpcc(const Flags& flags) {
   ClusterConfig config;
-  config.n_sites = static_cast<std::size_t>(flags.get_int("sites", 4));
+  if (!apply_sites_flag(flags, config)) return usage();
   config.n_classes = static_cast<std::size_t>(flags.get_int("warehouses", 8));
   tpcc::Layout layout;
   config.objects_per_class = layout.objects_per_warehouse();
