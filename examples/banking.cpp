@@ -73,7 +73,9 @@ void open_accounts(Cluster& cluster) {
   }
 }
 
-void run_bank(const char* label, const NetConfig& net) {
+/// Runs the bank on `net`; returns whether every audit and the final total
+/// conserved money.
+bool run_bank(const char* label, const NetConfig& net) {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = kBranches;
@@ -158,6 +160,7 @@ void run_bank(const char* label, const NetConfig& net) {
   std::printf("  audits conserved money   : %d / %d\n", clean_audits, audits);
   std::printf("  final total (site 0)     : %lld (expected %lld)\n\n",
               static_cast<long long>(final_total), static_cast<long long>(kTotalMoney));
+  return audits > 0 && clean_audits == audits && final_total == kTotalMoney;
 }
 
 }  // namespace
@@ -166,15 +169,16 @@ int main() {
   std::printf("otpdb banking example: %zu branches x %llu accounts, 2000 transfers, 4 sites\n\n",
               kBranches, static_cast<unsigned long long>(kAccountsPerBranch));
   NetConfig calm;  // calibrated Figure-1 LAN: spontaneous order mostly holds
-  run_bank("[calm LAN]", calm);
+  const bool calm_ok = run_bank("[calm LAN]", calm);
 
   NetConfig stormy;
   stormy.hiccup_prob = 0.30;
   stormy.hiccup_mean = 3 * kMillisecond;
-  run_bank("[stormy LAN - frequent tentative/definitive mismatches]", stormy);
+  const bool stormy_ok =
+      run_bank("[stormy LAN - frequent tentative/definitive mismatches]", stormy);
 
   std::printf("Note: the stormy run aborts and re-executes wrongly-guessed transactions\n"
               "(correctness-check module, paper Fig. 6) yet money is conserved in every\n"
               "audit - mismatches cost work, never correctness.\n");
-  return 0;
+  return calm_ok && stormy_ok ? 0 : 1;
 }

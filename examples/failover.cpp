@@ -43,7 +43,7 @@ int main() {
     const ClassId klass = static_cast<ClassId>(rng.uniform_int(0, 3));
     cluster.sim().schedule_at(at, [&cluster, bump, site, klass] {
       if (!cluster.net().crashed(site)) {
-        cluster.replica(site).submit_update(bump, klass, TxnArgs{{0}, {}}, kMillisecond);
+        cluster.replica(site).submit_update(bump, klass, TxnArgs{{0}}, kMillisecond);
       }
     });
   }
@@ -70,12 +70,16 @@ int main() {
 
   std::printf("\n  survivors (sites 0-2):\n");
   std::uint64_t reference = cluster.replica(0).metrics().committed;
+  bool diverged = false;
   for (SiteId s = 0; s < 3; ++s) {
     const ReplicaMetrics& m = cluster.replica(s).metrics();
     std::printf("    site %u committed=%llu (aborts=%llu)\n", s,
                 static_cast<unsigned long long>(m.committed),
                 static_cast<unsigned long long>(m.aborts));
-    if (m.committed != reference) std::printf("    !! divergence\n");
+    if (m.committed != reference) {
+      std::printf("    !! divergence\n");
+      diverged = true;
+    }
   }
   std::printf("  committed before crash (site 0): %llu\n",
               static_cast<unsigned long long>(committed_before));
@@ -96,5 +100,5 @@ int main() {
     }
   }
   std::printf("  survivor states identical: %s\n", identical ? "yes" : "NO");
-  return 0;
+  return identical && !diverged ? 0 : 1;
 }

@@ -29,7 +29,6 @@ namespace otpdb {
 /// Arguments marshalled inside the TO-broadcast transaction request.
 struct TxnArgs {
   std::vector<std::int64_t> ints;
-  std::vector<std::string> strings;
 };
 
 /// A transaction's read log: every (object, value) it read, in read order.

@@ -18,8 +18,7 @@ constexpr char kCheckpointMagic[8] = {'O', 'T', 'P', 'C', 'K', 'P', '1', '\n'};
 constexpr std::uint8_t kRecordCommit = 1;
 constexpr std::uint8_t kRecordLoad = 2;
 constexpr std::uint8_t kTagInt64 = 0;
-constexpr std::uint8_t kTagDouble = 1;
-constexpr std::uint8_t kTagString = 2;
+constexpr std::uint8_t kTagDouble = 1;  // tag 2 is reserved: see the format in wal.h
 
 /// Slice-by-8 CRC tables: [0] is the bytewise table; [k][i] is the CRC of
 /// byte i followed by k zero bytes, so eight table lookups advance the CRC
@@ -68,16 +67,11 @@ void put_value(std::vector<std::uint8_t>& out, const Value& value) {
   if (const auto* i = std::get_if<std::int64_t>(&value)) {
     put_u8(out, kTagInt64);
     put_u64(out, static_cast<std::uint64_t>(*i));
-  } else if (const auto* d = std::get_if<double>(&value)) {
+  } else {
     put_u8(out, kTagDouble);
     std::uint64_t bits;
-    std::memcpy(&bits, d, sizeof(bits));
+    std::memcpy(&bits, &std::get<double>(value), sizeof(bits));
     put_u64(out, bits);
-  } else {
-    const auto& s = std::get<std::string>(value);
-    put_u8(out, kTagString);
-    put_u32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
   }
 }
 
@@ -117,33 +111,17 @@ struct Cursor {
   }
   bool get_value(Value& v) {
     std::uint8_t tag;
-    if (!get_u8(tag)) return false;
-    switch (tag) {
-      case kTagInt64: {
-        std::uint64_t bits;
-        if (!get_u64(bits)) return false;
-        v = static_cast<std::int64_t>(bits);
-        return true;
-      }
-      case kTagDouble: {
-        std::uint64_t bits;
-        if (!get_u64(bits)) return false;
-        double d;
-        std::memcpy(&d, &bits, sizeof(d));
-        v = d;
-        return true;
-      }
-      case kTagString: {
-        std::uint32_t len;
-        if (!get_u32(len)) return false;
-        if (static_cast<std::size_t>(end - p) < len) return false;
-        v = std::string(reinterpret_cast<const char*>(p), len);
-        p += len;
-        return true;
-      }
-      default:
-        return false;
+    std::uint64_t bits;
+    if (!get_u8(tag) || !get_u64(bits)) return false;
+    if (tag == kTagInt64) {
+      v = static_cast<std::int64_t>(bits);
+      return true;
     }
+    if (tag != kTagDouble) return false;  // the reserved tag 2 or garbage
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    v = d;
+    return true;
   }
 };
 
@@ -167,7 +145,7 @@ bool decode_commit(Cursor& cur, CommitRecord& rec) {
     std::uint64_t object;
     Value value;
     if (!cur.get_u64(object) || !cur.get_value(value)) return false;
-    rec.writes.emplace_back(object, std::move(value));
+    rec.writes.emplace_back(object, value);
   }
   return cur.p == cur.end;  // trailing bytes = corrupt payload
 }
@@ -451,7 +429,7 @@ bool read_checkpoint(const std::filesystem::path& path, CheckpointData& out) {
       std::uint64_t index;
       Value value;
       if (!cur.get_u64(index) || !cur.get_value(value)) { out = {}; return false; }
-      versions.emplace_back(index, std::move(value));
+      versions.emplace_back(index, value);
     }
     out.chains.emplace_back(object, std::move(versions));
   }

@@ -19,8 +19,9 @@
 //             u32 n_writes, n*(u64 object, value)
 //     load:   u64 object, value
 //   value:
-//     u8 tag (0=int64, 1=double, 2=string), then u64 payload
-//     (double = bit pattern) or u32 len + bytes for strings.
+//     u8 tag (0=int64, 1=double), then u64 payload (double = bit pattern).
+//     Tag 2 is reserved (earlier versions wrote text under it): a record or
+//     checkpoint that carries it is malformed and the reader rejects it.
 //
 //   checkpoint file  checkpoint.bin (written to a temp name, then renamed):
 //     8-byte magic "OTPCKP1\n", one frame whose payload is

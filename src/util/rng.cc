@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/assert.h"
@@ -86,19 +87,21 @@ double Rng::normal_at_least(double mean, double stddev, double lo) {
 std::uint64_t Rng::zipf(std::uint64_t n, double theta) {
   OTPDB_ASSERT(n > 0);
   if (theta <= 0.0) return static_cast<std::uint64_t>(uniform_int(0, static_cast<std::int64_t>(n - 1)));
-  if (zipf_cache_.n != n || zipf_cache_.theta != theta) {
-    double norm = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i) norm += 1.0 / std::pow(static_cast<double>(i), theta);
-    zipf_cache_ = {n, theta, norm};
+  if (zipf_cdf_.size() != n || zipf_theta_ != theta) {
+    zipf_cdf_.resize(n);
+    double sum = 0.0;
+    for (std::uint64_t i = 1; i <= n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i), theta);
+      zipf_cdf_[i - 1] = sum;
+    }
+    zipf_theta_ = theta;
   }
-  // Inverse-CDF walk; n is small (conflict classes), so linear scan is fine.
-  const double u = next_double() * zipf_cache_.norm;
-  double sum = 0.0;
-  for (std::uint64_t i = 1; i <= n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    if (u <= sum) return i - 1;
-  }
-  return n - 1;
+  // Inverse CDF: the first rank whose prefix sum reaches u < the total. The
+  // table holds exactly the partial sums a linear walk adds up, so every draw
+  // is the walk's.
+  const double u = next_double() * zipf_cdf_.back();
+  return static_cast<std::uint64_t>(std::lower_bound(zipf_cdf_.begin(), zipf_cdf_.end(), u) -
+                                    zipf_cdf_.begin());
 }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0xd1b54a32d192ed03ULL); }

@@ -2,9 +2,9 @@
 //
 // Every experiment in otpdb is replayable from a single 64-bit seed. Rng wraps
 // xoshiro256** (seeded via SplitMix64) and offers the distributions the
-// workload and network models need. Rng instances are cheap to copy and can be
-// split() into independent streams so that concurrent model components do not
-// perturb each other's sequences.
+// workload and network models need. Rng instances can be split() into
+// independent streams so that concurrent model components do not perturb each
+// other's sequences. Copying one copies its cached Zipf table too.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +60,10 @@ class Rng {
 
  private:
   std::uint64_t state_[4];
-  // Cached Zipf harmonic normalizers keyed by (n, theta); tiny in practice.
-  struct ZipfCache {
-    std::uint64_t n = 0;
-    double theta = 0.0;
-    double norm = 0.0;
-  } zipf_cache_;
+  // Zipf CDF of the last (n, theta) drawn, n = its size: zipf_cdf_[i] is the
+  // sum of 1/(k+1)^theta over ranks k <= i, accumulated in rank order.
+  double zipf_theta_ = 0.0;
+  std::vector<double> zipf_cdf_;
 };
 
 }  // namespace otpdb

@@ -41,14 +41,10 @@ struct Fnv {
 
 std::uint64_t digest_value(const Value& v) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return static_cast<std::uint64_t>(*i);
-  if (const auto* d = std::get_if<double>(&v)) {
-    std::uint64_t bits;
-    __builtin_memcpy(&bits, d, sizeof(bits));
-    return bits;
-  }
-  Fnv f;
-  for (char c : std::get<std::string>(v)) f.add(static_cast<unsigned char>(c));
-  return f.h;
+  const double d = std::get<double>(v);
+  std::uint64_t bits;
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return bits;
 }
 
 std::vector<std::uint64_t> history_digests(const HistoryRecorder& recorder) {

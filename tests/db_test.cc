@@ -16,10 +16,8 @@ constexpr TxnId kTxnB = 1;
 TEST(Value, Conversions) {
   EXPECT_EQ(as_int(Value{std::int64_t{42}}), 42);
   EXPECT_EQ(as_int(Value{3.9}), 3);
-  EXPECT_EQ(as_int(Value{std::string("x")}), 0);
   EXPECT_DOUBLE_EQ(as_double(Value{std::int64_t{2}}), 2.0);
   EXPECT_EQ(to_display_string(Value{std::int64_t{7}}), "7");
-  EXPECT_EQ(to_display_string(Value{std::string("hi")}), "hi");
 }
 
 TEST(PartitionCatalog, ClassOwnership) {

@@ -434,11 +434,11 @@ TEST(MultiClassDeath, LazyEngineRejectsMultiClassSubmission) {
   const ProcId rmw_cross = register_rmw_cross_procedure(cluster.procedures());
   // Single-element sets route through normally...
   cluster.replica(0).submit_update_multi(
-      rmw_cross, {1}, TxnArgs{{1, static_cast<std::int64_t>(cluster.catalog().object(1, 0))}, {}},
+      rmw_cross, {1}, TxnArgs{{1, static_cast<std::int64_t>(cluster.catalog().object(1, 0))}},
       kMillisecond);
   // ...genuine multi-class sets are rejected loudly.
   EXPECT_DEATH(cluster.replica(0).submit_update_multi(
-                   rmw_cross, {0, 1}, TxnArgs{{1, 0}, {}}, kMillisecond),
+                   rmw_cross, {0, 1}, TxnArgs{{1, 0}}, kMillisecond),
                "cannot atomically commit");
 }
 

@@ -333,7 +333,7 @@ TEST(OtpReplica, AbortedWorkIsInvisibleToTheStore) {
 TEST(OtpReplica, CommitLatencyRecordedAtOriginOnly) {
   Site site(1);
   // Submit through the replica (origin = this site).
-  site.replica->submit_update(site.proc, 0, TxnArgs{{1, 7}, {}}, 2 * kMillisecond);
+  site.replica->submit_update(site.proc, 0, TxnArgs{{1, 7}}, 2 * kMillisecond);
   ASSERT_EQ(site.abcast.sent().size(), 1u);
   const auto& [id, payload] = site.abcast.sent()[0];
   site.abcast.opt(id, payload);

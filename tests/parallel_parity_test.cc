@@ -52,15 +52,11 @@ struct Fnv {
 
 std::uint64_t digest_value(const Value& v) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) return static_cast<std::uint64_t>(*i);
-  if (const auto* d = std::get_if<double>(&v)) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(*d));
-    __builtin_memcpy(&bits, d, sizeof(bits));
-    return bits;
-  }
-  Fnv f;
-  for (char c : std::get<std::string>(v)) f.add(static_cast<unsigned char>(c));
-  return f.h;
+  const double d = std::get<double>(v);
+  std::uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  __builtin_memcpy(&bits, &d, sizeof(bits));
+  return bits;
 }
 
 /// Every field of every commit record, per site: sensitive to ordering,
@@ -609,9 +605,11 @@ TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRunsAndThreads) {
 TEST(ParallelParity, CliRejectsUnknownEngineAndAbcast) {
   // A misspelt choice fails with the valid choices, usage and exit code 2,
   // like --topology/--storage/--admission - it must not run the default. So
-  // does a cluster larger than consensus supports.
+  // do a cluster larger than consensus supports and a crash on the lazy
+  // engine, which has no recovery path.
   for (const char* args : {"run --engine=optt --seconds=0.1", "run --abcast=seqencer --seconds=0.1",
-                           "run --sites=65 --seconds=0.1"}) {
+                           "run --sites=65 --seconds=0.1",
+                           "run --engine=lazy --crash-site=1 --seconds=0.1"}) {
     int status = 0;
     const std::string out = run_cli(args, &status);
     ASSERT_TRUE(WIFEXITED(status)) << args;

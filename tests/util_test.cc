@@ -1,6 +1,7 @@
 // Unit tests for src/util: deterministic RNG, distributions, statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "util/dense_deque.h"
@@ -116,6 +117,48 @@ TEST(Rng, ZipfSkewFavorsLowRanks) {
 TEST(Rng, ZipfAlwaysInRange) {
   Rng rng(43);
   for (int i = 0; i < 5000; ++i) EXPECT_LT(rng.zipf(5, 0.8), 5u);
+}
+
+/// Reference: the inverse-CDF walk without a table, which sums n powers twice
+/// per draw. Rng::zipf's cached table must reproduce it draw for draw.
+std::uint64_t zipf_by_walk(Rng& rng, std::uint64_t n, double theta) {
+  if (theta <= 0.0) {
+    return static_cast<std::uint64_t>(rng.uniform_int(0, static_cast<std::int64_t>(n - 1)));
+  }
+  double norm = 0.0;
+  for (std::uint64_t i = 1; i <= n; ++i) norm += 1.0 / std::pow(static_cast<double>(i), theta);
+  const double u = rng.next_double() * norm;
+  double sum = 0.0;
+  for (std::uint64_t i = 1; i <= n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    if (u <= sum) return i - 1;
+  }
+  return n - 1;
+}
+
+TEST(Rng, ZipfTableDrawsWhatTheWalkDraws) {
+  const std::uint64_t sizes[] = {1, 2, 4, 16, 64, 1000};
+  const double thetas[] = {-1.0, 0.0, 0.3, 0.5, 0.99, 1.0, 1.2, 2.0};
+  Rng table(47), walk(47);
+  // Shape by shape, then every shape in turn on each draw, so the table is
+  // rebuilt between draws too.
+  for (std::uint64_t n : sizes) {
+    for (double theta : thetas) {
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(table.zipf(n, theta), zipf_by_walk(walk, n, theta))
+            << "n=" << n << " theta=" << theta << " draw " << i;
+      }
+    }
+  }
+  for (int i = 0; i < 50; ++i) {
+    for (std::uint64_t n : sizes) {
+      for (double theta : thetas) {
+        ASSERT_EQ(table.zipf(n, theta), zipf_by_walk(walk, n, theta))
+            << "n=" << n << " theta=" << theta << " round " << i;
+      }
+    }
+  }
+  EXPECT_EQ(table.next_u64(), walk.next_u64()) << "both consumed the same draws";
 }
 
 TEST(OnlineStats, BasicMoments) {

@@ -1,7 +1,8 @@
 // WAL format + DurableStore tests: encode/decode round-trips, corruption
-// hardening (torn writes, truncated tails, bit flips, bad checksums - the
-// scan must stop cleanly at the first bad frame, never crash or overread),
-// group-commit batching, and checkpoint/restart round-trips.
+// hardening (torn writes, truncated tails, bit flips, bad checksums, the
+// reserved value tag - the scan must stop cleanly at the first bad frame,
+// never crash or overread), group-commit batching, and checkpoint/restart
+// round-trips.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "db/durable_store.h"
@@ -58,7 +60,7 @@ std::vector<std::uint8_t> sample_records(int n) {
     const std::pair<ObjectId, Value> writes[] = {
         {static_cast<ObjectId>(i), Value{std::int64_t{i * 10}}},
         {static_cast<ObjectId>(i + 1000), Value{3.25 * i}},
-        {static_cast<ObjectId>(i + 2000), Value{std::string("txn-") + std::to_string(i)}},
+        {static_cast<ObjectId>(i + 2000), Value{std::int64_t{-i}}},
     };
     wal::append_commit(bytes, static_cast<TOIndex>(i),
                        std::span<const ClassId>(classes, i % 2 == 0 ? 2 : 1),
@@ -86,6 +88,65 @@ fs::path make_segment(const TempDir& tmp, const std::vector<std::uint8_t>& recor
   EXPECT_TRUE(writer.append_and_sync(records.data(), records.size()));
   writer.close();
   return path;
+}
+
+// --- hand-encoded frames: the format, byte by byte --------------------------
+
+/// Appends the low `n` bytes of `v`, little-endian.
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int n) {
+  for (int i = 0; i < n; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+/// An int64 value: tag 0, then the u64.
+std::vector<std::uint8_t> int_value(std::int64_t v) {
+  std::vector<std::uint8_t> out{0};
+  put_le(out, static_cast<std::uint64_t>(v), 8);
+  return out;
+}
+
+/// A value under the reserved tag 2, laid out as earlier versions wrote text:
+/// u32 length, then the bytes.
+std::vector<std::uint8_t> text_value(const std::string& text) {
+  std::vector<std::uint8_t> out{2};
+  put_le(out, text.size(), 4);
+  out.insert(out.end(), text.begin(), text.end());
+  return out;
+}
+
+/// Appends `payload` framed: u32 length | u32 crc32(payload) | payload.
+void append_frame(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t>& payload) {
+  put_le(out, payload.size(), 4);
+  put_le(out, wal::crc32(payload.data(), payload.size()), 4);
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
+/// A commit record at `index` in class 0 that writes `value` to `object`.
+std::vector<std::uint8_t> commit_payload(TOIndex index, ObjectId object,
+                                         const std::vector<std::uint8_t>& value) {
+  std::vector<std::uint8_t> out{1};
+  put_le(out, index, 8);
+  put_le(out, 1, 2);  // one class: 0
+  put_le(out, 0, 4);
+  put_le(out, 1, 4);  // one write
+  put_le(out, object, 8);
+  out.insert(out.end(), value.begin(), value.end());
+  return out;
+}
+
+/// A checkpoint image: one class, one chain of one version holding `value`.
+std::vector<std::uint8_t> checkpoint_image(const std::vector<std::uint8_t>& value) {
+  std::vector<std::uint8_t> payload;
+  put_le(payload, 1, 4);   // one class
+  put_le(payload, 3, 8);   // its watermark
+  put_le(payload, 3, 8);   // max index
+  put_le(payload, 1, 8);   // one chain
+  put_le(payload, 11, 8);  // its object
+  put_le(payload, 1, 4);   // one version
+  put_le(payload, 3, 8);   // at index 3
+  payload.insert(payload.end(), value.begin(), value.end());
+  std::vector<std::uint8_t> out{'O', 'T', 'P', 'C', 'K', 'P', '1', '\n'};
+  append_frame(out, payload);
+  return out;
 }
 
 TEST(Wal, Crc32KnownAnswer) {
@@ -140,7 +201,7 @@ TEST(Wal, CommitAndLoadRoundTrip) {
   ASSERT_EQ(commits[4].writes.size(), 3u);
   EXPECT_EQ(as_int(commits[4].writes[0].second), 50);
   EXPECT_DOUBLE_EQ(std::get<double>(commits[4].writes[1].second), 3.25 * 5);
-  EXPECT_EQ(std::get<std::string>(commits[4].writes[2].second), "txn-5");
+  EXPECT_EQ(std::get<std::int64_t>(commits[4].writes[2].second), -5);
 }
 
 TEST(Wal, MissingFileScansEmptyAndClean) {
@@ -239,7 +300,7 @@ TEST(Wal, CheckpointRoundTrip) {
   wal::CheckpointData data;
   data.class_watermarks = {4, 9, 0};
   data.max_index = 9;
-  data.chains.push_back({11, {{2, Value{std::int64_t{5}}}, {9, Value{std::string("x")}}}});
+  data.chains.push_back({11, {{2, Value{std::int64_t{5}}}, {9, Value{-0.5}}}});
   data.chains.push_back({12, {{4, Value{2.5}}}});
   ASSERT_TRUE(write_checkpoint(path, data));
 
@@ -250,7 +311,7 @@ TEST(Wal, CheckpointRoundTrip) {
   ASSERT_EQ(out.chains.size(), 2u);
   EXPECT_EQ(out.chains[0].first, 11u);
   ASSERT_EQ(out.chains[0].second.size(), 2u);
-  EXPECT_EQ(std::get<std::string>(out.chains[0].second[1].second), "x");
+  EXPECT_DOUBLE_EQ(std::get<double>(out.chains[0].second[1].second), -0.5);
 }
 
 TEST(Wal, CorruptCheckpointIsRejected) {
@@ -276,6 +337,59 @@ TEST(Wal, CorruptCheckpointIsRejected) {
   wal::CheckpointData out;
   EXPECT_FALSE(wal::read_checkpoint(path, out));
   EXPECT_TRUE(out.chains.empty());
+}
+
+TEST(Wal, ReservedTextTagEndsTheScan) {
+  // Two records from the writer, then a third whose value carries tag 2
+  // under a good CRC. It is malformed: the scan keeps the two records before
+  // it and stops. Its int64 twin is byte-identical to the writer's record and
+  // scans clean, so the tag alone decides.
+  std::vector<std::uint8_t> head;
+  wal::append_load(head, 7, Value{std::int64_t{100}});
+  const ClassId klass = 0;
+  const std::pair<ObjectId, Value> first{8, Value{std::int64_t{1}}};
+  wal::append_commit(head, 1, {&klass, 1}, {&first, 1});
+
+  std::vector<std::uint8_t> written = head;
+  const std::pair<ObjectId, Value> third{9, Value{std::int64_t{5}}};
+  wal::append_commit(written, 2, {&klass, 1}, {&third, 1});
+  std::vector<std::uint8_t> with_int = head;
+  append_frame(with_int, commit_payload(2, 9, int_value(5)));
+  ASSERT_EQ(with_int, written);
+  std::vector<std::uint8_t> with_text = head;
+  append_frame(with_text, commit_payload(2, 9, text_value("abcd")));
+
+  const auto scan = [](const std::vector<std::uint8_t>& records) {
+    TempDir tmp;
+    return wal::scan_segment(make_segment(tmp, records), {});
+  };
+  const wal::ScanResult good = scan(with_int);
+  EXPECT_TRUE(good.clean);
+  EXPECT_EQ(good.records, 3u);
+  const wal::ScanResult bad = scan(with_text);
+  EXPECT_FALSE(bad.clean);
+  EXPECT_EQ(bad.records, 2u);
+  EXPECT_EQ(bad.valid_bytes, 8 + head.size());
+  EXPECT_EQ(bad.max_index, 1u);
+}
+
+TEST(Wal, CheckpointWithReservedTextTagIsRefused) {
+  // The int64 image is byte-identical to the writer's; the same image with a
+  // tag-2 value is malformed and read_checkpoint leaves `out` empty.
+  TempDir tmp;
+  const fs::path path = tmp.dir / "checkpoint.bin";
+  wal::CheckpointData data;
+  data.class_watermarks = {3};
+  data.max_index = 3;
+  data.chains.push_back({11, {{3, Value{std::int64_t{5}}}}});
+  ASSERT_TRUE(write_checkpoint(path, data));
+  ASSERT_EQ(read_file(path), checkpoint_image(int_value(5)));
+
+  write_file(path, checkpoint_image(text_value("abcd")));
+  wal::CheckpointData out;
+  EXPECT_FALSE(wal::read_checkpoint(path, out));
+  EXPECT_TRUE(out.chains.empty());
+  EXPECT_TRUE(out.class_watermarks.empty());
 }
 
 // --- DurableStore ------------------------------------------------------------
@@ -352,8 +466,7 @@ TEST(DurableStore, RestartSurvivesTornTailAndDropsLaterSegments) {
     for (int i = 1; i <= 40; ++i) {
       sim.schedule_at(i * kMillisecond, [&store, i] {
         const TxnId txn = 0;
-        store.memory().write(txn, static_cast<ObjectId>(i % 8),
-                             Value{std::string(32, static_cast<char>('a' + i % 26))});
+        store.memory().write(txn, static_cast<ObjectId>(i % 8), Value{std::int64_t{i}});
         const ClassId klass = 0;
         store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
       });
@@ -405,8 +518,7 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
   for (int i = 1; i <= 60; ++i) {
     sim.schedule_at(i * 10 * kMillisecond, [&store, i] {
       const TxnId txn = 0;
-      store.memory().write(txn, static_cast<ObjectId>(i % 8),
-                           Value{std::string(32, static_cast<char>('a' + i % 26))});
+      store.memory().write(txn, static_cast<ObjectId>(i % 8), Value{std::int64_t{i}});
       const ClassId klass = 0;
       store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
     });

@@ -354,6 +354,12 @@ int cmd_run(const Flags& flags) {
                  engine.c_str());
     return usage();
   }
+  const std::int64_t crash_site = flags.get_int("crash-site", -1);
+  if (engine == "lazy" && crash_site >= 0) {
+    std::fprintf(stderr, "unknown --crash-site=%lld for --engine=lazy (no crash recovery path)\n",
+                 static_cast<long long>(crash_site));
+    return usage();
+  }
   ClusterConfig config;
   if (!apply_sites_flag(flags, config)) return usage();
   config.n_classes = static_cast<std::size_t>(flags.get_int("classes", 8));
@@ -391,7 +397,6 @@ int cmd_run(const Flags& flags) {
   WorkloadDriver driver(*cluster, wl, config.seed * 7 + 3);
   driver.start();
 
-  const auto crash_site = flags.get_int("crash-site", -1);
   if (crash_site >= 0) {
     const SimTime crash_at = static_cast<SimTime>(flags.get_double("crash-ms", 500.0) * 1e6);
     cluster->sim().schedule_at(crash_at, [&cluster, crash_site] {
