@@ -70,63 +70,6 @@ BENCHMARK(BM_Scalability)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel-driver sweep (wall-clock, not simulated, is the point here): the
-// same 8-site OTP cluster and offered load on the wan profile - the sharded
-// engine needs a switched topology, and wan's 500us/40ms lookahead split is
-// the gap its channel clocks exploit - driven by the classic loop
-// (threads=1) and by the site-sharded engine with 2/4/8 workers. Fixed work
-// per iteration, so real_time IS the serial-vs-parallel comparison (the
-// speedup is the threads=1 row's real_time over each other row's).
-void BM_ScalabilityThreads(benchmark::State& state) {
-  // threads arg: 1 = classic loop, N>=2 = sharded with N workers, and 0 =
-  // sharded with ONE worker (no thread handoffs at all) - isolates the
-  // round/staging overhead from the cost of actual thread handoffs.
-  const auto threads = static_cast<unsigned>(state.range(0));
-  const auto n_sites = static_cast<std::size_t>(state.range(1));
-  ClusterTotals t;
-  std::uint64_t events = 0;
-  double duration_s = 0;
-  for (auto _ : state) {
-    ClusterConfig config;
-    config.n_sites = n_sites;
-    config.n_classes = 2 * n_sites;
-    config.seed = 2025;
-    apply_topology(config, TopologyProfile::wan);
-    config.parallel.threads = threads == 0 ? 1 : threads;
-    config.parallel.force_sharded = threads == 0;
-    auto cluster = std::make_unique<Cluster>(config);
-    WorkloadConfig wl;
-    wl.updates_per_second_per_site = 500;  // high-throughput regime
-    wl.mean_exec_time = 1 * kMillisecond;
-    wl.query_fraction = 0.1;
-    wl.duration = 2 * kSecond;
-    WorkloadDriver driver(*cluster, wl, 61);
-    driver.start();
-    cluster->run_for(wl.duration);
-    cluster->quiesce(180 * kSecond);
-    t = totals(*cluster);
-    duration_s = static_cast<double>(cluster->sim().now()) / 1e9;
-    events = cluster->engine() ? cluster->engine()->executed() : cluster->sim().executed();
-  }
-  state.SetLabel(threads == 1 ? "classic-loop"
-                              : (threads == 0 ? "sharded-1worker" : "sharded"));
-  state.counters["threads"] = static_cast<double>(threads == 0 ? 1 : threads);
-  state.counters["sites"] = static_cast<double>(n_sites);
-  state.counters["committed"] = static_cast<double>(t.committed);
-  state.counters["sim_events"] = static_cast<double>(events);
-  state.counters["cluster_txn_per_s"] =
-      duration_s > 0
-          ? static_cast<double>(t.committed) / static_cast<double>(n_sites) / duration_s
-          : 0;
-}
-BENCHMARK(BM_ScalabilityThreads)
-    ->ArgNames({"threads", "sites"})
-    ->ArgsProduct({{1, 0, 2, 4, 8}, {8}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
 }  // namespace
 }  // namespace otpdb::bench
 

@@ -50,10 +50,8 @@ void Cluster::build(ReplicaFactory factory) {
     std::filesystem::create_directories(data_root_, ec);
     OTPDB_CHECK_MSG(!ec, "cannot create the cluster data directory");
   }
-  const ParallelismConfig& parallel = config_.parallel;
-  if (topology_switched(config_.net.topology) &&
-      (parallel.threads > 1 || parallel.force_sharded)) {
-    engine_ = std::make_unique<ShardedEngine>(config_.n_sites, parallel.threads);
+  if (topology_switched(config_.net.topology) && config_.parallel.force_sharded) {
+    engine_ = std::make_unique<ShardedEngine>(config_.n_sites);
   }
   // The network runs on the hub shard; each site's protocol stack (failure
   // detector, broadcast endpoint, replica) runs on the site's own shard. In
@@ -82,7 +80,7 @@ void Cluster::build(ReplicaFactory factory) {
     }
     // Dense object index covering the catalog's whole contiguous id space.
     // Durable backends schedule their flush/checkpoint events on the site's
-    // own shard, keeping the sharded engine's phase confinement intact.
+    // own shard, so they run in the site's phase of the sharded engine.
     backends_.push_back(make_storage_backend(config_.storage, site_sim(s), s,
                                              config_.n_classes, catalog_.object_count(),
                                              data_root_));

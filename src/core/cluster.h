@@ -32,14 +32,12 @@ namespace otpdb {
 enum class AbcastKind { optimistic, sequencer };
 
 /// Selects the cluster driver. The classic single-queue loop is the default.
-/// On a switched topology (metro, wan, geo-3dc), threads >= 2 runs the
-/// site-sharded engine with that many worker threads, and force_sharded runs
-/// it even with one thread - bit-for-bit identical to every multi-threaded
-/// sharded run, and the sequential leg of the parity suite. A shared-bus
-/// (lan) cluster always runs the classic loop: every frame serializes
-/// through one bus clock, so there is no lookahead gap to shard on.
+/// On a switched topology (metro, wan, geo-3dc), force_sharded runs the
+/// site-sharded engine instead (sim/sharded_engine.h); a fault-free run is
+/// bit-for-bit the classic loop's. A shared-bus (lan) cluster always runs the
+/// classic loop: every frame serializes through one bus clock, so there is no
+/// lookahead gap to shard on.
 struct ParallelismConfig {
-  unsigned threads = 1;
   bool force_sharded = false;
 };
 
@@ -72,9 +70,7 @@ struct ClusterConfig {
   /// run bit-identical to pre-chaos builds.
   ChaosConfig chaos;
 
-  /// Driver selection (see ParallelismConfig and sim/sharded_engine.h). All
-  /// sharded runs of one configuration are bit-for-bit identical regardless
-  /// of the thread count.
+  /// Driver selection (see ParallelismConfig and sim/sharded_engine.h).
   ParallelismConfig parallel;
 };
 
@@ -107,8 +103,8 @@ class Cluster {
   /// network-wide state from a site-shard event.
   Simulator& sim() { return engine_ ? engine_->hub() : sim_; }
   /// The shard owning `site`'s replica/abcast/store events (== sim() in
-  /// classic mode). Per-site client streams schedule here so they run on the
-  /// site's own worker.
+  /// classic mode). Per-site client streams schedule here so they run in the
+  /// site's own phase.
   Simulator& site_sim(SiteId site) { return engine_ ? engine_->site(site) : sim_; }
   /// The sharded engine, or nullptr when the classic loop drives the run.
   ShardedEngine* engine() { return engine_.get(); }
@@ -129,8 +125,8 @@ class Cluster {
   AtomicBroadcast& abcast(SiteId site) { return *abcasts_[site]; }
   FailureDetector& failure_detector(SiteId site) { return *fds_[site]; }
 
-  /// Aggregated chaos-plane counters (all zero when no plan is armed).
-  ChaosStats chaos_stats() const { return net_->chaos_stats(); }
+  /// Chaos-plane counters (all zero when no plan is armed).
+  const ChaosStats& chaos_stats() const { return net_->chaos_stats(); }
   /// Suspicion churn across all failure detectors: total suspicions raised
   /// and later revised (a restore == one false or healed suspicion).
   FailureDetectorStats fd_stats() const {

@@ -12,7 +12,7 @@
 // Timing is simulated: the fsync itself executes for real (POSIX write +
 // fsync on the segment fd) but *when* flushes happen is driven by
 // deterministic sim-time events, so a durable cluster produces bit-for-bit
-// identical digests at every worker-thread count. `next_flush_allowed_`
+// identical digests on every run of one seed. `next_flush_allowed_`
 // models a busy device: a flush cannot start before the previous one's
 // modeled latency has elapsed, which is what makes group-commit batches
 // grow under load (the acceptance criterion's ">1 commit per fsync").

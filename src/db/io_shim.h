@@ -13,9 +13,9 @@
 //
 // Determinism: each site's DurableStore owns one FaultyIoEnv with a per-site
 // seed, and a site's I/O calls are issued in its own event order, so the
-// fault schedule is bit-identical across engine modes and worker-thread
-// counts. `max_faults` bounds the injection so every test run eventually
-// makes durable progress again.
+// fault schedule is bit-identical on every run of one seed and engine mode.
+// `max_faults` bounds the injection so every test run eventually makes
+// durable progress again.
 #pragma once
 
 #include <sys/types.h>

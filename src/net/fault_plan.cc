@@ -170,7 +170,7 @@ void ChaosRuntime::schedule_flap_toggle(Simulator& hub, std::size_t clause, SimT
   if (at >= plan_.clauses[clause].end) return;  // the clause-end event closes it out
   hub.schedule_at(at, [this, &hub, clause] {
     const FaultClause& c = plan_.clauses[clause];
-    ++hub_stats_->flap_transitions;
+    ++stats_->flap_transitions;
     recompute(hub.now());
     on_transition_();
     // Self-reschedule the next edge of the duty cycle.
@@ -184,7 +184,7 @@ void ChaosRuntime::schedule_flap_toggle(Simulator& hub, std::size_t clause, SimT
 
 void ChaosRuntime::arm(Simulator& hub, std::function<void()> on_transition, ChaosStats& stats) {
   on_transition_ = std::move(on_transition);
-  hub_stats_ = &stats;
+  stats_ = &stats;
   if (!has_blocking_) return;
   recompute(hub.now());
   auto transition = [this, &hub] {

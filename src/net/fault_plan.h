@@ -21,11 +21,11 @@
 //                       draws provoke false failure suspicions.
 //
 // Determinism: per-message clauses (duplicate/reorder/gray) draw from a
-// dedicated chaos rng at send-processing time - on the hub for the shared-bus
-// path, on the sending shard with a per-edge chaos stream for the switched
-// path - in fixed clause order, so histories are bit-for-bit identical across
-// sharded thread counts. Blocking clauses (one-way/flap) mutate a blocked
-// matrix only from hub control events, window-quantized exactly like
+// dedicated chaos rng at send-processing time - one network-wide stream on
+// the shared bus, a per-edge stream on a switched topology - in fixed clause
+// order, so a (plan, seed) run repeats bit for bit. Blocking clauses
+// (one-way/flap) mutate a blocked matrix only from hub control events, so
+// under the sharded engine they take effect at round boundaries exactly like
 // crash/partition state (see the fault-model note in net/network.h); parked
 // messages replay on release, so channels stay reliable - chaos reorders,
 // duplicates, and delays, but never loses.
@@ -102,10 +102,7 @@ struct ChaosConfig {
   bool enabled() const { return !plan.empty(); }
 };
 
-/// Injection/suppression counters. Sharded mode keeps one row per shard
-/// (sender rows for send-time draws, receiver rows for delivery-time checks,
-/// a hub row for control events) and aggregates on read - no cross-thread
-/// writes.
+/// Injection/suppression counters, one set per network.
 struct ChaosStats {
   std::uint64_t duplicates_injected = 0;
   std::uint64_t duplicates_suppressed = 0;
@@ -114,16 +111,6 @@ struct ChaosStats {
   std::uint64_t deliveries_parked = 0;   // parked by a chaos block (not partition)
   std::uint64_t parked_released = 0;     // replayed after a block lifted
   std::uint64_t flap_transitions = 0;
-
-  void merge(const ChaosStats& other) {
-    duplicates_injected += other.duplicates_injected;
-    duplicates_suppressed += other.duplicates_suppressed;
-    reorders_injected += other.reorders_injected;
-    gray_delays += other.gray_delays;
-    deliveries_parked += other.deliveries_parked;
-    parked_released += other.parked_released;
-    flap_transitions += other.flap_transitions;
-  }
 };
 
 /// Executes a FaultPlan against a cluster of n sites: evaluates per-message
@@ -135,7 +122,7 @@ class ChaosRuntime {
 
   /// The per-message perturbation for one (from, to) send processed at `at`.
   /// Draws from `rng` in fixed clause order (active, in-scope clauses only),
-  /// so the stream stays aligned across engine modes and thread counts.
+  /// so the stream stays aligned across engine modes.
   struct Perturbation {
     SimTime extra = 0;           // added to the original delivery's delay
     bool duplicate = false;      // schedule a second copy
@@ -152,7 +139,7 @@ class ChaosRuntime {
   /// Schedules every blocking-clause transition (starts, ends, flap toggles)
   /// as control events on `hub`. Each transition recomputes the blocked
   /// matrix and then runs `on_transition` (the Network releases parked
-  /// messages there). `stats` must outlive the runtime (the hub stats row).
+  /// messages there). `stats` must outlive the runtime (the network's).
   void arm(Simulator& hub, std::function<void()> on_transition, ChaosStats& stats);
 
  private:
@@ -171,7 +158,7 @@ class ChaosRuntime {
   std::vector<std::uint8_t> to_scope_;
   std::vector<std::uint8_t> blocked_;     // [from * n + to]
   std::function<void()> on_transition_;
-  ChaosStats* hub_stats_ = nullptr;
+  ChaosStats* stats_ = nullptr;
 };
 
 /// Named chaos profiles for the CLI and benches. `n_sites`/`duration` scale

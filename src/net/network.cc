@@ -20,10 +20,8 @@ Network::Network(Simulator& sim, std::size_t n_sites, NetConfig config, Rng rng)
       handlers_(n_sites),
       crashed_(n_sites, false),
       partition_group_(n_sites, 0),
-      delivered_by_(n_sites, 0),
       held_by_(n_sites),
-      arrival_logs_(n_sites),
-      chaos_rows_(n_sites + 1) {
+      arrival_logs_(n_sites) {
   OTPDB_CHECK(n_sites >= 1);
   if (switched_) {
     link_free_at_.assign(n_sites, 0);
@@ -60,7 +58,7 @@ SimTime Network::send_clock() const {
   // Sharded mode: the sending shard's clock (a site shard during its phase,
   // the hub during control events). Outside any phase - e.g. a test poking
   // the network between runs - fall back to the hub clock.
-  const Simulator* active = active_shard();
+  const Simulator* active = engine_ != nullptr ? engine_->active_shard() : nullptr;
   return active ? active->now() : sim_.now();
 }
 
@@ -83,8 +81,7 @@ void Network::dispatch(SiteId to, const Message& msg) {
 void Network::begin_site_window(SiteId32 site, Simulator& shard) {
   // Drain the read-parity side of this receiver's staging cells, in
   // canonical sender order; within a cell in staging order (the sender's own
-  // event order). Both are worker-count independent, so the receiver's
-  // event-seq assignment is too.
+  // event order).
   const unsigned read = write_parity_ ^ 1u;
   for (SiteId from = 0; from < site_count_; ++from) {
     EdgeCell& cell = staged_[from * site_count_ + site];
@@ -100,9 +97,9 @@ void Network::begin_site_window(SiteId32 site, Simulator& shard) {
 }
 
 SimTime Network::earliest_staged(SiteId32 site) {
-  // Called by the coordinator between phases, when write-parity cells are
-  // empty by construction (they were last round's read side and have been
-  // drained) - only the read side can hold undrained deliveries.
+  // Called between rounds, when write-parity cells are empty by construction
+  // (they were last round's read side and have been drained) - only the read
+  // side can hold undrained deliveries.
   const unsigned read = write_parity_ ^ 1u;
   SimTime earliest = kSimTimeMax;
   for (SiteId from = 0; from < site_count_; ++from) {
@@ -122,9 +119,9 @@ void Network::send(MsgId id, SiteId to, Channel channel, PayloadPtr payload) {
   // The frame reaches the wire when its link frees up - the shared bus, or
   // the sender's own NIC on a switched topology - and every receiver's delay
   // is measured from that point. On a switched topology all state touched
-  // here (link clock, per-edge rng rows, staging cells of row `from`) is
-  // owned by the sending shard, which is what makes inline processing on
-  // that shard race-free.
+  // here (link clock, per-edge rng rows, staging cells of row `from`)
+  // belongs to the sender, which is what lets the sending shard process it
+  // inline.
   const SimTime at = send_clock();
   SimTime& link = switched_ ? link_free_at_[from] : bus_free_at_;
   const SimTime wire_at = std::max(at, link);
@@ -142,10 +139,10 @@ void Network::send(MsgId id, SiteId to, Channel channel, PayloadPtr payload) {
     // channel stays reliable (paper model) but late arrivals perturb order.
     while (rng.bernoulli(config_.loss_prob)) delay += config_.retransmit_timeout;
     if (chaos_ != nullptr && r != from) {
-      // The chaos stream and stats row of a switched send are sender-owned,
-      // like the link clock above.
+      // A switched send draws from its edge's chaos stream, like the jitter
+      // draws above.
       Rng& chaos_rng = switched_ ? chaos_edge_rng(from, r) : chaos_rng_;
-      const auto p = chaos_->perturb(from, r, at, chaos_rng, chaos_row(from));
+      const auto p = chaos_->perturb(from, r, at, chaos_rng, chaos_stats_);
       delay += p.extra;
       if (p.duplicate) route(from, r, msg, at + delay + p.duplicate_extra);
     }
@@ -154,12 +151,12 @@ void Network::send(MsgId id, SiteId to, Channel channel, PayloadPtr payload) {
 }
 
 void Network::route(SiteId from, SiteId to, Message msg, SimTime fire_at) {
-  Simulator* active = active_shard();
-  const bool site_phase = engine_ != nullptr && active != nullptr && active != &sim_;
+  const Simulator* active = engine_ != nullptr ? engine_->active_shard() : nullptr;
+  const bool site_phase = active != nullptr && active != &sim_;
   if (site_phase && to != from) {
     // Cross-site delivery from a site phase: stage it on the write-parity
-    // side of the edge cell; the barrier flips parity and the receiver's
-    // worker drains it at its next phase start. The engine's per-edge bound
+    // side of the edge cell; the end of the round flips parity and the
+    // receiver drains it at its next phase start. The engine's per-edge bound
     // guarantees fire_at is never behind the receiver's clock by then.
     EdgeCell& cell = staged_[from * site_count_ + to];
     auto& buf = cell.buf[write_parity_];
@@ -169,7 +166,7 @@ void Network::route(SiteId from, SiteId to, Message msg, SimTime fire_at) {
   }
   // Self-deliveries (multicast loopback) land inline on the sending shard;
   // hub control events, the idle engine, and classic mode schedule directly
-  // on the receiver (single-threaded in all three cases).
+  // on the receiver.
   schedule_delivery(to, std::move(msg), fire_at);
 }
 
@@ -186,19 +183,17 @@ void Network::receive(SiteId to, Message msg) {
   // partition merely delays it - channels stay reliable ("a message sent by
   // Ni to Nj is eventually received"), so the message is parked until the
   // partition heals or an endpoint crashes. Crash/partition state only
-  // mutates in hub phases (or between runs), which the engine barrier orders
-  // against every site phase.
+  // mutates in hub phases (or between runs).
   if (crashed_[to] || crashed_[msg.from]) return;
-  if (partition_group_[msg.from] != partition_group_[to] ||
-      chaos_blocked(msg.from, to, chaos_row(to))) {
+  if (partition_group_[msg.from] != partition_group_[to] || chaos_blocked(msg.from, to)) {
     held_by_[to].push_back(std::move(msg));  // parked until the block lifts
     return;
   }
-  if (duplicate_suppressed(to, msg, chaos_row(to))) return;
+  if (duplicate_suppressed(to, msg)) return;
   if (recorded_channel_ && msg.channel == *recorded_channel_) {
     arrival_logs_[to].push_back(msg.id);
   }
-  ++delivered_by_[to];
+  ++delivered_;
   dispatch(to, msg);
 }
 
@@ -246,9 +241,8 @@ void Network::release_unblocked() {
   // Reliable channels: everything parked during a split (or a chaos block)
   // flows once every block on its edge has lifted, with a fresh receiver
   // delay per message (modelling post-heal retransmission); still-blocked
-  // messages stay parked for the next transition. Canonical replay order:
-  // receiver, then park order - worker-count independent (cells are parked
-  // by deterministic receiver-shard replays).
+  // messages stay parked for the next transition. Replay order: receiver,
+  // then park order.
   for (SiteId to = 0; to < site_count_; ++to) {
     if (held_by_[to].empty()) continue;
     std::vector<Message> held = std::move(held_by_[to]);
@@ -260,7 +254,7 @@ void Network::release_unblocked() {
         held_by_[to].push_back(std::move(msg));
         continue;
       }
-      if (chaos_ != nullptr) ++chaos_hub_row().parked_released;
+      if (chaos_ != nullptr) ++chaos_stats_.parked_released;
       Rng& rng = switched_ ? edge_rng(from, to) : rng_;
       const SimTime fire = sim_.now() + config_.retransmit_timeout +
                            sample_receiver_delay(rng, topo_.edge(from, to));
@@ -285,20 +279,14 @@ void Network::arm_chaos(const ChaosConfig& config, Rng chaos_rng) {
   if (config.plan.empty()) return;
   chaos_ = std::make_unique<ChaosRuntime>(config.plan, site_count_);
   if (switched_) {
-    // One chaos stream per edge, mirroring edge_rngs_: sender-owned rows, so
-    // switched sharded sends can draw race-free on the sending shard.
+    // One chaos stream per edge, mirroring edge_rngs_: a switched send draws
+    // only from its own edge's streams.
     chaos_edge_rngs_.reserve(site_count_ * site_count_);
     for (std::size_t e = 0; e < site_count_ * site_count_; ++e) {
       chaos_edge_rngs_.push_back(chaos_rng_.split());
     }
   }
-  chaos_->arm(sim_, [this] { release_unblocked(); }, chaos_hub_row());
-}
-
-ChaosStats Network::chaos_stats() const {
-  ChaosStats total;
-  for (const ChaosStats& row : chaos_rows_) total.merge(row);
-  return total;
+  chaos_->arm(sim_, [this] { release_unblocked(); }, chaos_stats_);
 }
 
 void Network::record_arrivals(Channel channel) { recorded_channel_ = channel; }

@@ -39,19 +39,16 @@
 //    no global bus order exists to wait for). Self-deliveries are scheduled
 //    immediately on the sending shard; cross-site deliveries land in per-edge
 //    staging cells, double-buffered by round parity, and are drained into
-//    the receiver's queue in canonical sender order by the receiver's own
-//    worker at its next phase start. Fault checks run at delivery time on the
-//    receiver's shard.
+//    the receiver's queue in canonical sender order at the receiver's next
+//    site phase. Fault checks run at delivery time on the receiver's shard.
 //
 // Sharded-mode fault model: crash/partition state is only mutated by hub
 // control events (or between runs), while site phases read it. Sends are
 // checked inline and deliveries at fire time, so a transition applies from
 // each site's *next* round: transitions quantize to round boundaries, at
 // most one incoming lookahead away from their classic-mode effect - a
-// deliberate, deterministic divergence from the classic loop, on top of the
-// same-timestamp cross-shard tie-break difference documented in
-// sim/sharded_engine.h; histories remain bit-for-bit identical across
-// sharded thread counts.
+// deliberate, deterministic divergence from the classic loop. Fault-free
+// sharded runs are bit-identical to the classic loop.
 #pragma once
 
 #include <cstdint>
@@ -170,16 +167,11 @@ class Network final : public SharedMedium {
   /// nothing from the chaos streams and is bit-identical to pre-chaos builds.
   void arm_chaos(const ChaosConfig& config, Rng chaos_rng);
   bool chaos_armed() const { return chaos_ != nullptr || dedup_; }
-  /// Aggregated chaos counters (sums the per-shard rows; call between runs
-  /// or after quiesce, not mid-phase).
-  ChaosStats chaos_stats() const;
+  /// Chaos counters (all zero unless a plan is armed).
+  const ChaosStats& chaos_stats() const { return chaos_stats_; }
 
   /// Total messages delivered (for bench counters).
-  std::uint64_t delivered_count() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t d : delivered_by_) n += d;
-    return n;
-  }
+  std::uint64_t delivered_count() const { return delivered_; }
 
   /// Arrival-order recording used by the Figure 1 experiment: when enabled,
   /// every delivery on `channel` is appended to the per-site arrival log.
@@ -209,25 +201,21 @@ class Network final : public SharedMedium {
   /// stay parked. Hub control event (heal_partition, chaos transitions).
   void release_unblocked();
   /// True (and counted) when the chaos plane blocks this edge right now.
-  bool chaos_blocked(SiteId from, SiteId to, ChaosStats& row) {
+  bool chaos_blocked(SiteId from, SiteId to) {
     if (chaos_ == nullptr || !chaos_->blocked(from, to)) return false;
-    ++row.deliveries_parked;
+    ++chaos_stats_.deliveries_parked;
     return true;
   }
   /// Dedup filter: true when this (channel, MsgId) was already delivered to
   /// `to` and the re-delivery must be suppressed. No-op unless dedup is armed.
-  bool duplicate_suppressed(SiteId to, const Message& msg, ChaosStats& row) {
+  bool duplicate_suppressed(SiteId to, const Message& msg) {
     if (!dedup_) return false;
     auto& seen = seen_[to];
     if (seen.size() <= msg.channel) seen.resize(msg.channel + 1);
     if (seen[msg.channel].insert(msg.id).second) return false;
-    ++row.duplicates_suppressed;
+    ++chaos_stats_.duplicates_suppressed;
     return true;
   }
-  // Chaos stats rows: [0, n) owned by the matching site shard (send draws by
-  // sender, delivery checks by receiver), [n] by the hub (control events).
-  ChaosStats& chaos_row(SiteId site) { return chaos_rows_[site]; }
-  ChaosStats& chaos_hub_row() { return chaos_rows_[site_count_]; }
   Rng& chaos_edge_rng(SiteId from, SiteId to) {
     return chaos_edge_rngs_[from * site_count_ + to];
   }
@@ -251,7 +239,7 @@ class Network final : public SharedMedium {
   SimTime bus_free_at_ = 0;                             // shared-bus serialization
   std::vector<SimTime> link_free_at_;                   // switched: per sender NIC
   std::vector<Rng> edge_rngs_;                          // switched: [from*n+to]
-  std::vector<std::uint64_t> delivered_by_;             // per receiver
+  std::uint64_t delivered_ = 0;
   std::vector<std::vector<Message>> held_by_;     // per receiver, parked by a partition
   std::optional<Channel> recorded_channel_;
   std::vector<std::vector<MsgId>> arrival_logs_;
@@ -260,16 +248,16 @@ class Network final : public SharedMedium {
   // split lazily there, so chaos-off runs never perturb the base streams).
   std::unique_ptr<ChaosRuntime> chaos_;
   Rng chaos_rng_{0};                     // shared bus: the one draw stream
-  std::vector<Rng> chaos_edge_rngs_;     // switched: [from*n+to], sender-owned
+  std::vector<Rng> chaos_edge_rngs_;     // switched: [from*n+to]
   bool dedup_ = false;
   std::vector<std::vector<std::unordered_set<MsgId>>> seen_;  // [receiver][channel]
-  std::vector<ChaosStats> chaos_rows_;   // [site 0..n-1, hub]; see chaos_row()
+  ChaosStats chaos_stats_;
 
   // Sharded-mode staging: per-edge cells, double-buffered by round parity.
   // buf[write_parity_] is appended by the sending shard during its phase;
-  // buf[write_parity_ ^ 1] (flipped at the barrier) is drained by the
-  // receiving shard at its next phase start. A cell is thus touched by at
-  // most one thread per phase, with the engine barrier ordering rounds.
+  // buf[write_parity_ ^ 1] (flipped at the end of the round) is drained by
+  // the receiving shard at its next phase start. A delivery staged in one
+  // round therefore enters the receiver's queue in the next.
   struct StagedDelivery {
     SimTime at = 0;
     Message msg;

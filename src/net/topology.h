@@ -17,7 +17,8 @@
 //    serializes frames on its own NIC and every (from, to) edge owns an
 //    independent rng stream, so send processing depends only on sender-local
 //    state. That is what lets the sharded engine process sends inline on the
-//    sending shard and run per-edge channel clocks (sim/sharded_engine.h).
+//    sending site's shard and run per-edge channel clocks
+//    (sim/sharded_engine.h).
 //
 // Every built-in profile declares a symmetric matrix (edge(r,s) == edge(s,r));
 // tests/net_test.cc asserts it. Lookahead contract: the conservative per-edge

@@ -8,17 +8,9 @@ namespace otpdb {
 
 namespace {
 
-thread_local Simulator* tls_active_shard = nullptr;
-
-inline void cpu_pause() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#endif
-}
-
 /// The autotuner's target band of events per active shard per round: below
-/// it barriers dominate the work (the cap doubles), above it the load within
-/// a round is imbalanced (the cap halves).
+/// it the per-round bookkeeping dominates the work (the cap doubles), above
+/// it the cap halves.
 constexpr std::uint64_t kTargetEventsLo = 16;
 constexpr std::uint64_t kTargetEventsHi = 256;
 
@@ -29,27 +21,10 @@ inline SimTime sat_add(SimTime a, SimTime b) {
 
 }  // namespace
 
-Simulator* active_shard() { return tls_active_shard; }
-void set_active_shard(Simulator* sim) { tls_active_shard = sim; }
-
-ShardedEngine::ShardedEngine(std::size_t n_sites, unsigned threads) {
+ShardedEngine::ShardedEngine(std::size_t n_sites) {
   OTPDB_CHECK(n_sites >= 1);
   sites_.reserve(n_sites);
   for (std::size_t s = 0; s < n_sites; ++s) sites_.push_back(std::make_unique<Simulator>());
-  // More participants than sites would only spin; participant 0 is the
-  // coordinating thread, the rest are spawned workers.
-  n_workers_ = static_cast<unsigned>(std::min<std::size_t>(std::max(1u, threads), n_sites));
-  threads_.reserve(n_workers_ - 1);
-  for (unsigned w = 1; w < n_workers_; ++w) {
-    threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-}
-
-ShardedEngine::~ShardedEngine() {
-  stop_.store(true, std::memory_order_release);
-  epoch_.fetch_add(1, std::memory_order_release);  // wake spinners
-  epoch_.notify_all();
-  for (auto& t : threads_) t.join();
 }
 
 void ShardedEngine::attach_medium(SharedMedium* medium) {
@@ -118,60 +93,6 @@ void ShardedEngine::attach_medium(SharedMedium* medium) {
   window_ = 4 * min_lookahead;
 }
 
-void ShardedEngine::run_owned_sites(unsigned worker) {
-  for (std::size_t s = worker; s < sites_.size(); s += n_workers_) {
-    Simulator& shard = *sites_[s];
-    set_active_shard(&shard);
-    medium_->begin_site_window(static_cast<SiteId32>(s), shard);
-    shard.run_until(bounds_[s]);
-  }
-  set_active_shard(nullptr);
-}
-
-void ShardedEngine::worker_loop(unsigned worker) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Spin briefly (the coordinator releases the next phase microseconds
-    // later on a healthy multi-core host), then park on the futex: an
-    // oversubscribed or single-core host must not burn the very core the
-    // coordinator needs.
-    std::uint64_t cur;
-    int spins = 0;
-    while ((cur = epoch_.load(std::memory_order_acquire)) == seen) {
-      if (++spins < 256) {
-        cpu_pause();
-      } else {
-        epoch_.wait(seen, std::memory_order_acquire);
-      }
-    }
-    seen = cur;
-    if (stop_.load(std::memory_order_acquire)) return;
-    run_owned_sites(worker);
-    arrived_.fetch_add(1, std::memory_order_release);
-    arrived_.notify_all();
-  }
-}
-
-void ShardedEngine::run_site_phase() {
-  if (!threads_.empty()) {
-    arrived_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);  // publishes bounds_
-    epoch_.notify_all();
-    run_owned_sites(0);
-    unsigned arrived;
-    int spins = 0;
-    while ((arrived = arrived_.load(std::memory_order_acquire)) != n_workers_ - 1) {
-      if (++spins < 256) {
-        cpu_pause();
-      } else {
-        arrived_.wait(arrived, std::memory_order_acquire);
-      }
-    }
-  } else {
-    run_owned_sites(0);
-  }
-}
-
 void ShardedEngine::run_until(SimTime deadline) {
   OTPDB_CHECK_MSG(medium_ != nullptr, "attach_medium before running the sharded engine");
   const std::size_t n = sites_.size();
@@ -200,7 +121,7 @@ void ShardedEngine::run_until(SimTime deadline) {
     // hub (control events may send on any edge and mutate network-wide
     // fault state).
     SimTime hub_end = deadline;
-    unsigned active = 0;
+    unsigned active_sites = 0;
     for (std::size_t s = 0; s < n; ++s) {
       SimTime bound = deadline;
       const SimTime* d_in = dist_.data() + s;  // column s, stride n
@@ -209,7 +130,7 @@ void ShardedEngine::run_until(SimTime deadline) {
       }
       bound = std::min(bound, sat_add(hub_eot, hub_dist_[s]));
       if (eot_[s] <= bound) {
-        ++active;
+        ++active_sites;
         // The autotuned cap limits per-round work, measured from the first
         // event this site will actually run.
         bound = std::min(bound, sat_add(eot_[s], window_));
@@ -217,26 +138,31 @@ void ShardedEngine::run_until(SimTime deadline) {
       bounds_[s] = bound;
       hub_end = std::min(hub_end, bound);
     }
-    stats_.site_activations += active;
+    stats_.site_activations += active_sites;
 
-    // 1. Hub phase (serial, sites idle): control events run to the slowest
-    // site bound; their sends schedule directly onto the site shards.
-    set_active_shard(&hub_);
+    // 1. Hub phase: control events run to the slowest site bound; their
+    // sends schedule directly onto the site shards.
+    active_ = &hub_;
     hub_.run_until(hub_end);
-    set_active_shard(nullptr);
 
-    // 2. Site phase: each shard drains its staged deliveries (canonical
-    // sender order) and runs to its own bound; sends process inline on the
-    // sending shard and stage cross-site deliveries per edge.
+    // 2. Site phase, in site order: each shard drains its staged deliveries
+    // (canonical sender order) and runs to its own bound; sends process
+    // inline on the sending shard and stage cross-site deliveries per edge.
     const std::uint64_t before = executed();
-    run_site_phase();
+    for (std::size_t s = 0; s < n; ++s) {
+      active_ = sites_[s].get();
+      medium_->begin_site_window(static_cast<SiteId32>(s), *active_);
+      active_->run_until(bounds_[s]);
+    }
+    active_ = nullptr;
 
-    // 3. Barrier: flip staging parity.
+    // 3. Flip staging parity: this round's cells become the next round's
+    // read side.
     medium_->end_round();
     ++stats_.rounds;
 
-    if (active > 0) {
-      const std::uint64_t per_site = (executed() - before) / active;
+    if (active_sites > 0) {
+      const std::uint64_t per_site = (executed() - before) / active_sites;
       if (per_site > kTargetEventsHi && window_ > window_min_) {
         window_ = std::max(window_min_, window_ / 2);
       } else if (per_site < kTargetEventsLo && window_ < window_max_) {

@@ -1,12 +1,13 @@
 // Site-sharded discrete-event engine with per-edge channel clocks.
 //
-// The classic driver runs an entire cluster through one Simulator queue, so
-// adding sites makes runs slower even though sites only interact through a
+// The classic driver runs an entire cluster through one Simulator queue.
+// This engine instead gives each site a private Simulator (shard) and the
+// network model another (the hub), and advances time in rounds of
+// [hub phase -> site phase -> staging flip]. Sites only interact through a
 // network whose every delivery is delayed by at least a per-edge lookahead
-// floor. This engine exploits that floor conservatively (Chandy/Misra/Bryant
-// style): each site owns a private Simulator (shard), the network model owns
-// another (the hub), and time advances in rounds of
-// [hub phase -> parallel site phase -> barrier].
+// floor, and the engine exploits that floor conservatively
+// (Chandy/Misra/Bryant style). Everything runs on the calling thread: the
+// site phase runs the sites one after another in site order.
 //
 // Only a switched medium (per-sender links, per-edge jitter streams: the
 // metro, wan and geo-3dc topology profiles) can drive it: there a send
@@ -25,10 +26,12 @@
 // unsound: with every peer idle it lets a site run arbitrarily far ahead,
 // wake a neighbor, and receive the reply in its own past. Sends are processed
 // inline on the *sending* shard; cross-site deliveries land in per-edge
-// staging cells and are drained into the receiver's queue by the receiver's
-// own worker at the start of its next phase, so the fan-out never serializes
-// on one thread. On topologies with heterogeneous lookahead (wan, geo-3dc)
-// nearby sites synchronize on their short edges while distant ones coast.
+// staging cells, double-buffered by round parity, and are drained into the
+// receiver's queue at the start of the receiver's next site phase. The
+// double buffer thus decides which round a cross-site delivery enters the
+// receiver's queue in, and so how it is ordered against same-instant events
+// there. On topologies with heterogeneous lookahead (wan, geo-3dc) nearby
+// sites synchronize on their short edges while distant ones coast.
 //
 // The hub shard never receives messages; it only runs control events (chaos
 // injection, Cluster::sim() submissions). Its earliest pending event still
@@ -39,28 +42,24 @@
 // at W, adjusted each round from observed events per active shard with a
 // hysteresis band of 16-256 events - halved above the band, doubled below
 // it, clamped to [min edge lookahead, max(64 x min, max edge lookahead)],
-// starting at 4 x min. Event counts are thread-count independent, so the W
-// trajectory is too.
+// starting at 4 x min.
 //
 // Determinism: each shard fires its events in the local (timestamp,
-// schedule-order) rule of the plain Simulator, and every cross-shard
-// insertion happens either in a serial phase or in a canonical drain order
-// independent of the worker count. Hence runs are bit-for-bit identical for
-// any thread count, including the degenerate single-worker sharded run - the
-// parity suite (tests/parallel_parity_test.cc) asserts exactly that for every
-// switched profile, under TSan.
+// schedule-order) rule of the plain Simulator, and staged deliveries enter a
+// receiver's queue in a canonical (sender, staging) order. On fault-free runs
+// the result is bit-identical to the classic loop - histories, stores,
+// counters and event counts; tests/parallel_parity_test.cc pins that on every
+// switched profile and workload mix. Crash, partition and chaos-block
+// transitions are hub control events, so they take effect at round
+// boundaries (net/network.h): such runs are deterministic and repeat bit for
+// bit, but differ slightly from the classic loop's.
 //
-// Note the global tie-break differs from the classic single-queue loop: two
-// events at the same timestamp on *different* shards no longer have a global
-// schedule order (that is precisely what buys the parallelism), so sharded
-// histories are deterministic but not bitwise equal to single-queue
-// histories. ClusterConfig keeps the classic loop as the threads=1 default.
+// The engine stays because the benchmark's rmw-wan workload selects it
+// (ParallelismConfig::force_sharded) and reports its EngineStats.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -83,8 +82,8 @@ class SharedMedium {
   /// be >= 1ns.
   virtual SimTime lookahead(SiteId32 from, SiteId32 to) const = 0;
 
-  /// Site-phase entry, on the shard's worker thread: drain the site's staged
-  /// per-edge cells into its queue in canonical sender order.
+  /// Site-phase entry: drain the site's staged per-edge cells into its queue
+  /// in canonical sender order.
   virtual void begin_site_window(SiteId32 site, Simulator& shard) = 0;
 
   /// Earliest staged-but-undrained delivery for `site` (kSimTimeMax if none):
@@ -92,34 +91,23 @@ class SharedMedium {
   /// must account for. Called by the coordinator between phases.
   virtual SimTime earliest_staged(SiteId32 site) = 0;
 
-  /// Round barrier notification: flip staging parity so cells written this
+  /// End-of-round notification: flip staging parity so cells written this
   /// round become next round's read side.
   virtual void end_round() = 0;
 };
 
-/// The Simulator currently running on this thread, or nullptr outside a
-/// shard phase. The network model reads it to timestamp sends with the
-/// sending shard's clock (control events run on the hub clock, site events
-/// on their site's clock).
-Simulator* active_shard();
-void set_active_shard(Simulator* sim);
-
 /// Synchronization counters.
 struct EngineStats {
-  /// Barrier-separated rounds executed: each is one full-stop synchronization
-  /// of all workers.
+  /// Rounds executed: each is one hub phase and one pass over the sites.
   std::uint64_t rounds = 0;
-  /// (site, round) pairs that had events to run - the parallel work actually
-  /// dispatched. rounds * site_count - site_activations phases were skipped.
+  /// (site, round) pairs that had events to run. rounds * site_count -
+  /// site_activations site phases had nothing to do.
   std::uint64_t site_activations = 0;
 };
 
 class ShardedEngine {
  public:
-  /// `threads` worker participants (clamped to [1, n_sites]); the calling
-  /// thread is one of them.
-  ShardedEngine(std::size_t n_sites, unsigned threads);
-  ~ShardedEngine();
+  explicit ShardedEngine(std::size_t n_sites);
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
@@ -130,6 +118,10 @@ class ShardedEngine {
   Simulator& hub() { return hub_; }
   Simulator& site(SiteId32 s) { return *sites_[s]; }
   std::size_t site_count() const { return sites_.size(); }
+  /// The shard whose events are running, or nullptr outside a phase. The
+  /// network model reads it to timestamp sends with the sending shard's clock
+  /// (control events run on the hub clock, site events on their site's).
+  Simulator* active_shard() const { return active_; }
 
   /// Hub time == the last deadline reached (all shards agree on it between
   /// runs; within a run, shard clocks diverge by design).
@@ -145,12 +137,6 @@ class ShardedEngine {
   const EngineStats& stats() const { return stats_; }
 
  private:
-  void worker_loop(unsigned worker);
-  void run_owned_sites(unsigned worker);
-  /// Releases the workers on the published bounds_, runs participant 0's
-  /// share, and waits for everyone (the round's site phase).
-  void run_site_phase();
-
   Simulator hub_;
   std::vector<std::unique_ptr<Simulator>> sites_;
   SharedMedium* medium_ = nullptr;
@@ -166,15 +152,8 @@ class ShardedEngine {
 
   EngineStats stats_;
 
-  // Workers are participants 1..n_workers_-1; the coordinating thread is
-  // participant 0 and runs its share of sites between releasing the workers
-  // and waiting for them. Sites are owned round-robin by participant index.
-  unsigned n_workers_ = 1;
-  std::vector<std::thread> threads_;
-  std::atomic<std::uint64_t> epoch_{0};   // bumped to release a site phase
-  std::atomic<unsigned> arrived_{0};      // workers done with the current phase
-  std::atomic<bool> stop_{false};
-  // Per-site run bounds, published before the epoch bump (release order).
+  Simulator* active_ = nullptr;
+  // Per-site run bounds of the current round.
   std::vector<SimTime> bounds_;
   // Scratch for the round computation (EOT per shard).
   std::vector<SimTime> eot_;

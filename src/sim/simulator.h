@@ -37,11 +37,10 @@ struct EventId {
 
 /// Single-threaded discrete-event engine.
 ///
-/// One Simulator instance is only ever driven by one thread at a time. The
-/// sharded cluster engine (sim/sharded_engine.h) runs one Simulator per site
-/// plus one for the network hub and hands them to worker threads in
-/// barrier-separated phases; all cross-shard traffic goes through the
-/// SharedMedium staging cells, never through another shard's queue.
+/// The sharded cluster engine (sim/sharded_engine.h) runs one Simulator per
+/// site plus one for the network hub and advances them in rounds; a message
+/// a site sends to another during its phase goes through the SharedMedium
+/// staging cells, never directly into the receiver's queue.
 class Simulator {
  public:
   /// Inline-only callback: captures must fit InlineAction::kCapacity (a

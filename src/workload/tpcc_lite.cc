@@ -125,8 +125,7 @@ TpccDriver::TpccDriver(Cluster& cluster, Layout layout, MixConfig config, std::u
     : cluster_(cluster),
       layout_(layout),
       config_(config),
-      client_(cluster, site_rngs_, config.max_retries),
-      site_stats_(cluster.site_count()) {
+      client_(cluster, site_rngs_, config.max_retries) {
   Rng master(seed);
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
 }
@@ -141,19 +140,15 @@ void TpccDriver::start() {
 }
 
 MixStats TpccDriver::stats() const {
-  MixStats merged;
-  for (SiteId s = 0; s < site_stats_.size(); ++s) {
-    merged += site_stats_[s];
-    merged.retries += client_.counters(s).retries;
-    merged.gave_up += client_.counters(s).gave_up;
-    merged.expired_presubmit += client_.counters(s).expired_presubmit;
-  }
-  return merged;
+  MixStats out = stats_;
+  out.retries = client_.counters().retries;
+  out.gave_up = client_.counters().gave_up;
+  out.expired_presubmit = client_.counters().expired_presubmit;
+  return out;
 }
 
 void TpccDriver::schedule_next(SiteId site, SimTime horizon) {
-  // On the site's own shard: the submission event mutates only site-local
-  // state (replica, rng, per-site stats), so shards stay independent.
+  // On the site's own shard, timed by the site's own rng stream.
   Simulator& sim = cluster_.site_sim(site);
   const double gap_ns = static_cast<double>(kSecond) / config_.txn_per_second_per_site;
   const SimTime at = sim.now() +
@@ -167,7 +162,6 @@ void TpccDriver::schedule_next(SiteId site, SimTime horizon) {
 
 void TpccDriver::submit_one(SiteId site) {
   Rng& rng = site_rngs_[site];
-  MixStats& stats = site_stats_[site];
   const auto& catalog = cluster_.catalog();
   const auto warehouse = static_cast<ClassId>(
       rng.zipf(static_cast<std::uint64_t>(catalog.class_count()),
@@ -212,10 +206,10 @@ void TpccDriver::submit_one(SiteId site) {
       args.ints.push_back(rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_items) - 1));
       args.ints.push_back(rng.uniform_int(1, 5));  // quantity
     }
-    ++stats.new_orders;
+    ++stats_.new_orders;
     pending.args = std::move(args);
     if (remote) {
-      ++stats.remote_new_orders;
+      ++stats_.remote_new_orders;
       pending.cross = true;
       pending.proc = procs_.new_order_remote;
       pending.classes = {warehouse, supply};
@@ -229,13 +223,13 @@ void TpccDriver::submit_one(SiteId site) {
     const std::int64_t amount = rng.uniform_int(1, 100);
     const std::int64_t customer =
         rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_customers) - 1);
-    ++stats.payments;
-    stats.payment_volume += amount;
+    ++stats_.payments;
+    stats_.payment_volume += amount;
     if (remote) {
       const ClassId customer_w = pick_remote_warehouse();
       args.ints = {static_cast<std::int64_t>(warehouse),
                    static_cast<std::int64_t>(customer_w), customer, amount};
-      ++stats.remote_payments;
+      ++stats_.remote_payments;
       pending.cross = true;
       pending.proc = procs_.payment_remote;
       pending.classes = {warehouse, customer_w};
@@ -249,7 +243,7 @@ void TpccDriver::submit_one(SiteId site) {
   } else if (dice < del_w) {
     TxnArgs args;
     args.ints = {rng.uniform_int(0, static_cast<std::int64_t>(layout_.n_districts) - 1)};
-    ++stats.deliveries;
+    ++stats_.deliveries;
     pending.proc = procs_.delivery;
     pending.klass = warehouse;
     pending.args = std::move(args);
@@ -259,7 +253,7 @@ void TpccDriver::submit_one(SiteId site) {
     const Layout layout = layout_;
     const SimTime query_exec = static_cast<SimTime>(
         rng.exponential(static_cast<double>(config_.mean_query_exec_time)));
-    ++stats.stock_level_queries;
+    ++stats_.stock_level_queries;
     cluster_.replica(site).submit_query(
         [&catalog, layout, warehouse](QueryContext& ctx) {
           int low = 0;
@@ -284,8 +278,7 @@ std::vector<std::string> TpccDriver::audit(SiteId site) {
   // remote transactions money conservation only holds summed over all
   // warehouses; an all-local mix must balance per warehouse (the stricter
   // original audit).
-  const MixStats merged = stats();
-  const bool per_warehouse_money = merged.remote_new_orders + merged.remote_payments == 0;
+  const bool per_warehouse_money = stats_.remote_new_orders + stats_.remote_payments == 0;
   std::int64_t global_sold = 0, global_balances = 0, global_ytd = 0;
   for (ClassId w = 0; w < catalog.class_count(); ++w) {
     auto value_of = [&](std::uint64_t offset) {

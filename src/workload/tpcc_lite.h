@@ -112,22 +112,6 @@ struct MixStats {
   std::uint64_t retries = 0;            ///< re-submissions after shed/backpressure
   std::uint64_t gave_up = 0;            ///< updates abandoned after max_retries
   std::uint64_t expired_presubmit = 0;  ///< deadline passed before admission
-
-  /// Merge (for per-site -> cluster aggregation). Extend together with the
-  /// fields above, or merged stats silently drop the new counter.
-  MixStats& operator+=(const MixStats& o) {
-    new_orders += o.new_orders;
-    payments += o.payments;
-    deliveries += o.deliveries;
-    stock_level_queries += o.stock_level_queries;
-    remote_new_orders += o.remote_new_orders;
-    remote_payments += o.remote_payments;
-    payment_volume += o.payment_volume;
-    retries += o.retries;
-    gave_up += o.gave_up;
-    expired_presubmit += o.expired_presubmit;
-    return *this;
-  }
 };
 
 /// Drives the TPC-C-lite mix against a cluster (any engine).
@@ -136,11 +120,11 @@ class TpccDriver {
   TpccDriver(Cluster& cluster, Layout layout, MixConfig config, std::uint64_t seed);
 
   /// Registers procedures, loads initial state, schedules the client
-  /// streams - each site's stream on its own shard (Cluster::site_sim), so
-  /// generation parallelizes with the sharded engine.
+  /// streams - each site's stream on its own shard (Cluster::site_sim) and
+  /// with its own rng stream.
   void start();
 
-  /// Merged counters across the per-site client streams.
+  /// Counters across all sites' client streams.
   MixStats stats() const;
   const Procedures& procedures() const { return procs_; }
   const Layout& layout() const { return layout_; }
@@ -161,7 +145,7 @@ class TpccDriver {
   // nothing - the audit only counts *admitted* work.
   RetryingClient client_;  // after site_rngs_, which it draws jitter from
   Procedures procs_;
-  std::vector<MixStats> site_stats_;  // shard-confined, merged by stats()
+  MixStats stats_;  // the retry counters live in client_
   bool started_ = false;
 };
 

@@ -22,21 +22,20 @@ void RetryingClient::submit(SiteId site, PendingUpdate pending) {
                                                   pending.exec_duration, pending.deadline)
                     : replica.submit_update(pending.proc, pending.klass, pending.args,
                                             pending.exec_duration, pending.deadline);
-  RetryCounters& counters = counters_[site];
   switch (result) {
     case SubmitResult::admitted:
       return;
     case SubmitResult::expired:
       // Deadline budget ran out while the client was backing off (or the
       // site's queue never cleared in time). Nothing more to do.
-      ++counters.expired_presubmit;
+      ++counters_.expired_presubmit;
       return;
     case SubmitResult::shed:
     case SubmitResult::backpressure:
       break;  // retryable refusals
   }
   if (pending.attempts >= max_retries_) {
-    ++counters.gave_up;
+    ++counters_.gave_up;
     return;
   }
   const std::size_t shift = std::min<std::size_t>(pending.attempts, 20);
@@ -45,7 +44,7 @@ void RetryingClient::submit(SiteId site, PendingUpdate pending) {
       static_cast<SimTime>(
           site_rngs_[site].uniform_int(0, static_cast<std::int64_t>(kBackoffJitter)));
   ++pending.attempts;
-  ++counters.retries;
+  ++counters_.retries;
   // Boxed: the event capture must stay within InlineAction::kCapacity, and a
   // PendingUpdate (two vectors + scalars) does not.
   cluster_.site_sim(site).schedule_after(
@@ -82,10 +81,7 @@ ProcId register_rmw_cross_procedure(ProcedureRegistry& registry) {
 WorkloadDriver::WorkloadDriver(Cluster& cluster, WorkloadConfig config, std::uint64_t seed)
     : cluster_(cluster),
       config_(config),
-      client_(cluster, site_rngs_, config.max_retries),
-      updates_submitted_(cluster.site_count(), 0),
-      cross_class_submitted_(cluster.site_count(), 0),
-      queries_submitted_(cluster.site_count(), 0) {
+      client_(cluster, site_rngs_, config.max_retries) {
   Rng master(seed);
   site_rngs_.reserve(cluster.site_count());
   for (std::size_t s = 0; s < cluster.site_count(); ++s) site_rngs_.push_back(master.split());
@@ -108,8 +104,7 @@ SimTime WorkloadDriver::next_gap(Rng& rng) const {
 }
 
 void WorkloadDriver::schedule_next(SiteId site, SimTime horizon) {
-  // On the site's own shard: the submission event mutates only site-local
-  // state (replica, rng, counters), so shards stay independent.
+  // On the site's own shard, timed by the site's own rng stream.
   Simulator& sim = cluster_.site_sim(site);
   const SimTime at = sim.now() + next_gap(site_rngs_[site]);
   if (at > horizon) return;  // submission window closed for this site
@@ -140,7 +135,7 @@ void WorkloadDriver::submit_one(SiteId site) {
                              ? static_cast<SimTime>(rng.exponential(
                                    static_cast<double>(config_.mean_query_exec_time)))
                              : config_.mean_query_exec_time;
-    ++queries_submitted_[site];
+    ++queries_submitted_;
     cluster_.replica(site).submit_query(
         [objects = std::move(objects)](QueryContext& ctx) {
           std::int64_t sum = 0;
@@ -171,7 +166,7 @@ void WorkloadDriver::submit_one(SiteId site) {
       config_.exponential_exec
           ? static_cast<SimTime>(rng.exponential(static_cast<double>(config_.mean_exec_time)))
           : config_.mean_exec_time;
-  ++updates_submitted_[site];
+  ++updates_submitted_;
   PendingUpdate pending;
   pending.proc = rmw_proc_;
   pending.klass = klass;
@@ -209,8 +204,8 @@ void WorkloadDriver::submit_cross_class(SiteId site, Rng& rng) {
       config_.exponential_exec
           ? static_cast<SimTime>(rng.exponential(static_cast<double>(config_.mean_exec_time)))
           : config_.mean_exec_time;
-  ++updates_submitted_[site];
-  ++cross_class_submitted_[site];
+  ++updates_submitted_;
+  ++cross_class_submitted_;
   PendingUpdate pending;
   pending.cross = true;
   pending.proc = rmw_cross_proc_;

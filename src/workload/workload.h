@@ -76,7 +76,7 @@ struct PendingUpdate {
   std::size_t attempts = 0;
 };
 
-/// What one site's client did about refusals.
+/// What the clients did about refusals.
 struct RetryCounters {
   std::uint64_t retries = 0;            ///< re-submissions after shed/backpressure
   std::uint64_t gave_up = 0;            ///< updates abandoned after max_retries
@@ -95,22 +95,18 @@ class RetryingClient {
   /// `site_rngs` are the driver's per-site streams (the jitter draws from
   /// them); `max_retries` = 0 gives up at the first refusal.
   RetryingClient(Cluster& cluster, std::vector<Rng>& site_rngs, std::size_t max_retries)
-      : cluster_(cluster),
-        site_rngs_(site_rngs),
-        max_retries_(max_retries),
-        counters_(cluster.site_count()) {}
+      : cluster_(cluster), site_rngs_(site_rngs), max_retries_(max_retries) {}
 
-  /// Submits `pending` at `site`, on that site's shard; retries are
-  /// scheduled there too, so all state it touches stays shard-confined.
+  /// Submits `pending` at `site`; retries are scheduled on that site's shard.
   void submit(SiteId site, PendingUpdate pending);
 
-  const RetryCounters& counters(SiteId site) const { return counters_[site]; }
+  const RetryCounters& counters() const { return counters_; }
 
  private:
   Cluster& cluster_;
   std::vector<Rng>& site_rngs_;
   std::size_t max_retries_;
-  std::vector<RetryCounters> counters_;  // per site
+  RetryCounters counters_;
 };
 
 /// Registers the standard read-modify-write stored procedure used by the
@@ -133,21 +129,19 @@ class WorkloadDriver {
   WorkloadDriver(Cluster& cluster, WorkloadConfig config, std::uint64_t seed);
 
   /// Registers the rmw procedure, loads initial object values (0) lazily via
-  /// store defaults, and schedules the per-site submission streams. Each
-  /// site's stream runs on its own shard (Cluster::site_sim), so generation
-  /// parallelizes with the sharded engine; all per-site state (rng, counters)
-  /// is shard-confined.
+  /// store defaults, and schedules the per-site submission streams, each on
+  /// its site's shard (Cluster::site_sim) and with its own rng stream.
   void start();
 
-  std::uint64_t updates_submitted() const { return sum(updates_submitted_); }
-  std::uint64_t cross_class_submitted() const { return sum(cross_class_submitted_); }
-  std::uint64_t queries_submitted() const { return sum(queries_submitted_); }
+  std::uint64_t updates_submitted() const { return updates_submitted_; }
+  std::uint64_t cross_class_submitted() const { return cross_class_submitted_; }
+  std::uint64_t queries_submitted() const { return queries_submitted_; }
   /// Re-submissions after a shed/backpressure refusal.
-  std::uint64_t retries() const { return sum(&RetryCounters::retries); }
+  std::uint64_t retries() const { return client_.counters().retries; }
   /// Updates abandoned after exhausting max_retries.
-  std::uint64_t gave_up() const { return sum(&RetryCounters::gave_up); }
+  std::uint64_t gave_up() const { return client_.counters().gave_up; }
   /// Updates whose deadline passed before an attempt was admitted.
-  std::uint64_t expired_presubmit() const { return sum(&RetryCounters::expired_presubmit); }
+  std::uint64_t expired_presubmit() const { return client_.counters().expired_presubmit; }
   ProcId rmw_proc() const { return rmw_proc_; }
   ProcId rmw_cross_proc() const { return rmw_cross_proc_; }
 
@@ -156,16 +150,6 @@ class WorkloadDriver {
   void submit_one(SiteId site);
   void submit_cross_class(SiteId site, Rng& rng);
   SimTime next_gap(Rng& rng) const;
-  static std::uint64_t sum(const std::vector<std::uint64_t>& per_site) {
-    std::uint64_t n = 0;
-    for (std::uint64_t v : per_site) n += v;
-    return n;
-  }
-  std::uint64_t sum(std::uint64_t RetryCounters::*counter) const {
-    std::uint64_t n = 0;
-    for (SiteId s = 0; s < cluster_.site_count(); ++s) n += client_.counters(s).*counter;
-    return n;
-  }
 
   Cluster& cluster_;
   WorkloadConfig config_;
@@ -173,9 +157,9 @@ class WorkloadDriver {
   RetryingClient client_;  // after site_rngs_, which it draws jitter from
   ProcId rmw_proc_ = 0;
   ProcId rmw_cross_proc_ = 0;
-  std::vector<std::uint64_t> updates_submitted_;      // per site
-  std::vector<std::uint64_t> cross_class_submitted_;  // per site
-  std::vector<std::uint64_t> queries_submitted_;      // per site
+  std::uint64_t updates_submitted_ = 0;
+  std::uint64_t cross_class_submitted_ = 0;
+  std::uint64_t queries_submitted_ = 0;
   bool started_ = false;
 };
 

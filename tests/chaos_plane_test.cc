@@ -5,10 +5,10 @@
 // injector (db/io_shim.h) is exercised here under the full stack, with the
 // acceptance bar of the chaos work:
 //
-//   1. determinism: one (plan, seed) configuration produces bit-for-bit
-//      identical commit histories, final states, and chaos counters across
-//      sharded runs with 1, 2, 4, and 8 worker threads (on metro: only a
-//      switched topology shards);
+//   1. determinism: one (plan, seed) configuration run twice under the
+//      sharded engine (on metro: only a switched topology shards) produces
+//      bit-for-bit identical commit histories, final states, event and round
+//      counts, and chaos counters;
 //   2. survival: the InvariantMonitor battery (watermark monotonicity, 1CSR,
 //      cross-site convergence) reports zero violations in every scenario,
 //      including a durable kill-and-restart-from-disk leg with the I/O fault
@@ -91,6 +91,8 @@ struct RunResult {
   std::vector<std::uint64_t> history;
   std::uint64_t stores = 0;
   std::uint64_t delivered = 0;
+  std::uint64_t events = 0;
+  std::uint64_t rounds = 0;
   std::uint64_t committed = 0;
   ChaosStats chaos;
   FailureDetectorStats fd;
@@ -98,13 +100,15 @@ struct RunResult {
   std::uint64_t io_injected = 0;
 };
 
-void expect_equal(const RunResult& base, const RunResult& other, unsigned threads) {
-  EXPECT_EQ(base.history, other.history) << "commit histories diverge at threads=" << threads;
-  EXPECT_EQ(base.stores, other.stores) << "final states diverge at threads=" << threads;
-  EXPECT_EQ(base.delivered, other.delivered) << "deliveries diverge at threads=" << threads;
-  EXPECT_EQ(base.committed, other.committed) << "commit counts diverge at threads=" << threads;
+void expect_equal(const RunResult& base, const RunResult& other) {
+  EXPECT_EQ(base.history, other.history) << "commit histories diverge";
+  EXPECT_EQ(base.stores, other.stores) << "final states diverge";
+  EXPECT_EQ(base.delivered, other.delivered) << "deliveries diverge";
+  EXPECT_EQ(base.events, other.events) << "event counts diverge";
+  EXPECT_EQ(base.rounds, other.rounds) << "rounds diverge";
+  EXPECT_EQ(base.committed, other.committed) << "commit counts diverge";
   // Chaos accounting is part of the determinism contract: the same faults
-  // fire at the same points regardless of the worker-thread count.
+  // fire at the same points on every run.
   EXPECT_EQ(base.chaos.duplicates_injected, other.chaos.duplicates_injected);
   EXPECT_EQ(base.chaos.duplicates_suppressed, other.chaos.duplicates_suppressed);
   EXPECT_EQ(base.chaos.reorders_injected, other.chaos.reorders_injected);
@@ -114,15 +118,14 @@ void expect_equal(const RunResult& base, const RunResult& other, unsigned thread
   EXPECT_EQ(base.chaos.flap_transitions, other.chaos.flap_transitions);
   EXPECT_EQ(base.fd.suspicions, other.fd.suspicions);
   EXPECT_EQ(base.fd.restores, other.fd.restores);
-  EXPECT_EQ(base.io_injected, other.io_injected) << "I/O faults diverge at threads=" << threads;
+  EXPECT_EQ(base.io_injected, other.io_injected) << "I/O faults diverge";
 }
 
-RunResult run_scenario(const Scenario& scenario, unsigned threads) {
+RunResult run_scenario(const Scenario& scenario) {
   ClusterConfig config;
   config.n_sites = 5;
   config.n_classes = 8;
   config.seed = 77;
-  config.parallel.threads = threads;
   config.parallel.force_sharded = true;
   config.net.topology = TopologyProfile::metro;
   config.chaos.plan = scenario.plan;
@@ -166,6 +169,8 @@ RunResult run_scenario(const Scenario& scenario, unsigned threads) {
   out.history = history_digests(monitor.recorder());
   out.stores = store_digest(*cluster);
   out.delivered = cluster->net().delivered_count();
+  out.events = cluster->engine()->executed();
+  out.rounds = cluster->engine()->stats().rounds;
   out.committed = cluster->total_committed();
   out.chaos = cluster->chaos_stats();
   out.fd = cluster->fd_stats();
@@ -183,31 +188,26 @@ RunResult run_scenario(const Scenario& scenario, unsigned threads) {
   return out;
 }
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
-
-/// Runs the scenario at every thread count, checks bit-for-bit parity, and
-/// returns the base run so callers can assert injection counters.
-RunResult sweep(const Scenario& scenario) {
-  const RunResult base = run_scenario(scenario, 1);
+/// Runs the scenario twice, checks the runs agree bit for bit, and returns
+/// the first so callers can assert injection counters.
+RunResult repeat(const Scenario& scenario) {
+  const RunResult base = run_scenario(scenario);
   EXPECT_GT(base.committed, 0u);
   EXPECT_EQ(base.invariant_violations, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_scenario(scenario, threads), threads);
-  }
+  expect_equal(base, run_scenario(scenario));
   return base;
 }
 
-// -- one sweep per fault clause ----------------------------------------------
+// -- one scenario per fault clause -------------------------------------------
 
 TEST(ChaosPlane, DuplicationSurvivesAndIsDeterministic) {
   Scenario s;
   s.plan.add(FaultPlan::duplicate(0.3, 0, 3 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.duplicates_injected, 0u);
   // Transport dedup must absorb the injected copies. A handful of copies are
   // legitimately still in flight at the simulation horizon (heartbeats never
-  // stop), so allow that tail - it is deterministic, the parity sweep above
+  // stop), so allow that tail - it is deterministic, the repeat run above
   // already pinned it bit-for-bit.
   EXPECT_LE(base.chaos.duplicates_suppressed, base.chaos.duplicates_injected);
   EXPECT_GE(base.chaos.duplicates_suppressed + 32, base.chaos.duplicates_injected);
@@ -216,7 +216,7 @@ TEST(ChaosPlane, DuplicationSurvivesAndIsDeterministic) {
 TEST(ChaosPlane, ReorderingSurvivesAndIsDeterministic) {
   Scenario s;
   s.plan.add(FaultPlan::reorder(0.15, 2 * kMillisecond, 10 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.reorders_injected, 0u);
 }
 
@@ -225,7 +225,7 @@ TEST(ChaosPlane, OneWayPartitionSurvivesAndIsDeterministic) {
   // Site 4 goes deaf to sites 0-1 for a third of the run; traffic the other
   // way keeps flowing (the asymmetric case symmetric partitions cannot model).
   s.plan.add(FaultPlan::one_way({0, 1}, {4}, 250 * kMillisecond, 550 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.deliveries_parked, 0u);
   EXPECT_GT(base.chaos.parked_released, 0u);
 }
@@ -234,7 +234,7 @@ TEST(ChaosPlane, LinkFlappingSurvivesAndIsDeterministic) {
   Scenario s;
   s.plan.add(FaultPlan::flap({0}, {4}, 120 * kMillisecond, 0.5, 100 * kMillisecond,
                              800 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.flap_transitions, 0u);
   EXPECT_GT(base.chaos.deliveries_parked, 0u);
 }
@@ -246,21 +246,21 @@ TEST(ChaosPlane, GrayLinkSurvivesAndIsDeterministic) {
   // stay serializable.
   s.plan.add(FaultPlan::gray({}, {4}, 40 * kMillisecond, 160 * kMillisecond,
                              200 * kMillisecond, 700 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.gray_delays, 0u);
   EXPECT_EQ(base.fd.suspicions, base.fd.restores) << "a gray link is not a crash";
 }
 
 TEST(ChaosPlane, CombinedPlanSurvivesAndIsDeterministic) {
   // All per-message clauses plus a flapping edge at once - the hostile-network
-  // soup. Every counter must still be thread-count invariant.
+  // soup. Every counter must still repeat bit for bit.
   Scenario s;
   s.plan.add(FaultPlan::duplicate(0.15, 0, 2 * kMillisecond))
       .add(FaultPlan::reorder(0.1, kMillisecond, 6 * kMillisecond))
       .add(FaultPlan::gray({}, {3}, 20 * kMillisecond, 60 * kMillisecond, 300 * kMillisecond,
                            600 * kMillisecond))
       .add(FaultPlan::flap({2}, {0}, 150 * kMillisecond, 0.4));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.duplicates_injected, 0u);
   EXPECT_GT(base.chaos.reorders_injected, 0u);
   EXPECT_GT(base.chaos.gray_delays, 0u);
@@ -274,29 +274,29 @@ TEST(ChaosPlane, DurableBackendUnderNetworkChaos) {
   s.durable = true;
   s.plan.add(FaultPlan::duplicate(0.2, 0, 2 * kMillisecond))
       .add(FaultPlan::reorder(0.1, kMillisecond, 5 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.chaos.duplicates_injected, 0u);
 }
 
 TEST(ChaosPlane, InjectedIoFaultsSurviveAndAreDeterministic) {
   Scenario s;
   s.storage_faults = true;
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.io_injected, 0u) << "the injector never fired";
 }
 
 TEST(ChaosPlane, KillRestartFromDiskUnderChaosWithIoFaults) {
   // The acceptance leg: network chaos + live I/O injector + a cold restart
   // from disk, and the whole battery (watermark monotonicity across the
-  // restart, 1CSR over the deduped histories, convergence) stays green at
-  // every thread count.
+  // restart, 1CSR over the deduped histories, convergence) stays green, and
+  // the run repeats bit for bit.
   Scenario s;
   s.storage_faults = true;
   s.kill_restart = true;
   s.plan.add(FaultPlan::duplicate(0.15, 0, 2 * kMillisecond))
       .add(FaultPlan::gray({}, {2}, 10 * kMillisecond, 40 * kMillisecond, 200 * kMillisecond,
                            500 * kMillisecond));
-  const RunResult base = sweep(s);
+  const RunResult base = repeat(s);
   EXPECT_GT(base.io_injected, 0u);
   EXPECT_GT(base.chaos.duplicates_injected, 0u);
 }
@@ -306,10 +306,10 @@ TEST(ChaosPlane, KillRestartFromDiskUnderChaosWithIoFaults) {
 TEST(ChaosPlane, EmptyPlanLeavesRunsBitIdentical) {
   // An empty ChaosConfig must not perturb anything: same digests as a config
   // that never mentions chaos (the rng split only happens when armed).
-  const RunResult base = run_scenario(Scenario{}, 2);
+  const RunResult base = run_scenario(Scenario{});
   Scenario explicit_empty;
   explicit_empty.plan = FaultPlan{};
-  expect_equal(base, run_scenario(explicit_empty, 2), 2);
+  expect_equal(base, run_scenario(explicit_empty));
   EXPECT_EQ(base.chaos.duplicates_injected, 0u);
   EXPECT_EQ(base.chaos.deliveries_parked, 0u);
 }

@@ -1,22 +1,23 @@
-// Determinism parity for the site-sharded engine (sim/sharded_engine.h).
+// The site-sharded engine (sim/sharded_engine.h) against the classic loop.
 //
-// The engine's contract: a sharded run of one (configuration, seed) is
-// bit-for-bit identical for EVERY thread count, because each shard fires its
-// events under the plain Simulator's (timestamp, schedule-order) rule and
-// every cross-shard insertion is drained from per-edge staging cells in a
-// canonical sender order that no worker schedule can perturb. This suite
-// pins that: identical commit histories (every field, including commit
-// timestamps and write values), identical checker verdicts, identical metric
-// counters and identical sizes of the tables the ordering layer trims below
-// the stable floor across sharded runs with 1, 2, 4 and 8 threads - over both
-// class-queue engines, mixed workloads (queries, cross-class updates,
-// TPC-C-lite with remote transactions), and loss/partition/crash chaos.
-// Only switched topologies shard, so every sharded scenario runs on one
-// (metro unless it sweeps profiles); a shared-bus (lan) cluster must run the
-// classic loop whatever its parallelism settings say.
+// Each shard fires its events under the plain Simulator's (timestamp,
+// schedule-order) rule, and staged cross-site deliveries enter a receiver's
+// queue in a canonical sender order. On a fault-free run that reproduces the
+// classic single-queue loop exactly, so this suite runs every fault-free leg
+// under both drivers and requires identical commit histories (every field,
+// including commit timestamps and write values), final stores, delivery and
+// event counts, metric counters (latency-mean bit patterns included) and
+// sizes of the tables the ordering layer trims below the stable floor - over
+// both class-queue engines, the durable backend, mixed workloads (queries,
+// cross-class updates, TPC-C-lite with remote transactions) and every
+// switched topology profile with message loss.
 //
-// This binary is the payload of the CI TSan job: any data race in the
-// barrier/staging protocol fails it under -fsanitize=thread.
+// Partition and crash transitions are hub control events, which the sharded
+// engine applies at round boundaries, so those legs differ from the classic
+// loop; they run twice under the sharded engine and must repeat bit for bit,
+// barrier rounds included. Only switched topologies shard, so every sharded
+// scenario runs on one (metro unless it sweeps profiles); a shared-bus (lan)
+// cluster must run the classic loop whatever its parallelism settings say.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -109,7 +110,7 @@ struct RunResult {
   std::uint64_t committed = 0;
 };
 
-/// Which driver ran, and its event and barrier-round counts.
+/// Which driver ran, and its event and round counts.
 void collect_driver(Cluster& cluster, RunResult& out) {
   const ShardedEngine* engine = cluster.engine();
   out.sharded = engine != nullptr;
@@ -138,7 +139,7 @@ void collect_metrics(Cluster& cluster, RunResult& out) {
       out.counters.push_back(v);
     }
     // Latency statistics are doubles accumulated in site-local event order,
-    // so even their bit patterns must agree across thread counts.
+    // so even their bit patterns must agree between drivers.
     out.counters.push_back(static_cast<std::uint64_t>(m.commit_latency_ns.count()));
     double mean = m.commit_latency_ns.mean();
     std::uint64_t bits;
@@ -147,10 +148,9 @@ void collect_metrics(Cluster& cluster, RunResult& out) {
   }
 }
 
-ParallelismConfig sharded(unsigned threads) {
+ParallelismConfig sharded() {
   ParallelismConfig p;
-  p.threads = threads;
-  p.force_sharded = true;  // threads == 1 still runs the sharded engine
+  p.force_sharded = true;
   return p;
 }
 
@@ -161,12 +161,13 @@ enum class EngineKind { otp, conservative };
 /// Mixed rmw + cross-class + query workload with message loss, one
 /// partition/heal cycle, and (OTP only) a crash/recovery cycle - warm with
 /// the memory backend, kill-and-restart-from-disk with the durable one.
-RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durable = false) {
+RunResult run_mixed(EngineKind engine, ParallelismConfig parallel, bool chaos,
+                    bool durable = false) {
   ClusterConfig config;
   config.n_sites = 5;
   config.n_classes = 8;
   config.seed = 77;
-  config.parallel = sharded(threads);
+  config.parallel = parallel;
   config.net.topology = TopologyProfile::metro;
   config.net.loss_prob = chaos ? 0.01 : 0.0;
   if (durable) config.storage.backend = StorageBackendKind::durable;
@@ -216,12 +217,12 @@ RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durabl
   out.stores = store_digest(*cluster);
   out.delivered = cluster->net().delivered_count();
   collect_driver(*cluster, out);
-  EXPECT_TRUE(out.sharded) << "metro must run the sharded engine";
+  EXPECT_EQ(out.sharded, parallel.force_sharded) << "metro shards when asked to";
   out.committed = cluster->total_committed();
   collect_metrics(*cluster, out);
   if (durable) {
-    // Durability counters must be thread-count invariant too: group-commit
-    // scheduling rides on deterministic sim events, not wall-clock I/O.
+    // Durability counters must match too: group-commit scheduling rides on
+    // deterministic sim events, not wall-clock I/O.
     for (SiteId s = 0; s < cluster->site_count(); ++s) {
       const WalStats* w = cluster->wal_stats(s);
       for (std::uint64_t v : {w->commits_logged, w->fsyncs, w->wal_bytes, w->checkpoints,
@@ -258,14 +259,14 @@ RunResult run_mixed(EngineKind engine, unsigned threads, bool chaos, bool durabl
   return out;
 }
 
-RunResult run_tpcc(unsigned threads) {
+RunResult run_tpcc(ParallelismConfig parallel) {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = 6;
   tpcc::Layout layout;
   config.objects_per_class = layout.objects_per_warehouse();
   config.seed = 1999;
-  config.parallel = sharded(threads);
+  config.parallel = parallel;
   config.net.topology = TopologyProfile::metro;
   auto cluster = std::make_unique<Cluster>(config);
   HistoryRecorder recorder(*cluster);
@@ -285,7 +286,7 @@ RunResult run_tpcc(unsigned threads) {
   out.stores = store_digest(*cluster);
   out.delivered = cluster->net().delivered_count();
   collect_driver(*cluster, out);
-  EXPECT_TRUE(out.sharded) << "metro must run the sharded engine";
+  EXPECT_EQ(out.sharded, parallel.force_sharded) << "metro shards when asked to";
   out.committed = cluster->total_committed();
   collect_metrics(*cluster, out);
   out.serializable = check_one_copy_serializability(recorder.site_logs()).ok();
@@ -296,114 +297,115 @@ RunResult run_tpcc(unsigned threads) {
   return out;
 }
 
-void expect_equal(const RunResult& base, const RunResult& other, unsigned threads) {
-  EXPECT_EQ(base.history, other.history) << "commit histories diverge at threads=" << threads;
-  EXPECT_EQ(base.stores, other.stores) << "final states diverge at threads=" << threads;
-  EXPECT_EQ(base.delivered, other.delivered) << "deliveries diverge at threads=" << threads;
-  EXPECT_EQ(base.sharded, other.sharded) << "drivers differ at threads=" << threads;
-  EXPECT_EQ(base.events, other.events) << "event counts diverge at threads=" << threads;
-  EXPECT_EQ(base.rounds, other.rounds) << "barrier rounds diverge at threads=" << threads;
-  EXPECT_EQ(base.counters, other.counters) << "metrics diverge at threads=" << threads;
-  EXPECT_EQ(base.retained, other.retained)
-      << "trimmed table sizes diverge at threads=" << threads;
-  EXPECT_EQ(base.committed, other.committed);
+/// Everything a run produced except which driver produced it.
+void expect_same_run(const RunResult& a, const RunResult& b, const char* legs) {
+  EXPECT_EQ(a.history, b.history) << "commit histories diverge: " << legs;
+  EXPECT_EQ(a.stores, b.stores) << "final states diverge: " << legs;
+  EXPECT_EQ(a.delivered, b.delivered) << "deliveries diverge: " << legs;
+  EXPECT_EQ(a.events, b.events) << "event counts diverge: " << legs;
+  EXPECT_EQ(a.counters, b.counters) << "metrics diverge: " << legs;
+  EXPECT_EQ(a.retained, b.retained) << "trimmed table sizes diverge: " << legs;
+  EXPECT_EQ(a.committed, b.committed) << "commit counts diverge: " << legs;
 }
 
-constexpr unsigned kThreadCounts[] = {1, 2, 4, 8};
+/// Runs a fault-free leg under the classic loop and the sharded engine,
+/// requires the two to agree bit for bit, and returns the classic run.
+template <typename Run>
+RunResult expect_classic_matches_sharded(Run run) {
+  const RunResult classic = run(ParallelismConfig{});
+  const RunResult sharded_run = run(sharded());
+  EXPECT_FALSE(classic.sharded);
+  EXPECT_TRUE(sharded_run.sharded);
+  expect_same_run(classic, sharded_run, "classic loop vs sharded engine");
+  return classic;
+}
+
+/// Runs a leg twice under the sharded engine, requires the two runs to agree
+/// bit for bit (rounds included), and returns the first.
+template <typename Run>
+RunResult expect_sharded_repeats(Run run) {
+  const RunResult first = run(sharded());
+  const RunResult second = run(sharded());
+  EXPECT_TRUE(first.sharded);
+  expect_same_run(first, second, "two sharded runs");
+  EXPECT_EQ(first.rounds, second.rounds) << "rounds diverge between two sharded runs";
+  return first;
+}
+
+void expect_healthy(const RunResult& run) {
+  EXPECT_TRUE(run.serializable);
+  EXPECT_TRUE(run.converged);
+  EXPECT_GT(run.committed, 0u);
+}
 
 TEST(ParallelParity, OtpMixedWorkload) {
-  const RunResult base = run_mixed(EngineKind::otp, 1, /*chaos=*/false);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_mixed(EngineKind::otp, threads, false), threads);
-  }
+  expect_healthy(expect_classic_matches_sharded(
+      [](ParallelismConfig p) { return run_mixed(EngineKind::otp, p, /*chaos=*/false); }));
+}
+
+TEST(ParallelParity, ConservativeMixedWorkload) {
+  expect_healthy(expect_classic_matches_sharded([](ParallelismConfig p) {
+    return run_mixed(EngineKind::conservative, p, /*chaos=*/false);
+  }));
 }
 
 TEST(ParallelParity, OtpLossPartitionCrashChaos) {
-  const RunResult base = run_mixed(EngineKind::otp, 1, /*chaos=*/true);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_mixed(EngineKind::otp, threads, true), threads);
-  }
+  expect_healthy(expect_sharded_repeats(
+      [](ParallelismConfig p) { return run_mixed(EngineKind::otp, p, /*chaos=*/true); }));
 }
 
 TEST(ParallelParity, ConservativeMixedWorkloadWithChaos) {
-  const RunResult base = run_mixed(EngineKind::conservative, 1, /*chaos=*/true);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_mixed(EngineKind::conservative, threads, true), threads);
-  }
+  expect_healthy(expect_sharded_repeats([](ParallelismConfig p) {
+    return run_mixed(EngineKind::conservative, p, /*chaos=*/true);
+  }));
 }
 
 TEST(ParallelParity, DurableStorageParity) {
-  // Group-commit WAL + fsync modeling must keep the bit-for-bit contract:
-  // digests AND durability counters identical across {1, 2, 4, 8} threads.
-  const RunResult base = run_mixed(EngineKind::otp, 1, /*chaos=*/false, /*durable=*/true);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_mixed(EngineKind::otp, threads, false, true), threads);
-  }
+  // Group-commit WAL + fsync modeling keep the bit-for-bit contract:
+  // digests AND durability counters identical under both drivers.
+  expect_healthy(expect_classic_matches_sharded([](ParallelismConfig p) {
+    return run_mixed(EngineKind::otp, p, /*chaos=*/false, /*durable=*/true);
+  }));
 }
 
 TEST(ParallelParity, DurableRestartFromDiskChaosParity) {
   // The chaos leg swaps the warm recovery for a kill-and-restart-from-disk:
-  // real WAL replay inside sim events, still thread-count invariant.
-  const RunResult base = run_mixed(EngineKind::otp, 1, /*chaos=*/true, /*durable=*/true);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_mixed(EngineKind::otp, threads, true, true), threads);
-  }
+  // real WAL replay inside sim events, still repeatable bit for bit.
+  expect_healthy(expect_sharded_repeats([](ParallelismConfig p) {
+    return run_mixed(EngineKind::otp, p, /*chaos=*/true, /*durable=*/true);
+  }));
 }
 
 TEST(ParallelParity, MemoryBackendDigestsUnchangedByStorageTier) {
   // The refactor's no-regression pin: a memory-backend run must be bitwise
-  // the run it was before the storage tier existed (same digests across
-  // thread counts, and the backend reports no WAL).
+  // the run it was before the storage tier existed (the same digests on
+  // every run, and the backend reports no WAL).
   ClusterConfig config;
   config.n_sites = 3;
   config.n_classes = 4;
   config.seed = 5;
   Cluster cluster(config);
   EXPECT_EQ(cluster.wal_stats(0), nullptr);
-  const RunResult a = run_mixed(EngineKind::otp, 2, false, false);
-  const RunResult b = run_mixed(EngineKind::otp, 2, false, false);
-  expect_equal(a, b, 2);
+  expect_sharded_repeats(
+      [](ParallelismConfig p) { return run_mixed(EngineKind::otp, p, false, false); });
 }
 
 TEST(ParallelParity, TpccRemoteMix) {
-  const RunResult base = run_tpcc(1);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_tpcc(threads), threads);
-  }
+  const RunResult classic = expect_classic_matches_sharded(run_tpcc);
+  EXPECT_TRUE(classic.serializable);
+  EXPECT_GT(classic.committed, 0u);
 }
 
 // -- topology sweeps ---------------------------------------------------------
 //
 // Every switched topology profile must uphold the same contract: one
-// (profile, seed) configuration is bit-for-bit identical at every thread
-// count. The profiles differ in their lookahead structure (uniform
-// sub-millisecond edges on metro, a 500us/40ms split on wan, a latency
-// triangle on geo-3dc), which drives the channel clocks, per-edge rng
-// streams and double-buffered staging cells through different round shapes.
-// Each profile gets its own TEST name, so a failure names its profile.
+// fault-free (profile, seed) configuration is bit-for-bit identical under
+// both drivers, message loss included. The profiles differ in their
+// lookahead structure (uniform sub-millisecond edges on metro, a 500us/40ms
+// split on wan, a latency triangle on geo-3dc), which drives the channel
+// clocks, per-edge rng streams and double-buffered staging cells through
+// different round shapes. Each profile gets its own TEST name, so a failure
+// names its profile.
 
 /// Cluster tuned for a topology: the wide-area profiles (40ms+ RTTs) need the
 /// protocol timers rescaled, or retransmission/failure-detector false
@@ -457,15 +459,8 @@ RunResult run_topology(TopologyProfile profile, ParallelismConfig parallel) {
 }
 
 void sweep_topology(TopologyProfile profile) {
-  const RunResult base = run_topology(profile, sharded(1));
-  EXPECT_TRUE(base.sharded) << topology_profile_name(profile) << " must shard";
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  for (unsigned threads : kThreadCounts) {
-    if (threads == 1) continue;
-    expect_equal(base, run_topology(profile, sharded(threads)), threads);
-  }
+  expect_healthy(expect_classic_matches_sharded(
+      [profile](ParallelismConfig p) { return run_topology(profile, p); }));
 }
 
 TEST(ParallelParity, TopologyMetroParity) { sweep_topology(TopologyProfile::metro); }
@@ -474,67 +469,15 @@ TEST(ParallelParity, TopologyGeo3dcParity) { sweep_topology(TopologyProfile::geo
 
 /// A shared bus serializes every frame through one global clock, so it
 /// leaves the sharded engine no lookahead gap: a lan cluster runs the classic
-/// loop whatever its parallelism settings ask for, and reproduces the
-/// threads = 1 run bit for bit - histories, stores, metrics and event counts.
+/// loop even when force_sharded asks for the engine, and reproduces the
+/// default run bit for bit - histories, stores, metrics and event counts.
 TEST(ParallelParity, SharedBusRunsTheClassicLoop) {
   const RunResult base = run_topology(TopologyProfile::lan, ParallelismConfig{});
   EXPECT_FALSE(base.sharded);
-  EXPECT_TRUE(base.serializable);
-  EXPECT_TRUE(base.converged);
-  EXPECT_GT(base.committed, 0u);
-  ParallelismConfig four_threads;
-  four_threads.threads = 4;
-  ParallelismConfig forced;
-  forced.force_sharded = true;
-  for (const ParallelismConfig& parallel : {four_threads, forced}) {
-    const RunResult run = run_topology(TopologyProfile::lan, parallel);
-    EXPECT_FALSE(run.sharded) << "lan built a sharded engine";
-    expect_equal(base, run, parallel.threads);
-  }
-}
-
-/// The classic single-queue loop (threads=1 default) is a different -
-/// also deterministic - schedule: not bitwise comparable to sharded runs
-/// (global same-timestamp ties across shards have no global order there),
-/// but it must satisfy the same logical invariants on the same workload, and
-/// both modes must see the identical offered client load (the per-site
-/// submission streams depend only on site-local clocks and rngs). Both legs
-/// run on metro, where threads = 2 does shard.
-TEST(ParallelParity, ClassicLoopInvariantsAndOfferedLoadUnchanged) {
-  WorkloadConfig wl;
-  wl.updates_per_second_per_site = 80;
-  wl.mean_exec_time = 2 * kMillisecond;
-  wl.query_fraction = 0.15;
-  wl.cross_class_fraction = 0.2;
-  wl.duration = 900 * kMillisecond;
-
-  auto run_mode = [&wl](ParallelismConfig parallel, std::uint64_t* updates,
-                        std::uint64_t* queries) {
-    ClusterConfig config;
-    config.n_sites = 5;
-    config.n_classes = 8;
-    config.seed = 77;
-    config.parallel = parallel;
-    config.net.topology = TopologyProfile::metro;
-    Cluster cluster(config);
-    EXPECT_EQ(cluster.engine() != nullptr, parallel.threads > 1);
-    HistoryRecorder recorder(cluster);
-    WorkloadDriver driver(cluster, wl, 4242);
-    driver.start();
-    cluster.run_for(wl.duration + 200 * kMillisecond);
-    EXPECT_TRUE(cluster.quiesce(60 * kSecond));
-    EXPECT_TRUE(check_one_copy_serializability(recorder.site_logs()).ok());
-    EXPECT_GT(cluster.total_committed(), 0u);
-    *updates = driver.updates_submitted();
-    *queries = driver.queries_submitted();
-  };
-
-  std::uint64_t classic_updates = 0, classic_queries = 0;
-  run_mode(ParallelismConfig{}, &classic_updates, &classic_queries);
-  std::uint64_t sharded_updates = 0, sharded_queries = 0;
-  run_mode(sharded(2), &sharded_updates, &sharded_queries);
-  EXPECT_EQ(classic_updates, sharded_updates);
-  EXPECT_EQ(classic_queries, sharded_queries);
+  expect_healthy(base);
+  const RunResult forced = run_topology(TopologyProfile::lan, sharded());
+  EXPECT_FALSE(forced.sharded) << "lan built a sharded engine";
+  expect_same_run(base, forced, "lan with and without force_sharded");
 }
 
 // -- CLI output stability ----------------------------------------------------
@@ -543,9 +486,7 @@ TEST(ParallelParity, ClassicLoopInvariantsAndOfferedLoadUnchanged) {
 // bytes, so it gets its own determinism leg: --help and a full run summary
 // must be byte-identical across repeat invocations (pins the Flags sorted
 // keys() contract - values_ is an unordered_map - and catches any future
-// hash-order drift in summary formatting), and the run summary must also be
-// byte-identical across --threads values (the CLI-level face of the sharded
-// engine's bit-for-bit guarantee).
+// hash-order drift in summary formatting).
 
 #ifdef OTPDB_CLI_PATH
 std::string run_cli(const std::string& args, int* exit_code) {
@@ -572,51 +513,54 @@ TEST(ParallelParity, CliHelpByteIdenticalAcrossRuns) {
   EXPECT_EQ(a, b) << "usage/help output drifted between identical invocations";
 }
 
-TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRunsAndThreads) {
+TEST(ParallelParity, CliRunSummaryByteIdenticalAcrossRuns) {
   const std::string lan =
       "run --engine=otp --sites=3 --classes=4 --objects=64 --rate=100 "
       "--seconds=1 --seed=7";
-  const std::string base = lan + " --topology=metro";
-  // Repeat-run stability holds for any thread count; cross-thread byte
-  // identity is only contractual within the sharded engine (--threads >= 2).
-  // The classic loop (--threads=1) is a legitimately different schedule.
-  int code_a = 0, code_b = 0, code_t = 0;
-  const std::string a = run_cli(base + " --threads=1", &code_a);
-  const std::string b = run_cli(base + " --threads=1", &code_b);
-  ASSERT_FALSE(a.empty());
-  EXPECT_EQ(code_a, 0) << a;
-  EXPECT_EQ(code_a, code_b);
-  EXPECT_EQ(a, b) << "run summary drifted between identical invocations";
-  const std::string t2 = run_cli(base + " --threads=2", &code_t);
-  EXPECT_EQ(code_t, 0) << t2;
-  const std::string t4 = run_cli(base + " --threads=4", &code_t);
-  EXPECT_EQ(code_t, 0) << t4;
-  EXPECT_EQ(t2, t4) << "run summary differs across sharded --threads values "
-                       "(parallel-engine parity broken at the CLI surface)";
-  // The default lan topology never shards: every --threads value prints the
-  // classic loop's summary.
-  int code_l = 0;
-  const std::string l1 = run_cli(lan + " --threads=1", &code_l);
-  EXPECT_EQ(code_l, 0) << l1;
-  EXPECT_EQ(l1, run_cli(lan + " --threads=4", &code_l))
-      << "--threads changed a lan run (shared-bus clusters run the classic loop)";
+  for (const std::string& args : {lan, lan + " --topology=metro"}) {
+    int code_a = 0, code_b = 0;
+    const std::string a = run_cli(args, &code_a);
+    const std::string b = run_cli(args, &code_b);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(code_a, 0) << a;
+    EXPECT_EQ(code_a, code_b);
+    EXPECT_EQ(a, b) << "run summary drifted between identical invocations: " << args;
+  }
 }
 
 TEST(ParallelParity, CliRejectsUnknownEngineAndAbcast) {
   // A misspelt choice fails with the valid choices, usage and exit code 2,
   // like --topology/--storage/--admission - it must not run the default. So
-  // do a cluster larger than consensus supports and a crash on the lazy
-  // engine, which has no recovery path.
+  // do a flag the subcommand does not read (--threads included: the
+  // simulator runs on one thread), a cluster larger than consensus supports,
+  // and every input the cluster would otherwise abort on: a crash without a
+  // recovery path, at a negative time or on a site that does not exist,
+  // multi-class updates on an engine that cannot commit them, an empty
+  // catalog, no arrivals, negative execution times, and a network without
+  // sites.
   for (const char* args : {"run --engine=optt --seconds=0.1", "run --abcast=seqencer --seconds=0.1",
                            "run --sites=65 --seconds=0.1",
-                           "run --engine=lazy --crash-site=1 --seconds=0.1"}) {
+                           "run --engine=lazy --crash-site=1 --seconds=0.1",
+                           "run --threads=2 --seconds=0.1", "tpcc --threads=2 --seconds=0.1",
+                           "run --bogus=1 --seconds=0.1",
+                           "run --engine=lazy --cross-frac=0.3 --seconds=0.1",
+                           "run --engine=locktable --cross-frac=0.3 --seconds=0.1",
+                           "run --abcast=sequencer --crash-site=1 --seconds=0.1",
+                           "run --crash-site=9 --seconds=0.1", "run --classes=0 --seconds=0.1",
+                           "run --objects=0 --seconds=0.1", "tpcc --warehouses=0 --seconds=0.1",
+                           "run --rate=0 --seconds=0.1", "tpcc --rate=0 --seconds=0.1",
+                           "run --exec-ms=-1 --seconds=0.1",
+                           "run --crash-site=1 --crash-ms=-5 --seconds=0.1",
+                           "spontorder --sites=0"}) {
     int status = 0;
     const std::string out = run_cli(args, &status);
     ASSERT_TRUE(WIFEXITED(status)) << args;
     EXPECT_EQ(WEXITSTATUS(status), 2) << args << "\n" << out;
-    EXPECT_NE(out.find("unknown --"), std::string::npos) << out;
+    EXPECT_EQ(out.rfind("unknown --", 0), 0u) << args << "\n" << out;
     EXPECT_NE(out.find("usage: otpdb_cli"), std::string::npos) << out;
-    EXPECT_EQ(out.find("run: engine="), std::string::npos) << "ran anyway:\n" << out;
+    for (const char* summary : {"run: engine=", "conservation audit :", "spontaneously ordered"}) {
+      EXPECT_EQ(out.find(summary), std::string::npos) << "ran anyway:\n" << out;
+    }
   }
 }
 #else

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """detlint - determinism lint for the OTP-DB tree.
 
-The engine's headline guarantee is bit-for-bit identical histories across
-1/2/4/8 worker threads. That contract is easy to break silently: iterate an
+The engine's headline guarantee is bit-for-bit identical histories on every
+run of one (configuration, seed), and across the classic loop and the sharded
+engine on fault-free runs. That contract is easy to break silently: iterate an
 ``std::unordered_map`` in a path that feeds digests or network send order and
 every parity suite still passes on *this* binary (iteration order is a
 deterministic function of the insertion sequence for a fixed standard library)

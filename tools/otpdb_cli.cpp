@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "abcast/opt_abcast.h"
 #include "baseline/conservative_replica.h"
@@ -43,15 +45,14 @@ int usage() {
                "              --cross-frac=F --cross-span=N (multi-class updates;\n"
                "              otp/conservative engines)\n"
                "              --abcast=opt|sequencer --seed=N --crash-site=S --crash-ms=T\n"
-               "              --threads=N (1 = classic loop, >=2 = sharded parallel driver\n"
-               "              on switched topologies)\n"
+               "              (crash recovery: otp/conservative/locktable over opt)\n"
                "              --topology=PROFILE (network shape; see below)\n"
                "              --storage=memory|durable --data-dir=PATH\n"
                "              --chaos=PROFILE (fault schedule; see below)\n"
                "              --offered-load=TXN/S/SITE (alias for --rate; overrides it)\n"
                "              --admission=on|off --deadline-ms=MS (overload plane; see below)\n"
                "  tpcc:       --warehouses=N --sites=N --rate=TXN/S/SITE --seconds=S\n"
-               "              --skew=THETA --remote-frac=F --seed=N --threads=N\n"
+               "              --skew=THETA --remote-frac=F --seed=N\n"
                "              --topology=PROFILE --storage=memory|durable --data-dir=PATH\n"
                "              --chaos=PROFILE --offered-load=TXN/S/SITE\n"
                "              --admission=on|off --deadline-ms=MS\n"
@@ -92,12 +93,67 @@ int usage() {
                "\n"
                "topology profiles (--topology):\n"
                "  %s\n"
-               "  lan (default) rides the shared-bus medium and always runs the\n"
-               "  classic loop, whatever --threads says; metro/wan/geo-3dc are\n"
-               "  switched (per-site-pair delay matrix, per-edge jitter streams,\n"
-               "  channel-clock parallel driver with --threads >= 2)\n",
+               "  lan (default) rides the shared-bus medium; metro/wan/geo-3dc are\n"
+               "  switched (per-site-pair delay matrix, per-edge jitter streams)\n"
+               "\n"
+               "A flag the subcommand does not list is a usage error.\n",
                chaos_profile_list(), topology_profile_list());
   return 2;
+}
+
+/// The flags each subcommand reads; any other flag is a usage error.
+constexpr std::string_view kRunFlags[] = {
+    "abcast", "admission", "chaos", "classes", "crash-ms", "crash-site", "cross-frac",
+    "cross-span", "data-dir", "deadline-ms", "engine", "exec-ms", "hiccup", "objects",
+    "offered-load", "query-frac", "rate", "seconds", "seed", "sites", "skew", "storage",
+    "topology"};
+constexpr std::string_view kTpccFlags[] = {
+    "admission", "chaos", "data-dir", "deadline-ms", "offered-load", "rate", "remote-frac",
+    "seconds", "seed", "sites", "skew", "storage", "topology", "warehouses"};
+constexpr std::string_view kSpontorderFlags[] = {"interval-ms", "messages", "seed", "sites"};
+
+/// False (after one stderr line naming it) when `flags` holds a flag outside
+/// `known`.
+bool only_known_flags(const Flags& flags, const char* cmd,
+                      std::span<const std::string_view> known) {
+  for (const std::string& key : flags.keys()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      std::fprintf(stderr, "unknown --%s (not a flag of otpdb_cli %s)\n", key.c_str(), cmd);
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Reads a count flag that must be at least 1, naming it on stderr when not.
+bool positive_count(const Flags& flags, const char* key, std::int64_t fallback,
+                    std::int64_t& out) {
+  out = flags.get_int(key, fallback);
+  if (out >= 1) return true;
+  std::fprintf(stderr, "unknown --%s=%lld (must be at least 1)\n", key,
+               static_cast<long long>(out));
+  return false;
+}
+
+/// Reads a duration flag in milliseconds, which must not be negative.
+bool millis_flag(const Flags& flags, const char* key, double fallback, SimTime& out) {
+  const double ms = flags.get_double(key, fallback);
+  if (!(ms >= 0.0)) {
+    std::fprintf(stderr, "unknown --%s=%g (must not be negative)\n", key, ms);
+    return false;
+  }
+  out = static_cast<SimTime>(ms * 1e6);
+  return true;
+}
+
+/// Reads the client arrival rate (--offered-load overrides --rate), which must
+/// be positive.
+bool arrival_rate(const Flags& flags, double fallback, double& out) {
+  const char* key = flags.has("offered-load") ? "offered-load" : "rate";
+  out = flags.get_double(key, fallback);
+  if (out > 0.0) return true;
+  std::fprintf(stderr, "unknown --%s=%g (must be positive)\n", key, out);
+  return false;
 }
 
 /// Parses --sites into `config`: 1 to ConsensusHost::kMaxSites sites.
@@ -348,46 +404,68 @@ void print_cluster_summary(Cluster& cluster, double seconds, bool lazy_engine) {
 }
 
 int cmd_run(const Flags& flags) {
+  if (!only_known_flags(flags, "run", kRunFlags)) return usage();
   const std::string engine = flags.get("engine", "otp");
   if (engine != "otp" && engine != "conservative" && engine != "lazy" && engine != "locktable") {
     std::fprintf(stderr, "unknown --engine=%s (otp|conservative|lazy|locktable)\n",
                  engine.c_str());
     return usage();
   }
-  const std::int64_t crash_site = flags.get_int("crash-site", -1);
-  if (engine == "lazy" && crash_site >= 0) {
-    std::fprintf(stderr, "unknown --crash-site=%lld for --engine=lazy (no crash recovery path)\n",
-                 static_cast<long long>(crash_site));
-    return usage();
-  }
   ClusterConfig config;
   if (!apply_sites_flag(flags, config)) return usage();
-  config.n_classes = static_cast<std::size_t>(flags.get_int("classes", 8));
-  config.objects_per_class = static_cast<std::uint64_t>(flags.get_int("objects", 32));
+  if (!apply_abcast_flag(flags, config)) return usage();
+  const std::int64_t crash_site = flags.get_int("crash-site", -1);
+  if (crash_site >= 0) {
+    // Recovery needs a class-queue engine over the optimistic broadcast.
+    const char* why = nullptr;
+    if (engine == "lazy") {
+      why = "for --engine=lazy (no crash recovery path)";
+    } else if (config.abcast == AbcastKind::sequencer) {
+      why = "for --abcast=sequencer (no crash recovery path)";
+    } else if (crash_site >= static_cast<std::int64_t>(config.n_sites)) {
+      why = "(no such site)";
+    }
+    if (why != nullptr) {
+      std::fprintf(stderr, "unknown --crash-site=%lld %s\n", static_cast<long long>(crash_site),
+                   why);
+      return usage();
+    }
+  }
+  SimTime crash_at = 0;
+  if (crash_site >= 0 && !millis_flag(flags, "crash-ms", 500.0, crash_at)) return usage();
+  std::int64_t classes = 0, objects = 0;
+  if (!positive_count(flags, "classes", 8, classes)) return usage();
+  if (!positive_count(flags, "objects", 32, objects)) return usage();
+  config.n_classes = static_cast<std::size_t>(classes);
+  config.objects_per_class = static_cast<std::uint64_t>(objects);
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   config.net.hiccup_prob = flags.get_double("hiccup", config.net.hiccup_prob);
-  // 1 = classic single-queue loop; >=2 = site-sharded engine on real cores
-  // (switched topologies only).
-  config.parallel.threads = static_cast<unsigned>(flags.get_int("threads", 1));
   const SimTime duration = static_cast<SimTime>(flags.get_double("seconds", 2.0) * 1e9);
-  if (!apply_abcast_flag(flags, config)) return usage();
   if (!apply_topology_flag(flags, config)) return usage();
   if (!apply_storage_flags(flags, config)) return usage();
   if (!apply_chaos_flag(flags, config, duration)) return usage();
   if (!apply_admission_flag(flags, config)) return usage();
+
+  WorkloadConfig wl;
+  if (!arrival_rate(flags, 100.0, wl.updates_per_second_per_site)) return usage();
+  if (!millis_flag(flags, "exec-ms", 3.0, wl.mean_exec_time)) return usage();
+  wl.cross_class_fraction = flags.get_double("cross-frac", 0.0);
+  if (wl.cross_class_fraction > 0.0 && config.n_classes > 1 &&
+      (engine == "lazy" || engine == "locktable")) {
+    std::fprintf(stderr,
+                 "unknown --cross-frac=%g for --engine=%s (multi-class updates need the "
+                 "otp or conservative engine)\n",
+                 wl.cross_class_fraction, engine.c_str());
+    return usage();
+  }
 
   ReplicaFactory factory = make_factory(engine);
   auto cluster = factory ? std::make_unique<Cluster>(config, std::move(factory))
                          : std::make_unique<Cluster>(config);
   HistoryRecorder recorder(*cluster);
 
-  WorkloadConfig wl;
-  wl.updates_per_second_per_site =
-      flags.get_double("offered-load", flags.get_double("rate", 100.0));
-  wl.mean_exec_time = static_cast<SimTime>(flags.get_double("exec-ms", 3.0) * 1e6);
   wl.query_fraction = flags.get_double("query-frac", 0.0);
   wl.class_skew_theta = flags.get_double("skew", 0.0);
-  wl.cross_class_fraction = flags.get_double("cross-frac", 0.0);
   wl.cross_class_span = static_cast<std::size_t>(flags.get_int("cross-span", 2));
   wl.duration = duration;
   wl.deadline_budget = static_cast<SimTime>(flags.get_double("deadline-ms", 0.0) * 1e6);
@@ -398,7 +476,6 @@ int cmd_run(const Flags& flags) {
   driver.start();
 
   if (crash_site >= 0) {
-    const SimTime crash_at = static_cast<SimTime>(flags.get_double("crash-ms", 500.0) * 1e6);
     cluster->sim().schedule_at(crash_at, [&cluster, crash_site] {
       cluster->crash_site(static_cast<SiteId>(crash_site));
       std::printf("  !! crashed site %lld\n", static_cast<long long>(crash_site));
@@ -436,13 +513,17 @@ int cmd_run(const Flags& flags) {
 }
 
 int cmd_tpcc(const Flags& flags) {
+  if (!only_known_flags(flags, "tpcc", kTpccFlags)) return usage();
   ClusterConfig config;
   if (!apply_sites_flag(flags, config)) return usage();
-  config.n_classes = static_cast<std::size_t>(flags.get_int("warehouses", 8));
+  std::int64_t warehouses = 0;
+  if (!positive_count(flags, "warehouses", 8, warehouses)) return usage();
+  config.n_classes = static_cast<std::size_t>(warehouses);
   tpcc::Layout layout;
   config.objects_per_class = layout.objects_per_warehouse();
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  config.parallel.threads = static_cast<unsigned>(flags.get_int("threads", 1));
+  tpcc::MixConfig mix;
+  if (!arrival_rate(flags, 120.0, mix.txn_per_second_per_site)) return usage();
   const SimTime duration = static_cast<SimTime>(flags.get_double("seconds", 2.0) * 1e9);
   if (!apply_topology_flag(flags, config)) return usage();
   if (!apply_storage_flags(flags, config)) return usage();
@@ -450,9 +531,6 @@ int cmd_tpcc(const Flags& flags) {
   if (!apply_admission_flag(flags, config)) return usage();
   Cluster cluster(config);
 
-  tpcc::MixConfig mix;
-  mix.txn_per_second_per_site =
-      flags.get_double("offered-load", flags.get_double("rate", 120.0));
   mix.duration = duration;
   mix.warehouse_skew_theta = flags.get_double("skew", 0.0);
   mix.remote_txn_fraction = flags.get_double("remote-frac", 0.0);
@@ -483,8 +561,11 @@ int cmd_tpcc(const Flags& flags) {
 }
 
 int cmd_spontorder(const Flags& flags) {
+  if (!only_known_flags(flags, "spontorder", kSpontorderFlags)) return usage();
   struct Blank final : Payload {};
-  const std::size_t sites = static_cast<std::size_t>(flags.get_int("sites", 4));
+  std::int64_t n_sites = 0;
+  if (!positive_count(flags, "sites", 4, n_sites)) return usage();
+  const auto sites = static_cast<std::size_t>(n_sites);
   const int per_site = static_cast<int>(flags.get_int("messages", 400));
   const double interval_ms = flags.get_double("interval-ms", 2.0);
   const SimTime interval = interval_ms <= 0.0
