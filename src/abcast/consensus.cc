@@ -11,36 +11,9 @@
 namespace otpdb {
 namespace {
 
-enum class Kind : std::uint8_t { propose, estimate, coord_prop, ack, decision };
-
 /// The round-advance timeout grows by this factor per round, up to the cap.
 constexpr double kRoundBackoff = 2.0;
 constexpr SimTime kMaxRoundTimeout = 2 * kSecond;
-
-struct ConsensusPayload final : Payload {
-  Kind kind;
-  std::uint64_t inst = 0;
-  std::uint64_t round = 0;
-  std::uint64_t ts = 0;
-  /// The value of an estimate, CoordProp or Decision; null in acks and
-  /// proposals. Never a Value into this payload itself, which would keep the
-  /// payload alive for good.
-  ConsensusHost::Value value;
-  /// A Propose's own sequence, handed out as a Value that shares the
-  /// payload's ownership (aliasing shared_ptr: no allocation).
-  ConsensusHost::Sequence proposal;
-};
-
-PayloadPtr make_payload(Kind kind, std::uint64_t inst, std::uint64_t round, std::uint64_t ts,
-                        ConsensusHost::Value value) {
-  auto p = std::make_shared<ConsensusPayload>();
-  p->kind = kind;
-  p->inst = inst;
-  p->round = round;
-  p->ts = ts;
-  p->value = std::move(value);
-  return p;
-}
 
 std::uint64_t bit(SiteId site) { return std::uint64_t{1} << site; }
 
@@ -48,10 +21,45 @@ std::size_t count(std::uint64_t sites) { return static_cast<std::size_t>(std::po
 
 }  // namespace
 
+struct ConsensusHost::ConsensusPayload final : Payload {
+  Kind kind = Kind::propose;
+  std::uint64_t inst = 0;
+  std::uint64_t round = 0;
+  std::uint64_t ts = 0;
+  /// The value of an estimate, CoordProp or Decision; null in acks and
+  /// proposals. Never a Value into this payload itself, which would keep the
+  /// payload alive for good.
+  Value value;
+  /// A Propose's own sequence, handed out as a Value that shares the
+  /// payload's ownership (aliasing shared_ptr: no allocation).
+  Sequence proposal;
+
+  /// Back to a blank payload for the pool; the proposal keeps its capacity.
+  void clear() {
+    kind = Kind::propose;
+    inst = round = ts = 0;
+    value = {};
+    proposal.clear();
+  }
+};
+
 ConsensusHost::ConsensusHost(Simulator& sim, Network& net, SiteId self, ConsensusConfig config)
     : sim_(sim), net_(net), self_(self), config_(config) {
   OTPDB_CHECK_MSG(net_.site_count() <= kMaxSites, "consensus supports at most 64 sites");
   net_.subscribe(self_, kChannelConsensus, [this](const Message& m) { on_message(m); });
+}
+
+ConsensusHost::~ConsensusHost() = default;
+
+PayloadPtr ConsensusHost::make_payload(Kind kind, std::uint64_t inst, std::uint64_t round,
+                                       std::uint64_t ts, Value value) {
+  auto p = payloads_.acquire();
+  p->kind = kind;
+  p->inst = inst;
+  p->round = round;
+  p->ts = ts;
+  p->value = std::move(value);
+  return p;
 }
 
 ConsensusHost::Instance& ConsensusHost::instance(std::uint64_t inst) { return instances_[inst]; }
@@ -93,7 +101,7 @@ ConsensusHost::Value ConsensusHost::propose(std::uint64_t inst, std::span<const 
   Instance& in = instance(inst);
   OTPDB_CHECK_MSG(!in.proposed, "duplicate propose for consensus instance");
   in.proposed = true;
-  auto payload = std::make_shared<ConsensusPayload>();
+  auto payload = payloads_.acquire();
   payload->kind = Kind::propose;
   payload->inst = inst;
   payload->proposal.assign(batch.begin(), batch.end());

@@ -6,19 +6,21 @@
 // sequence of MsgIds (a proposed delivery order), immutable once proposed:
 // payloads, estimates and decisions share it instead of copying it.
 //
-// Allocation. A fault-free stage allocates only what it sends: each site's
-// Propose payload and that payload's sequence storage. The Propose payload
-// owns its sequence, and a Value for it is an aliasing shared_ptr that
-// shares the payload's ownership; the proposer's log, the receivers'
-// estimates and a decision that adopts it all hold that one payload. A
-// payload never holds a Value into itself (it would never be freed), so a
-// Propose carries its sequence by value and every other message a Value.
-// Payloads live on the global heap: their last reference may drop on another
-// site's shard. An instance keeps flat state inline in a recycled table slot
-// (DenseDeque): a bitmask of proposers, the first proposal and whether every
-// later one equals it, and for each round this site coordinates its
-// CoordProp and an ack bitmask. The bitmasks cap a cluster at kMaxSites
-// sites.
+// Allocation. Every message this host sends - Propose, CoordProp, Ack,
+// Estimate and Decision - comes from its pool of payloads (BodyPool,
+// util/recycling.h): when the last reference to a payload drops, wherever
+// that happens, the payload is cleared and kept for this host's next send,
+// its sequence storage included. A warm host therefore decides a stage
+// without allocating. The Propose payload owns its sequence, and a Value
+// for it is an aliasing shared_ptr that shares the payload's ownership; the
+// proposer's log, the receivers' estimates and a decision that adopts it
+// all hold that one payload. A payload never holds a Value into itself (it
+// would never be released), so a Propose carries its sequence by value and
+// every other message a Value, which clearing drops. An instance keeps flat
+// state inline in a recycled table slot (DenseDeque): a bitmask of
+// proposers, the first proposal and whether every later one equals it, and
+// for each round this site coordinates its CoordProp and an ack bitmask.
+// The bitmasks cap a cluster at kMaxSites sites.
 //
 // Protocol (rotating coordinator, Chandra-Toueg style, majority quorums,
 // f < n/2 crash faults, eventually-accurate failure detector for liveness):
@@ -58,6 +60,7 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/dense_deque.h"
+#include "util/recycling.h"
 #include "util/types.h"
 
 namespace otpdb {
@@ -95,10 +98,11 @@ class ConsensusHost {
 
   /// CHECK-fails when the network has more than kMaxSites sites.
   ConsensusHost(Simulator& sim, Network& net, SiteId self, ConsensusConfig config);
+  ~ConsensusHost();
 
-  /// Joins instance `inst`, proposing `batch` (copied once, exactly sized,
-  /// into the Propose payload). Each site proposes at most once per instance.
-  /// Returns the proposal, which shares the payload's ownership.
+  /// Joins instance `inst`, proposing `batch` (copied once, into the Propose
+  /// payload's recycled storage). Each site proposes at most once per
+  /// instance. Returns the proposal, which shares the payload's ownership.
   Value propose(std::uint64_t inst, std::span<const MsgId> batch);
 
   /// Registers the decision callback (invoked exactly once per instance).
@@ -117,6 +121,10 @@ class ConsensusHost {
   void crash_reset();
 
  private:
+  /// The payload of every consensus message (defined in consensus.cc).
+  struct ConsensusPayload;
+  enum class Kind : std::uint8_t { propose, estimate, coord_prop, ack, decision };
+
   /// What this site did as the coordinator of one round.
   struct Round {
     static constexpr std::uint64_t kUnused = ~std::uint64_t{0};
@@ -160,6 +168,9 @@ class ConsensusHost {
   }
   std::size_t majority() const { return net_.site_count() / 2 + 1; }
 
+  /// A payload from the pool, for every message kind but Propose.
+  PayloadPtr make_payload(Kind kind, std::uint64_t inst, std::uint64_t round, std::uint64_t ts,
+                          Value value);
   Instance& instance(std::uint64_t inst);
   /// This site's state as coordinator of `round`, created if absent.
   Round& round_state(Instance& in, std::uint64_t round);
@@ -183,6 +194,7 @@ class ConsensusHost {
   ConsensusConfig config_;
   /// Indexed by instance number; growth keeps references stable.
   DenseDeque<Instance> instances_;
+  BodyPool<ConsensusPayload> payloads_;  // every message this host sends
   DecideFn on_decide_;
   ConsensusStats stats_;
 };

@@ -9,13 +9,15 @@
 namespace otpdb {
 
 namespace {
-struct HeartbeatPayload final : Payload {
-  TOIndex floor = 0;  // the sender's stable floor at send time
-};
-
 /// Cap on the backed-off timeout, as a multiple of `suspect_timeout`.
 constexpr double kMaxTimeoutFactor = 8.0;
 }  // namespace
+
+struct FailureDetector::HeartbeatPayload final : Payload {
+  TOIndex floor = 0;  // the sender's stable floor at send time
+
+  void clear() { floor = 0; }
+};
 
 FailureDetector::FailureDetector(Simulator& sim, Network& net, SiteId self,
                                  FailureDetectorConfig config)
@@ -29,6 +31,8 @@ FailureDetector::FailureDetector(Simulator& sim, Network& net, SiteId self,
       floors_(net.site_count(), 0) {
   net_.subscribe(self_, kChannelHeartbeat, [this](const Message& m) { on_heartbeat(m); });
 }
+
+FailureDetector::~FailureDetector() = default;
 
 void FailureDetector::start() {
   OTPDB_CHECK(!started_);
@@ -54,7 +58,7 @@ void FailureDetector::note_floor(SiteId site, TOIndex floor) {
 }
 
 void FailureDetector::tick() {
-  auto heartbeat = std::make_shared<HeartbeatPayload>();
+  auto heartbeat = heartbeats_.acquire();
   if (floor_source_) {
     heartbeat->floor = floor_source_();
     note_floor(self_, heartbeat->floor);

@@ -29,6 +29,7 @@
 
 #include "net/network.h"
 #include "sim/simulator.h"
+#include "util/recycling.h"
 #include "util/types.h"
 
 namespace otpdb {
@@ -56,6 +57,7 @@ struct FailureDetectorStats {
 class FailureDetector {
  public:
   FailureDetector(Simulator& sim, Network& net, SiteId self, FailureDetectorConfig config);
+  ~FailureDetector();
 
   /// Begins emitting heartbeats and monitoring peers.
   void start();
@@ -83,6 +85,9 @@ class FailureDetector {
   SimTime current_timeout(SiteId site) const { return timeout_[site]; }
 
  private:
+  /// A heartbeat's payload (defined in failure_detector.cc).
+  struct HeartbeatPayload;
+
   void tick();
   void on_heartbeat(const Message& msg);
   /// Raises `site`'s known floor to `floor` and refreshes the minimum.
@@ -101,6 +106,7 @@ class FailureDetector {
   std::function<TOIndex()> floor_source_;
   std::vector<TOIndex> floors_;  // highest stable floor heard per site
   TOIndex stable_floor_ = 0;     // min over floors_
+  BodyPool<HeartbeatPayload> heartbeats_;
   bool started_ = false;
 };
 

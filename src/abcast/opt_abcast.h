@@ -48,6 +48,7 @@
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "util/dense_deque.h"
+#include "util/recycling.h"
 
 namespace otpdb {
 
@@ -228,8 +229,11 @@ class OptAbcast final : public AtomicBroadcast {
   /// addressable here until a trimmed stage ordered them; a lost broadcast
   /// stays.
   std::map<MsgId, MsgState> detached_;
-  std::deque<MsgRef> pending_;        // arrived, not yet definitively ordered
-  std::deque<MsgRef> decided_queue_;  // decided, awaiting TO-delivery
+  /// The queues' element blocks, recycled as the queues slide.
+  FreeBlocks queue_blocks_;
+  using MsgQueue = std::deque<MsgRef, RecyclingAllocator<MsgRef>>;
+  MsgQueue pending_{RecyclingAllocator<MsgRef>(&queue_blocks_)};  // arrived, not yet ordered
+  MsgQueue decided_queue_{RecyclingAllocator<MsgRef>(&queue_blocks_)};  // awaiting TO-delivery
   std::map<std::uint64_t, SharedSequence> decided_buffer_;  // out-of-order decisions
   DenseDeque<SharedSequence> my_proposals_;  // per in-flight stage, from next_apply()
   std::vector<MsgId> proposal_scratch_;                     // reused by start_stage

@@ -183,17 +183,19 @@ void LazyReplica::submit_query(QueryFn fn, SimTime exec_duration, QueryDoneFn do
                                       submitted_at] {
     // Lazy queries read whatever the local replica currently has - fast but
     // with no global snapshot guarantee.
-    QueryContext ctx(next_local_index_ - 1, [this](ObjectId obj, TOIndex) {
-      return store_.read_latest(obj).value_or(Value{std::int64_t{0}});
-    });
+    QueryReport report;
+    QueryContext ctx(
+        next_local_index_ - 1,
+        [this](ObjectId obj, TOIndex) {
+          return store_.read_latest(obj).value_or(Value{std::int64_t{0}});
+        },
+        report.reads);
     fn(ctx);
     ++metrics_.queries_done;
-    QueryReport report;
     report.snapshot_index = next_local_index_ - 1;
     report.submitted_at = submitted_at;
     report.completed_at = sim_.now();
     report.attempts = 1;
-    report.reads = std::move(ctx.reads_);
     metrics_.query_latency_ns.add(static_cast<double>(report.completed_at - submitted_at));
     if (done) done(report);
   });

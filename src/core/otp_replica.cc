@@ -62,7 +62,7 @@ SubmitResult OtpReplica::gate_and_broadcast(ProcId proc, ClassId klass,
   const SubmitResult gate = ingress_gate(sim_.now(), deadline, in_flight(), lag,
                                          abcast_.backpressured(), metrics_);
   if (gate != SubmitResult::admitted) return gate;
-  auto request = std::make_shared<TxnRequest>();
+  auto request = requests_.acquire();
   request->proc = proc;
   request->klass = klass;
   request->classes = std::move(classes);

@@ -71,6 +71,7 @@
 #include "db/storage_backend.h"
 #include "db/versioned_store.h"
 #include "sim/simulator.h"
+#include "util/recycling.h"
 
 namespace otpdb {
 
@@ -228,6 +229,7 @@ class OtpReplica : public ReplicaBase {
   bool promoting_ = false;              // reentrancy guard for promote_heads
 
   std::uint64_t next_client_seq_ = 0;
+  BodyPool<TxnRequest> requests_;  // every request this site broadcasts
   ReplicaMetrics metrics_;
   QueryEngine queries_;
   CommitHook commit_hook_;

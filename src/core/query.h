@@ -65,12 +65,15 @@ class QueryContext {
 
   using ReadFn = std::function<Value(ObjectId, TOIndex)>;  // throws SnapshotNotReady
 
-  QueryContext(TOIndex snapshot, ReadFn read_fn)
-      : snapshot_(snapshot), read_fn_(std::move(read_fn)) {}
+  /// Logs the reads into `reads`, the caller's buffer, which it clears.
+  QueryContext(TOIndex snapshot, ReadFn read_fn, std::vector<std::pair<ObjectId, Value>>& reads)
+      : snapshot_(snapshot), read_fn_(std::move(read_fn)), reads_(reads) {
+    reads_.clear();
+  }
 
   TOIndex snapshot_;
   ReadFn read_fn_;
-  std::vector<std::pair<ObjectId, Value>> reads_;
+  std::vector<std::pair<ObjectId, Value>>& reads_;
 };
 
 inline Value QueryContext::read(ObjectId obj) {

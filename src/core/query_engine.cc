@@ -176,8 +176,9 @@ void QueryEngine::run(QuerySlot slot) {
   RunningQuery& query = pool_[slot];
   ++query.attempts;
   if (query.attempts > 1) ++metrics_.query_retries;
-  QueryContext ctx(query.snapshot,
-                   [this](ObjectId obj, TOIndex snapshot) { return read(obj, snapshot); });
+  QueryContext ctx(
+      query.snapshot, [this](ObjectId obj, TOIndex snapshot) { return read(obj, snapshot); },
+      read_log_);
   try {
     query.fn(ctx);
   } catch (const detail::SnapshotNotReady& wait) {
@@ -199,13 +200,14 @@ void QueryEngine::run(QuerySlot slot) {
   report.submitted_at = query.submitted_at;
   report.completed_at = sim_.now();
   report.attempts = query.attempts;
-  report.reads = std::move(ctx.reads_);
+  report.reads.swap(read_log_);  // lent to the report, taken back below
   metrics_.query_latency_ns.add(static_cast<double>(report.completed_at - report.submitted_at));
   // Move the completion callback out before releasing: done() may submit a
   // fresh query and legitimately reuse this slot.
   QueryDoneFn done = std::move(query.done);
   release_slot(slot);
   if (done) done(report);
+  read_log_.swap(report.reads);
 }
 
 }  // namespace otpdb

@@ -175,6 +175,9 @@ class QueryEngine {
   std::vector<QuerySlot> free_slots_;
   std::vector<Waiter> waiters_;          // sorted by index, FIFO within ties
   std::vector<QuerySlot> wake_scratch_;  // reused by finish_commit
+  /// The read log of the run in progress, reused run after run (a report
+  /// borrows it while its done callback runs).
+  std::vector<std::pair<ObjectId, Value>> read_log_;
   std::map<TOIndex, std::size_t> active_snapshots_;  // snapshot -> live queries
 };
 

@@ -113,6 +113,21 @@ struct TxnRequest final : Payload {
   /// class-queue model.
   std::vector<ObjectId> access_set;
 
+  /// Back to a blank request for its sender's pool (OtpReplica sends every
+  /// request from one); the vectors keep their capacity.
+  void clear() {
+    proc = 0;
+    klass = 0;
+    classes.clear();
+    args.ints.clear();
+    origin = 0;
+    client_seq = 0;
+    submitted_at = 0;
+    exec_duration = 0;
+    deadline = 0;
+    access_set.clear();
+  }
+
   /// The covered classes as a span (always non-empty, ascending).
   std::span<const ClassId> class_span() const {
     return classes.empty() ? std::span<const ClassId>(&klass, 1)

@@ -50,18 +50,24 @@ std::uint32_t read_u32le(const std::uint8_t* p) {
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
+/// Appends the little-endian bytes of `v` in one step. The buffer grows as a
+/// push_back per byte would grow it (doubling once full), so its capacity,
+/// and the allocations behind it, do not depend on how fields are appended.
+template <typename U>
+void put_le(std::vector<std::uint8_t>& out, U v) {
+  std::uint8_t bytes[sizeof(U)];
+  for (std::size_t i = 0; i < sizeof(U); ++i) bytes[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  if (out.capacity() - out.size() < sizeof(U)) {
+    std::size_t capacity = out.capacity();
+    while (capacity - out.size() < sizeof(U)) capacity = capacity == 0 ? 1 : 2 * capacity;
+    out.reserve(capacity);
+  }
+  out.insert(out.end(), bytes, bytes + sizeof(U));
 }
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) { put_le(out, v); }
+void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) { put_le(out, v); }
+void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) { put_le(out, v); }
 
 void put_value(std::vector<std::uint8_t>& out, const Value& value) {
   if (const auto* i = std::get_if<std::int64_t>(&value)) {

@@ -13,93 +13,28 @@
 // callers test trimmed() before touching a key that may lie below the front.
 // Only clear() forgets the trimmed front.
 //
-// Recycled storage: the element blocks that trim_front and clear release go
-// onto a free list owned by the table, and the deque takes its next blocks
-// from there (the deque allocates every element block in one size). A
-// window that slides through the keys - slots created at the back, trimmed
-// at the front - therefore allocates nothing once the table has held its
-// high-water mark of blocks; the table keeps that many until it is
-// destroyed. The free list is unsynchronized: one table belongs to one
-// site, so only that site's shard touches it. What a slot points to (a
-// shared payload, say) lives wherever its owner put it.
+// Recycled storage: the deque sits on a RecyclingAllocator
+// (util/recycling.h), so the element blocks that trim_front and clear
+// release go onto the table's own FreeBlocks and the deque takes its next
+// blocks from there. A window that slides through the keys - slots created
+// at the back, trimmed at the front - therefore allocates nothing once the
+// table has held its high-water mark of blocks; the table keeps that many
+// until it is destroyed. Under AddressSanitizer a listed block is poisoned,
+// so a pointer kept into a trimmed slot is reported when it is used. What a
+// slot points to (a shared payload, say) lives wherever its owner put it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <new>
-#include <type_traits>
-#include <utility>
 
 #include "util/assert.h"
+#include "util/recycling.h"
 
 namespace otpdb {
 
-namespace dense_deque_detail {
-
-/// The element blocks a table has released, ready for reuse.
-struct FreeBlocks {
-  struct Block {
-    Block* next;
-  };
-  Block* head = nullptr;
-  std::size_t block_elements = 0;  // the deque's block size, once one was freed
-
-  FreeBlocks() = default;
-  FreeBlocks(const FreeBlocks&) = delete;
-  FreeBlocks& operator=(const FreeBlocks&) = delete;
-  ~FreeBlocks() {
-    while (head != nullptr) ::operator delete(std::exchange(head, head->next));
-  }
-};
-
-/// The deque's allocator. It rebinds to T for element blocks, which it
-/// recycles through the table's FreeBlocks, and to T* for the map of block
-/// pointers, which goes to the heap (the map is reallocated only as the
-/// table's span grows).
-template <typename U, typename T>
-struct Allocator {
-  using value_type = U;
-  template <typename V>
-  struct rebind {
-    using other = Allocator<V, T>;
-  };
-
-  explicit Allocator(FreeBlocks* blocks) : free(blocks) {}
-  template <typename V>
-  Allocator(const Allocator<V, T>& other) : free(other.free) {}
-
-  U* allocate(std::size_t n) {
-    if constexpr (std::is_same_v<U, T>) {
-      if (free->head != nullptr && n == free->block_elements) {
-        return reinterpret_cast<U*>(std::exchange(free->head, free->head->next));
-      }
-    }
-    return static_cast<U*>(::operator new(n * sizeof(U)));
-  }
-
-  void deallocate(U* p, std::size_t n) {
-    if constexpr (std::is_same_v<U, T>) {
-      if (free->block_elements == 0) free->block_elements = n;
-      if (n == free->block_elements) {
-        free->head = ::new (static_cast<void*>(p)) FreeBlocks::Block{free->head};
-        return;
-      }
-    }
-    ::operator delete(p);
-  }
-
-  bool operator==(const Allocator& other) const { return free == other.free; }
-
-  FreeBlocks* free;
-};
-
-}  // namespace dense_deque_detail
-
 template <typename T>
 class DenseDeque {
-  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
-
  public:
   DenseDeque() = default;
   // The deque's allocator points at the free list that lives beside it.
@@ -166,9 +101,8 @@ class DenseDeque {
  private:
   std::uint64_t base_ = 0;
   std::uint64_t front_ = 0;  // keys below it are trimmed
-  dense_deque_detail::FreeBlocks free_;  // before slots_: outlives it
-  std::deque<T, dense_deque_detail::Allocator<T, T>> slots_{
-      dense_deque_detail::Allocator<T, T>(&free_)};
+  FreeBlocks free_;  // before slots_: outlives it
+  std::deque<T, RecyclingAllocator<T>> slots_{RecyclingAllocator<T>(&free_)};
 };
 
 }  // namespace otpdb

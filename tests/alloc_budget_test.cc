@@ -9,8 +9,10 @@
 // the whole stack - client, network, broadcast, consensus, engine and store -
 // and is deterministic for a fixed seed.
 //
-// The DenseDeque cases check the recycled storage under the ordering
-// layer's tables the same way: a sliding key window allocates nothing.
+// A second identical cluster in the same process must allocate exactly as
+// the first: recycled storage belongs to one cluster's objects. The
+// DenseDeque cases check the recycled storage under the ordering layer's
+// tables: a sliding key window allocates nothing.
 //
 // This TU includes util/counting_new.h (the global counting operator new),
 // so it must stay the binary's only TU that does.
@@ -32,7 +34,13 @@
 namespace otpdb {
 namespace {
 
-double allocs_per_commit(const ReplicaFactory& factory) {
+/// Allocations and commits (at site 0) over the steady window.
+struct Window {
+  std::uint64_t allocs = 0;
+  std::uint64_t commits = 0;
+};
+
+Window steady_window(const ReplicaFactory& factory) {
   ClusterConfig config;
   config.n_sites = 4;
   config.n_classes = 8;
@@ -51,12 +59,19 @@ double allocs_per_commit(const ReplicaFactory& factory) {
   const std::uint64_t allocs_before = heap_alloc_count.load(std::memory_order_relaxed);
   const std::uint64_t commits_before = cluster.replica(0).metrics().committed;
   cluster.run_for(2 * kSecond);  // the steady window
-  const std::uint64_t allocs = heap_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  const std::uint64_t commits = cluster.replica(0).metrics().committed - commits_before;
+  Window window;
+  window.allocs = heap_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  window.commits = cluster.replica(0).metrics().committed - commits_before;
   EXPECT_TRUE(cluster.quiesce());
   EXPECT_GT(hooked, 0u);
-  EXPECT_GT(commits, 1000u) << "the window must hold a steady load";
-  const double per_commit = static_cast<double>(allocs) / static_cast<double>(commits);
+  EXPECT_GT(window.commits, 1000u) << "the window must hold a steady load";
+  return window;
+}
+
+double allocs_per_commit(const ReplicaFactory& factory) {
+  const Window window = steady_window(factory);
+  const double per_commit =
+      static_cast<double>(window.allocs) / static_cast<double>(window.commits);
   std::printf("allocations per committed transaction: %.2f\n", per_commit);
   return per_commit;
 }
@@ -66,14 +81,14 @@ double allocs_per_commit(const ReplicaFactory& factory) {
 // which absorbs other standard-library versions.
 constexpr double kHeadroom = 1.25;
 
-TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 12.37 * kHeadroom); }
+TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 5.20 * kHeadroom); }
 
 TEST(AllocBudget, ConservativeEngine) {
   const double measured = allocs_per_commit([](const ReplicaDeps& d) {
     return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                                  d.registry, d.site);
   });
-  EXPECT_LT(measured, 12.40 * kHeadroom);
+  EXPECT_LT(measured, 5.22 * kHeadroom);
 }
 
 TEST(AllocBudget, LockTableEngine) {
@@ -81,7 +96,18 @@ TEST(AllocBudget, LockTableEngine) {
     return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                               d.registry, d.site, rmw_access_extractor(d.catalog));
   });
-  EXPECT_LT(measured, 13.82 * kHeadroom);
+  EXPECT_LT(measured, 6.67 * kHeadroom);
+}
+
+TEST(AllocBudget, IdenticalClustersAllocateIdentically) {
+  // Recycled storage belongs to one cluster's objects and starts empty with
+  // them, so a second identical cluster in the same process allocates
+  // exactly as the first did. A pool shared across clusters would start the
+  // second one warm.
+  const Window first = steady_window(nullptr);
+  const Window second = steady_window(nullptr);
+  EXPECT_EQ(first.commits, second.commits);
+  EXPECT_EQ(first.allocs, second.allocs);
 }
 
 TEST(AllocBudget, DenseDequeWindowSlidesWithoutAllocating) {

@@ -125,6 +125,30 @@ TEST(Consensus, ManyInstancesIndependently) {
   }
 }
 
+TEST(Consensus, RecycledPayloadsHoldNoValue) {
+  // Conflicting proposals take a coordinated round, whose CoordProp and
+  // Decision payloads carry a Value into a Propose payload. Once every
+  // message is delivered and the instance trimmed, the hosts' pools hold
+  // those payloads for reuse (later instances reuse them), and none may
+  // still hold its Value: each proposal is then referenced only here.
+  ConsensusFixture f(4, calm(), 2);
+  std::vector<ConsensusHost::Value> proposals;
+  for (SiteId s = 0; s < 4; ++s) {
+    proposals.push_back(f.host(s).propose(0, s % 2 == 0 ? seq({1, 2}) : seq({2, 1})));
+  }
+  f.sim().run_until(5 * kSecond);
+  ASSERT_TRUE(f.agreed_value(0, 4).has_value());
+  EXPECT_GT(f.host(0).stats().round_decides + f.host(1).stats().round_decides, 0u);
+  for (std::uint64_t inst = 1; inst <= 3; ++inst) {
+    for (SiteId s = 0; s < 4; ++s) f.host(s).propose(inst, seq({10 + inst}));
+  }
+  f.sim().run_until(10 * kSecond);
+  for (SiteId s = 0; s < 4; ++s) f.host(s).trim_below(4);
+  for (SiteId s = 0; s < 4; ++s) {
+    EXPECT_EQ(proposals[s].use_count(), 1) << "site " << s << "'s proposal is still held";
+  }
+}
+
 TEST(Consensus, CoordinatorCrashBeforeProposing) {
   // Coordinator of instance 0 round 0 is site 0; crash it before anyone
   // proposes. The remaining majority must still decide via later rounds.

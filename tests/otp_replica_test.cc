@@ -39,6 +39,8 @@ class ManualAbcast final : public AtomicBroadcast {
   void to(const MsgId& id) { callbacks_.to_deliver(id, next_index_++); }
 
   const std::vector<std::pair<MsgId, PayloadPtr>>& sent() const { return sent_; }
+  /// Drops the broadcast payloads, as a network does once it delivered them.
+  void clear_sent() { sent_.clear(); }
 
  private:
   std::vector<std::pair<MsgId, PayloadPtr>> sent_;
@@ -342,6 +344,30 @@ TEST(OtpReplica, CommitLatencyRecordedAtOriginOnly) {
   EXPECT_EQ(site.replica->metrics().commit_latency_ns.count(), 1u);
   EXPECT_GE(site.replica->metrics().commit_latency_ns.mean(),
             static_cast<double>(2 * kMillisecond));
+}
+
+TEST(OtpReplica, RecycledRequestCarriesNothingOfThePrevious) {
+  // The replica broadcasts every request from its pool: once nothing holds
+  // a request, the next submission reuses its body and must not inherit its
+  // class set or deadline.
+  Site site(4);
+  ASSERT_EQ(site.replica->submit_update_multi(site.proc, {2, 1}, TxnArgs{{1, 7}}, kMillisecond,
+                                              5 * kSecond),
+            SubmitResult::admitted);
+  const Payload* first = site.abcast.sent().at(0).second.get();
+  site.abcast.clear_sent();
+  ASSERT_EQ(site.replica->submit_update(site.proc, 3, TxnArgs{{1, 8}}, kMillisecond),
+            SubmitResult::admitted);
+  ASSERT_EQ(site.abcast.sent().size(), 1u);
+  const auto& request = static_cast<const TxnRequest&>(*site.abcast.sent()[0].second);
+  EXPECT_EQ(&request, first) << "the released request's body was not reused";
+  EXPECT_EQ(request.klass, 3u);
+  EXPECT_TRUE(request.classes.empty());
+  EXPECT_EQ(request.class_span().size(), 1u);
+  EXPECT_EQ(request.deadline, 0);
+  EXPECT_TRUE(request.access_set.empty());
+  EXPECT_EQ(request.args.ints, (std::vector<std::int64_t>{1, 8}));
+  EXPECT_EQ(request.client_seq, 1u);
 }
 
 TEST(OtpReplica, ManyPendingReordersConvergeToDefinitiveOrder) {

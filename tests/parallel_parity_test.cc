@@ -563,6 +563,34 @@ TEST(ParallelParity, CliRejectsUnknownEngineAndAbcast) {
     }
   }
 }
+
+TEST(ParallelParity, CliExitStatusFollowsItsVerdict) {
+  // A run whose summary reports a failure - it did not drain, or its
+  // serializability check or conservation audit failed - exits 1 after
+  // printing the whole summary. The lazy engine's serializability
+  // violations are its expected lost updates, not a failed run. The
+  // two-site crash run is direction 1's liveness gap: the recovered site
+  // never proposes the stage that orders what it missed.
+  const auto failed = [](const std::string& args, const std::string& out) {
+    const bool lazy = args.find("--engine=lazy") != std::string::npos;
+    return out.find("(WARNING: did not drain)") != std::string::npos ||
+           (!lazy && out.find(": VIOLATED") != std::string::npos);
+  };
+  for (const std::string args :
+       {"run --sites=2 --crash-site=1 --seconds=1", "run --sites=3 --crash-site=1 --seconds=1",
+        "run --seconds=0.5", "run --engine=lazy --seconds=0.5", "tpcc --seconds=0.5"}) {
+    int status = 0;
+    const std::string out = run_cli(args, &status);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), failed(args, out) ? 1 : 0) << args << "\n" << out;
+    if (args == "run --sites=2 --crash-site=1 --seconds=1") {
+      EXPECT_EQ(WEXITSTATUS(status), 1) << out;
+    }
+    if (args == "run --engine=lazy --seconds=0.5") {
+      EXPECT_NE(out.find("serializability    : VIOLATED"), std::string::npos) << out;
+    }
+  }
+}
 #else
 TEST(ParallelParity, CliHelpByteIdenticalAcrossRuns) {
   GTEST_SKIP() << "otpdb_cli not built alongside the test binary";

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "core/txn.h"
 #include "util/dense_deque.h"
+#include "util/recycling.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -281,6 +285,111 @@ TEST(DenseDeque, TrimPastTheEndKeepsTheFront) {
   table[0] = 1;
   EXPECT_EQ(table.size(), 1u);
 }
+
+TEST(FreeBlocks, RecyclesBlocksOfTheFirstReleasedSize) {
+  FreeBlocks blocks;
+  void* a = blocks.allocate(64);
+  void* b = blocks.allocate(64);
+  void* odd = blocks.allocate(32);
+  blocks.deallocate(a, 64);  // fixes the size at 64
+  blocks.deallocate(odd, 32);  // another size: back to the heap
+  blocks.deallocate(b, 64);
+  EXPECT_EQ(blocks.allocate(64), b) << "the last block released comes back first";
+  EXPECT_EQ(blocks.allocate(64), a);
+  blocks.deallocate(a, 64);
+  blocks.deallocate(b, 64);
+}
+
+/// A pooled body: a vector that clear() empties and a reference it drops.
+struct PooledBody {
+  std::vector<int> items;
+  std::shared_ptr<int> held;
+  void clear() {
+    items.clear();
+    held.reset();
+  }
+};
+
+TEST(BodyPool, RecycledBodyIsClearedAndKeepsItsCapacity) {
+  BodyPool<PooledBody> pool;
+  auto held = std::make_shared<int>(1);
+  std::shared_ptr<PooledBody> body = pool.acquire();
+  body->items.assign(100, 7);
+  body->held = held;
+  const PooledBody* first = body.get();
+  // An aliasing pointer into the body keeps it out of the pool too.
+  std::shared_ptr<const std::vector<int>> items(body, &body->items);
+  body.reset();
+  EXPECT_EQ(held.use_count(), 2) << "a body still referenced was recycled";
+  items.reset();
+  EXPECT_EQ(held.use_count(), 1) << "a recycled body still holds its reference";
+  body = pool.acquire();
+  EXPECT_EQ(body.get(), first);
+  EXPECT_TRUE(body->items.empty());
+  EXPECT_GE(body->items.capacity(), 100u);
+  EXPECT_EQ(body->held, nullptr);
+}
+
+TEST(BodyPool, RecycledTxnRequestCarriesNothingOfThePrevious) {
+  BodyPool<TxnRequest> pool;
+  std::shared_ptr<TxnRequest> request = pool.acquire();
+  request->proc = 3;
+  request->klass = 2;
+  request->classes = {2, 5};
+  request->args.ints = {1, 2, 3};
+  request->origin = 1;
+  request->client_seq = 9;
+  request->submitted_at = 4;
+  request->exec_duration = 5;
+  request->deadline = 6;
+  request->access_set = {40, 41};
+  const TxnRequest* first = request.get();
+  request.reset();
+  request = pool.acquire();
+  ASSERT_EQ(request.get(), first);
+  EXPECT_EQ(request->proc, 0u);
+  EXPECT_EQ(request->klass, 0u);
+  EXPECT_TRUE(request->classes.empty());
+  EXPECT_TRUE(request->args.ints.empty());
+  EXPECT_EQ(request->origin, 0u);
+  EXPECT_EQ(request->client_seq, 0u);
+  EXPECT_EQ(request->submitted_at, 0);
+  EXPECT_EQ(request->exec_duration, 0);
+  EXPECT_EQ(request->deadline, 0);
+  EXPECT_TRUE(request->access_set.empty());
+}
+
+TEST(BodyPool, BodyReleasedAfterItsPoolIsFreedCleanly) {
+  // A queued delivery can hold a body past its sender's lifetime. The body
+  // stays usable, and releasing it frees the pool's storage (the sanitizer
+  // builds check this with leak detection on).
+  auto pool = std::make_unique<BodyPool<PooledBody>>();
+  std::shared_ptr<PooledBody> body = pool->acquire();
+  std::shared_ptr<PooledBody> recycled = pool->acquire();
+  recycled.reset();  // one body listed in the pool's storage
+  pool.reset();
+  body->items.assign(1000, 1);
+  EXPECT_EQ(body->items.size(), 1000u);
+  body.reset();
+}
+
+#ifdef OTPDB_ASAN
+TEST(BodyPool, ListedBodiesAndBlocksArePoisoned) {
+  BodyPool<PooledBody> pool;
+  std::shared_ptr<PooledBody> body = pool.acquire();
+  const PooledBody* raw = body.get();
+  body.reset();
+  EXPECT_TRUE(__asan_address_is_poisoned(raw)) << "a released body is addressable";
+  body = pool.acquire();
+  EXPECT_FALSE(__asan_address_is_poisoned(body.get()));
+  FreeBlocks blocks;
+  void* block = blocks.allocate(64);
+  blocks.deallocate(block, 64);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_FALSE(__asan_address_is_poisoned(blocks.allocate(64)));
+  blocks.deallocate(block, 64);
+}
+#endif
 
 }  // namespace
 }  // namespace otpdb
