@@ -6,6 +6,8 @@
 namespace otpdb {
 namespace {
 
+constexpr SiteId kSequencer = 0;  ///< the site that assigns the definitive indices
+
 struct OrderPayload final : Payload {
   MsgId subject;
   TOIndex index = 0;
@@ -13,10 +15,8 @@ struct OrderPayload final : Payload {
 
 }  // namespace
 
-SequencerAbcast::SequencerAbcast(Simulator& sim, Network& net, SiteId self,
-                                 SequencerAbcastConfig config)
-    : sim_(sim), net_(net), self_(self), config_(config) {
-  OTPDB_CHECK(config_.sequencer < net.site_count());
+SequencerAbcast::SequencerAbcast(Simulator& sim, Network& net, SiteId self)
+    : sim_(sim), net_(net), self_(self) {
   net_.subscribe(self_, kChannelData, [this](const Message& m) { on_data(m); });
   net_.subscribe(self_, kChannelSequencer, [this](const Message& m) { on_order(m); });
 }
@@ -37,7 +37,7 @@ void SequencerAbcast::on_data(const Message& msg) {
   ++stats_.opt_delivered;
   if (callbacks_.opt_deliver) callbacks_.opt_deliver(msg);
 
-  if (self_ == config_.sequencer) {
+  if (self_ == kSequencer) {
     auto order = std::make_shared<OrderPayload>();
     order->subject = msg.id;
     order->index = next_assign_++;

@@ -14,8 +14,8 @@
 //  * a second, structurally different implementation of the AtomicBroadcast
 //    interface exercising the same property test suite.
 //
-// Fault model: tolerates crash of non-sequencer sites only; OptAbcast is the
-// crash-tolerant protocol (f < n/2).
+// Site 0 is the sequencer. Fault model: tolerates crash of non-sequencer
+// sites only; OptAbcast is the crash-tolerant protocol (f < n/2).
 #pragma once
 
 #include <cstdint>
@@ -30,13 +30,9 @@
 
 namespace otpdb {
 
-struct SequencerAbcastConfig {
-  SiteId sequencer = 0;
-};
-
 class SequencerAbcast final : public AtomicBroadcast {
  public:
-  SequencerAbcast(Simulator& sim, Network& net, SiteId self, SequencerAbcastConfig config);
+  SequencerAbcast(Simulator& sim, Network& net, SiteId self);
 
   MsgId broadcast(PayloadPtr payload) override;
   void set_callbacks(AbcastCallbacks callbacks) override;
@@ -53,7 +49,6 @@ class SequencerAbcast final : public AtomicBroadcast {
   Simulator& sim_;
   Network& net_;
   SiteId self_;
-  SequencerAbcastConfig config_;
   AbcastCallbacks callbacks_;
 
   std::unordered_set<MsgId> arrived_;

@@ -111,11 +111,11 @@ void LazyReplica::on_complete(ClassId klass) {
     record_.at = sim_.now();
     record_.writes.assign(writes.begin(), writes.end());
   }
-  // Site-local version stamps are still monotone per class, so the durable
-  // backend's per-class watermark protocol holds (it just isn't a cross-site
-  // total order - same caveat as the in-memory chains). Lazy queries read
-  // only latest values, so each chain keeps just its newest version.
-  backend_.commit(txn.tid, index, std::span<const ClassId>(&klass, 1), index + 1);
+  // Site-local version stamps commit in order, so every local index up to
+  // this one is committed: it is its own floor (just not a cross-site total
+  // order - same caveat as the in-memory chains). Lazy queries read only
+  // latest values, so each chain keeps just its newest version.
+  backend_.commit(txn.tid, index, index, index + 1);
   interner_.release(txn.tid);
 
   ++metrics_.committed;
@@ -160,8 +160,7 @@ void LazyReplica::on_apply(const Message& msg) {
   }
   if (installed_any) {
     const TOIndex index = next_local_index_++;
-    const ClassId klass = apply->klass;
-    backend_.commit(stid, index, std::span<const ClassId>(&klass, 1), index + 1);
+    backend_.commit(stid, index, index, index + 1);
     if (commit_hook_) {
       record_.site = self_;
       record_.txn = synthetic;

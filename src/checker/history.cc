@@ -225,6 +225,21 @@ CheckResult check_object_level_serializability(
   return result;
 }
 
+std::vector<std::vector<CommitRecord>> last_commit_per_index(
+    std::vector<std::vector<CommitRecord>> logs) {
+  for (auto& log : logs) {
+    std::unordered_map<TOIndex, std::size_t> last;
+    for (std::size_t i = 0; i < log.size(); ++i) last[log[i].index] = i;
+    std::vector<CommitRecord> kept;
+    kept.reserve(log.size());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (last[log[i].index] == i) kept.push_back(log[i]);
+    }
+    log = std::move(kept);
+  }
+  return logs;
+}
+
 CheckResult compare_final_states(const std::vector<const VersionedStore*>& stores,
                                  const PartitionCatalog& catalog) {
   CheckResult result;

@@ -60,6 +60,12 @@ CheckResult check_one_copy_serializability(const std::vector<std::vector<CommitR
 CheckResult check_object_level_serializability(
     const std::vector<std::vector<CommitRecord>>& logs);
 
+/// Collapses each site log to the last occurrence of every definitive index.
+/// A cold-restarted site re-executes and commits again what lay above its
+/// durable floor, so its log repeats those indices.
+std::vector<std::vector<CommitRecord>> last_commit_per_index(
+    std::vector<std::vector<CommitRecord>> logs);
+
 /// Compares the latest committed value of every catalogued object across the
 /// given stores; returns one violation per differing object. After a quiesced
 /// run, eager engines must produce identical states at all sites.

@@ -6,10 +6,10 @@
 // battery at the end. The point is that chaos runs never check "it didn't
 // crash" - they check the paper's actual guarantees under fire:
 //
-//   online   - durable-watermark monotonicity per (site, class): watermarks
-//              only advance on a successful fsync, survive cold restarts
-//              (recovery replays exactly the synced prefix), and freeze -
-//              never regress - when the storage health ladder degrades.
+//   online   - durable-floor monotonicity per site: the floor only advances
+//              on a successful fsync, survives cold restarts (recovery finds
+//              the floor of the last synced record again), and freezes -
+//              never regresses - when the storage health ladder degrades.
 //   at end   - 1-copy-serializability over the recorded histories (Theorem
 //              4.2), cross-site state convergence, plus an optional
 //              per-site application audit (e.g. TPC-C money conservation).
@@ -31,7 +31,7 @@ namespace otpdb {
 class InvariantMonitor {
  public:
   struct Config {
-    /// Cadence of the online watermark sampling (hub control events).
+    /// Cadence of the online durable-floor sampling (hub control events).
     SimTime sample_interval = 100 * kMillisecond;
     /// Collapse each site log to the last occurrence per TOIndex before the
     /// 1CSR check (required when the scenario cold-restarts sites).
@@ -59,12 +59,12 @@ class InvariantMonitor {
 
  private:
   void sample();   ///< observe + reschedule (hub control event)
-  void observe();  ///< one watermark-monotonicity pass over all sites
+  void observe();  ///< one durable-floor monotonicity pass over all sites
 
   Cluster& cluster_;
   Config config_;
   HistoryRecorder recorder_;
-  std::vector<std::vector<TOIndex>> high_watermark_;  // [site][class], max seen
+  std::vector<TOIndex> high_floor_;  // per site, the highest durable floor seen
   std::vector<std::string> online_violations_;
   std::uint64_t samples_ = 0;
   std::function<std::vector<std::string>(SiteId)> audit_;

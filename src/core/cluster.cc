@@ -74,16 +74,14 @@ void Cluster::build(ReplicaFactory factory) {
             std::make_unique<OptAbcast>(site_sim(s), *net_, *fds_[s], s, config_.opt));
         break;
       case AbcastKind::sequencer:
-        abcasts_.push_back(
-            std::make_unique<SequencerAbcast>(site_sim(s), *net_, s, config_.sequencer));
+        abcasts_.push_back(std::make_unique<SequencerAbcast>(site_sim(s), *net_, s));
         break;
     }
     // Dense object index covering the catalog's whole contiguous id space.
     // Durable backends schedule their flush/checkpoint events on the site's
     // own shard, so they run in the site's phase of the sharded engine.
     backends_.push_back(make_storage_backend(config_.storage, site_sim(s), s,
-                                             config_.n_classes, catalog_.object_count(),
-                                             data_root_));
+                                             catalog_.object_count(), data_root_));
   }
   for (SiteId s = 0; s < config_.n_sites; ++s) {
     replicas_.push_back(factory(
@@ -112,16 +110,16 @@ void Cluster::recover_site(SiteId site) {
   abcast->begin_recovery(replicas_[site]->committed_floor());
 }
 
-RecoveredState Cluster::restart_site_from_disk(SiteId site) {
+TOIndex Cluster::restart_site_from_disk(SiteId site) {
   OTPDB_CHECK(site < config_.n_sites);
   auto* abcast = dynamic_cast<OptAbcast*>(abcasts_[site].get());
   OTPDB_CHECK_MSG(abcast != nullptr, "recovery requires the optimistic broadcast");
-  const RecoveredState recovered = backends_[site]->restart_from_disk();
-  replicas_[site]->restart_from_disk(recovered.class_watermarks, recovered.durable_floor);
+  const TOIndex durable_floor = backends_[site]->restart_from_disk();
+  replicas_[site]->restart_from_disk(durable_floor);
   abcast->crash_reset();
   net_->recover(site);
-  abcast->begin_recovery(recovered.durable_floor);
-  return recovered;
+  abcast->begin_recovery(durable_floor);
+  return durable_floor;
 }
 
 void Cluster::load_everywhere(ObjectId obj, Value value) {

@@ -50,7 +50,6 @@ struct ClusterConfig {
   NetConfig net;
   AbcastKind abcast = AbcastKind::optimistic;
   OptAbcastConfig opt;
-  SequencerAbcastConfig sequencer;
   FailureDetectorConfig fd;
 
   OtpReplicaConfig otp;
@@ -164,16 +163,17 @@ class Cluster {
   void recover_site(SiteId site);
 
   /// Cold-restarts a crashed durable site: RAM is lost, the store is rebuilt
-  /// in place from its own checkpoint + WAL, and peer catch-up resends only
-  /// the tail beyond the durable watermark (everything at or below it is
-  /// TO-delivered as a body-less tombstone). Requires the durable backend.
+  /// in place from its own checkpoint + WAL as exactly the committed state
+  /// at its durable floor, and peer catch-up re-executes everything above
+  /// the floor (everything at or below it is TO-delivered as a body-less
+  /// tombstone). Peers keep those stages: the site's heartbeats never
+  /// carried a floor above its durable floor. Requires the durable backend.
   /// The virtual service clock of deadline budgets restarts from zero: a
   /// run that combines deadlines with cold restarts may drop differently
   /// at the restarted site.
   ///
-  /// Returns what the durable tier recovered; queries at the site start at
-  /// its `durable_floor`.
-  RecoveredState restart_site_from_disk(SiteId site);
+  /// Returns the durable floor; queries at the site start there.
+  TOIndex restart_site_from_disk(SiteId site);
 
   /// Runs until every replica reports zero in-flight work or `deadline_span`
   /// elapses. Returns true if the cluster quiesced.

@@ -11,8 +11,8 @@
 // tentative-order position; it executes when it heads every queue it is in
 // ("holds all its locks") and commits once it is both executed and
 // TO-delivered. Serialization, execution, the correctness check, deadline
-// drops, crash replay and commit are OtpReplica's own code, with one
-// virtual-service-clock lane and one query domain per object.
+// drops, crash replay, the cold restart and commit are OtpReplica's own
+// code, with one virtual-service-clock lane and one query domain per object.
 //
 // Deadlock freedom without lock ordering: within a site, every queue's
 // content order is consistent with one total order - committable transactions
@@ -25,9 +25,7 @@
 // order at every site, giving 1-copy-serializability at object granularity -
 // transactions of one class with disjoint access sets run concurrently.
 //
-// Two limits remain. A cold restart from the durable tier CHECK-fails: that
-// tier keeps per-class watermarks, which are maxima, not the committed prefix
-// of each object. And an update covers one class: declare a cross-class
+// One limit remains: an update covers one class. Declare a cross-class
 // access set through submit_update_with_access instead.
 #pragma once
 

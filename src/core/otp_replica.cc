@@ -222,18 +222,10 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
       txn->running = false;
     }
     backend_.abort(txn->tid);  // drop any provisional re-execution of replayed work
-    for (QueueKey key : keys) {
-      ClassQueue& q = queue(key);
-      TxnRecord* head = q.head();
-      if (head != txn && head->deliv == DeliveryState::pending &&
-          (head->running || head->exec == ExecState::executed)) {
-        abort_transaction(head);
-      }
-      q.reorder_before_first_pending(txn);
-      // Replayed indices precede every live transaction's index, so no
-      // committable transaction can sit ahead of this one.
-      OTPDB_CHECK(q.head() == txn);
-    }
+    reorder_before_pending(txn);
+    // Replayed indices precede every live transaction's index, so no
+    // committable transaction can sit ahead of this one.
+    OTPDB_CHECK(heads_all_queues(txn));
     for (QueueKey key : keys) pop_head(key, txn);
     promote_heads(keys);  // before retire: `keys` views the request
     txns_.retire(txn);
@@ -255,15 +247,7 @@ void OtpReplica::to_deliver_one(TxnRecord* txn) {
     }
     backend_.abort(txn->tid);  // undo provisional effects, if any
     txn->exec = ExecState::active;
-    for (QueueKey key : keys) {
-      ClassQueue& q = queue(key);
-      TxnRecord* head = q.head();
-      if (head != txn && head->deliv == DeliveryState::pending &&
-          (head->running || head->exec == ExecState::executed)) {
-        abort_transaction(head);  // CC8 applies equally ahead of a drop
-      }
-      q.reorder_before_first_pending(txn);
-    }
+    reorder_before_pending(txn);  // CC8 applies equally ahead of a drop
     if (heads_all_queues(txn)) {
       retire_expired(txn);  // txn is retired: nothing left to check
       return;
@@ -345,13 +329,9 @@ void OtpReplica::crash_recover_reset() {
   admission_.reset();
 }
 
-void OtpReplica::restart_from_disk(std::span<const TOIndex> class_watermarks,
-                                   TOIndex durable_floor) {
-  // A class's durable watermark is the maximum index committed in it (see
-  // DurableStore::commit), not a committed prefix of each of its objects.
-  OTPDB_CHECK_MSG(!by_object_, "object keys have no durable restart path");
+void OtpReplica::restart_from_disk(TOIndex durable_floor) {
   crash_recover_reset();  // volatile state is equally gone on a cold restart
-  queries_.restore_watermarks(class_watermarks, durable_floor);
+  queries_.restore_watermarks(durable_floor);
   service_clock_.reset(durable_floor);  // RAM is gone, and the clock with it
 }
 
@@ -363,6 +343,14 @@ void OtpReplica::correctness_check_module(TxnRecord* txn) {
     return;
   }
   txn->deliv = DeliveryState::committable;  // CC6
+  if (reorder_before_pending(txn)) ++metrics_.mismatch_reorders;  // CC7-CC10
+  if (!txn->running && heads_all_queues(txn)) {  // CC11 (unless already executing)
+    submit_execution(txn);                       // CC12
+  }
+  if (config_.paranoid_checks) check_invariants(txn);
+}
+
+bool OtpReplica::reorder_before_pending(TxnRecord* txn) {
   bool moved = false;
   for (QueueKey key : keys_of(txn)) {
     ClassQueue& q = queue(key);
@@ -378,11 +366,7 @@ void OtpReplica::correctness_check_module(TxnRecord* txn) {
     }
     moved |= q.reorder_before_first_pending(txn);  // CC10
   }
-  if (moved) ++metrics_.mismatch_reorders;
-  if (!txn->running && heads_all_queues(txn)) {  // CC11 (unless already executing)
-    submit_execution(txn);                       // CC12
-  }
-  if (config_.paranoid_checks) check_invariants(txn);
+  return moved;
 }
 
 // ---------------------------------------------------------------------------
@@ -499,7 +483,7 @@ void OtpReplica::commit(TxnRecord* txn) {
     fill_commit_record(commit_record_, self_, *txn, store_.provisional_writes(txn->tid));
   }
 
-  backend_.commit(txn->tid, txn->to_index, txn->request->class_span(), queries_.gc_horizon());
+  backend_.commit(txn->tid, txn->to_index, queries_.committed_floor(), queries_.gc_horizon());
   for (QueueKey key : keys) pop_head(key, txn);
 
   ++metrics_.committed;

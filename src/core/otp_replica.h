@@ -133,14 +133,11 @@ class OtpReplica : public ReplicaBase {
   /// class watermark are acknowledged without re-execution.
   void crash_recover_reset() override;
 
-  /// Cold restart over the durable tier: the store was already rebuilt from
-  /// checkpoint + WAL; this winds the query watermarks back to the durable
-  /// marks, starts query snapshots at `durable_floor` and accepts body-less
-  /// TO-delivery tombstones up to it during catch-up. Class keys only: the
-  /// durable tier keeps per-class watermarks, which are maxima rather than
-  /// the committed prefix an object's domain needs.
-  void restart_from_disk(std::span<const TOIndex> class_watermarks,
-                         TOIndex durable_floor) override;
+  /// Cold restart over the durable tier: the store was already rebuilt as
+  /// the committed state at `durable_floor`; this winds every query
+  /// watermark back to it, starts query snapshots there and accepts
+  /// body-less TO-delivery tombstones up to it during catch-up.
+  void restart_from_disk(TOIndex durable_floor) override;
 
  protected:
   /// When a transaction enters its queues (serialization steps S1-S2).
@@ -184,6 +181,10 @@ class OtpReplica : public ReplicaBase {
   void pop_head(QueueKey key, TxnRecord* txn);
 
   void to_deliver_one(TxnRecord* txn);
+  /// CC7-CC10 over every queue `txn` covers: undoes a wrongly ordered pending
+  /// head that has optimistic effects (CC8) and moves `txn` ahead of the
+  /// first pending transaction (CC10). Returns whether any queue moved.
+  bool reorder_before_pending(TxnRecord* txn);
   /// Retires an expired transaction heading all its covered queues: no
   /// effects, no commit hook, but the commit watermarks advance (waiting
   /// queries must not block on a slot that will never produce versions).

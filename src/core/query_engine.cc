@@ -48,7 +48,11 @@ void QueryEngine::submit(QueryFn fn, SimTime exec_duration, QueryDoneFn done) {
   query.attempts = 0;
   query.live = true;
   ++metrics_.queries_started;
-  ++active_snapshots_[query.snapshot];
+  if (active_snapshots_.empty() || active_snapshots_.back().snapshot != query.snapshot) {
+    OTPDB_ASSERT(active_snapshots_.empty() || active_snapshots_.back().snapshot < query.snapshot);
+    active_snapshots_.push_back(SnapshotCount{query.snapshot, 0});
+  }
+  ++active_snapshots_.back().queries;
   query.first_run = sim_.schedule_after(exec_duration, [this, slot] { run(slot); });
 }
 
@@ -123,12 +127,8 @@ void QueryEngine::reset_volatile() {
   active_snapshots_.clear();
 }
 
-void QueryEngine::restore_watermarks(std::span<const TOIndex> per_domain,
-                                     TOIndex durable_floor) {
-  for (std::size_t d = 0; d < last_committed_.size(); ++d) {
-    last_committed_[d] = d < per_domain.size() ? per_domain[d] : 0;
-    OTPDB_ASSERT(last_committed_[d] >= durable_floor);
-  }
+void QueryEngine::restore_watermarks(TOIndex durable_floor) {
+  std::fill(last_committed_.begin(), last_committed_.end(), durable_floor);
   committed_floor_ = durable_floor;
   last_to_index_ = durable_floor;
   done_.clear();
@@ -142,7 +142,7 @@ TOIndex QueryEngine::gc_horizon() const {
   // horizon is q_min + 1.
   const TOIndex q_min = active_snapshots_.empty()
                             ? committed_floor_
-                            : std::min(committed_floor_, active_snapshots_.begin()->first);
+                            : std::min(committed_floor_, active_snapshots_.front().snapshot);
   return q_min + 1;
 }
 
@@ -191,9 +191,13 @@ void QueryEngine::run(QuerySlot slot) {
     return;
   }
   ++metrics_.queries_done;
-  auto active = active_snapshots_.find(query.snapshot);
-  if (active != active_snapshots_.end() && --active->second == 0) {
-    active_snapshots_.erase(active);
+  const auto active = std::lower_bound(
+      active_snapshots_.begin(), active_snapshots_.end(), query.snapshot,
+      [](const SnapshotCount& c, TOIndex snapshot) { return c.snapshot < snapshot; });
+  OTPDB_ASSERT(active != active_snapshots_.end() && active->snapshot == query.snapshot);
+  --active->queries;
+  while (!active_snapshots_.empty() && active_snapshots_.front().queries == 0) {
+    active_snapshots_.pop_front();
   }
   QueryReport report;
   report.snapshot_index = query.snapshot;

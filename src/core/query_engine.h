@@ -20,9 +20,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/metrics.h"
@@ -30,6 +28,7 @@
 #include "db/partition.h"
 #include "db/versioned_store.h"
 #include "sim/simulator.h"
+#include "util/recycling.h"
 
 namespace otpdb {
 
@@ -79,8 +78,9 @@ class QueryEngine {
   /// j = max{k <= snapshot : T_k covers domain}, 0 when no such txn exists.
   TOIndex snapshot_bound(Domain domain, TOIndex snapshot) const;
 
-  /// Last committed definitive index of `domain` (the durable watermark used
-  /// by crash recovery to suppress re-execution of replayed transactions).
+  /// Commit watermark of `domain`: its last committed (or dropped)
+  /// definitive index, or the durable floor after a cold restart. Crash
+  /// recovery uses it to suppress re-execution of replayed transactions.
   TOIndex last_committed(Domain domain) const { return last_committed_[domain]; }
 
   /// Crash recovery: clears volatile state (TO-delivery history, snapshot
@@ -91,13 +91,14 @@ class QueryEngine {
   /// ReplicaMetrics::queries_dropped.
   void reset_volatile();
 
-  /// Cold restart: overwrites the per-domain commit watermarks with the
-  /// durable tier's recovered marks (possibly LOWER than before the crash -
-  /// the unflushed group-commit tail died with RAM) and starts snapshots and
-  /// the committed floor at `durable_floor` (the min of those marks): the
-  /// rebuilt store holds no version that only an older snapshot could read.
-  /// Domains beyond the span reset to 0. Call after reset_volatile().
-  void restore_watermarks(std::span<const TOIndex> per_domain, TOIndex durable_floor);
+  /// Cold restart: the store was rebuilt as exactly the committed state at
+  /// `durable_floor` (possibly LOWER than the floor before the crash - the
+  /// unflushed group-commit tail died with RAM). Every domain's commit
+  /// watermark, the committed floor and the snapshot index restart there:
+  /// everything at or below it is committed, nothing above it is, and the
+  /// store holds no version that only an older snapshot could read. Call
+  /// after reset_volatile().
+  void restore_watermarks(TOIndex durable_floor);
 
   /// One below the lowest TO-delivered index not yet committed or dropped
   /// here (last_to_index() when nothing is outstanding). Only rises, except
@@ -166,10 +167,13 @@ class QueryEngine {
   std::vector<History> to_history_;  // per domain
   std::vector<TOIndex> last_committed_;           // per domain
   TOIndex committed_floor_ = 0;
+  /// The element blocks of done_ and active_snapshots_, recycled: both
+  /// windows slide, so once warm they allocate nothing.
+  FreeBlocks window_blocks_;  // before the windows: outlives them
   /// Indices (committed_floor_, last_to_index_]: true once committed or
   /// dropped. The front is always false, so the window spans only what is
   /// still in flight.
-  std::deque<bool> done_;
+  std::deque<bool, RecyclingAllocator<bool>> done_{RecyclingAllocator<bool>(&window_blocks_)};
   TOIndex last_to_index_ = 0;
   std::vector<RunningQuery> pool_;       // slot-indexed, recycled
   std::vector<QuerySlot> free_slots_;
@@ -178,7 +182,16 @@ class QueryEngine {
   /// The read log of the run in progress, reused run after run (a report
   /// borrows it while its done callback runs).
   std::vector<std::pair<ObjectId, Value>> read_log_;
-  std::map<TOIndex, std::size_t> active_snapshots_;  // snapshot -> live queries
+  /// Live queries per snapshot index, ascending by index. A query's snapshot
+  /// is last_to_index_, which only rises between resets, so a new snapshot
+  /// joins at the back, and the front is popped once its count reaches zero:
+  /// it is the oldest live snapshot.
+  struct SnapshotCount {
+    TOIndex snapshot = 0;
+    std::size_t queries = 0;
+  };
+  std::deque<SnapshotCount, RecyclingAllocator<SnapshotCount>> active_snapshots_{
+      RecyclingAllocator<SnapshotCount>(&window_blocks_)};
 };
 
 }  // namespace otpdb

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "core/admission.h"
@@ -98,15 +97,14 @@ class ReplicaBase {
   }
 
   /// Cold restart from the durable tier: the store was rebuilt from
-  /// checkpoint + WAL and the query watermarks must be wound back to the
-  /// per-class durable marks (possibly LOWER than before the crash - the
-  /// unflushed tail died with RAM). Commits at or below `durable_floor` will
-  /// be TO-delivered as body-less tombstones during catch-up and must be
-  /// acknowledged without re-execution; query snapshots start at it, since
-  /// the checkpoint keeps no version only an older snapshot could read.
-  virtual void restart_from_disk(std::span<const TOIndex> class_watermarks,
-                                 TOIndex durable_floor) {
-    (void)class_watermarks;
+  /// checkpoint + WAL as exactly the committed state at `durable_floor`
+  /// (possibly LOWER than before the crash - the unflushed tail died with
+  /// RAM). Commits at or below it will be TO-delivered as body-less
+  /// tombstones during catch-up and must be acknowledged without
+  /// re-execution; everything above it is re-executed. Query snapshots start
+  /// at it, since the checkpoint keeps no version only an older snapshot
+  /// could read.
+  virtual void restart_from_disk(TOIndex durable_floor) {
     (void)durable_floor;
     OTPDB_CHECK_MSG(false, "this engine has no durable restart path");
   }

@@ -26,14 +26,8 @@ std::uint64_t parse_segment_seq(const std::string& name) {
 }  // namespace
 
 DurableStore::DurableStore(Simulator& sim, const StorageConfig& config,
-                           std::filesystem::path dir, std::size_t n_classes,
-                           std::uint64_t dense_objects)
-    : StorageBackend(dense_objects),
-      sim_(sim),
-      config_(config),
-      dir_(std::move(dir)),
-      pending_watermark_(n_classes, 0),
-      durable_watermark_(n_classes, 0) {
+                           std::filesystem::path dir, std::uint64_t dense_objects)
+    : StorageBackend(dense_objects), sim_(sim), config_(config), dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   OTPDB_CHECK_MSG(!ec, "cannot create the durable data directory");
@@ -59,27 +53,19 @@ void DurableStore::load(ObjectId obj, Value value) {
   schedule_flush();
 }
 
-void DurableStore::commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
-                          TOIndex horizon) {
+void DurableStore::commit(TxnId txn, TOIndex index, TOIndex floor, TOIndex horizon) {
   if (health_ != StorageHealth::failed) {
     // Encode from the provisional write-set BEFORE the in-memory commit
     // consumes it. The span is already sorted by object, so the record bytes
     // are identical at every site.
-    wal::append_commit(pending_, index, classes, store_.provisional_writes(txn));
+    wal::append_commit(pending_, index, floor, store_.provisional_writes(txn));
     ++stats_.commits_logged;
-    // max(), not plain assignment: the class-queue engines commit a class's
-    // transactions in ascending definitive order, but the lock-table engine
-    // serializes per object, so same-class commits may interleave.
-    for (ClassId c : classes) {
-      if (c < pending_watermark_.size()) {
-        pending_watermark_[c] = std::max(pending_watermark_[c], index);
-      }
-    }
+    pending_floor_ = std::max(pending_floor_, floor);
     pending_max_index_ = std::max(pending_max_index_, index);
   }
-  // The next checkpoint saves each chain from its newest version at or below
-  // the durable floor (which only rises), so GC must keep that version.
-  store_.commit(txn, index, std::min(horizon, durable_floor() + 1));
+  // The next checkpoint saves each object's newest version at or below the
+  // durable floor (which only rises), so GC must keep that version.
+  store_.commit(txn, index, std::min(horizon, durable_floor_ + 1));
   schedule_flush();
   schedule_checkpoint();
 }
@@ -128,8 +114,7 @@ void DurableStore::flush() {
     health_ = StorageHealth::ok;
     ++stats_.fsyncs;
     stats_.wal_bytes += pending_.size();
-    durable_watermark_ = pending_watermark_;
-    durable_max_index_ = std::max(durable_max_index_, pending_max_index_);
+    durable_floor_ = pending_floor_;
     active_max_index_ = std::max(active_max_index_, pending_max_index_);
     pending_.clear();
     pending_max_index_ = 0;
@@ -163,11 +148,11 @@ void DurableStore::note_flush_failure(bool tail_clean) {
   if (!tail_clean || consecutive_flush_failures_ > config_.io_max_retries) {
     // Un-cleanable garbage tail, or the device would not come back: stop
     // logging (anything appended now would be discarded by recovery anyway)
-    // and surface it. The in-memory store keeps serving; watermarks freeze.
+    // and surface it. The in-memory store keeps serving; the floor freezes.
     health_ = StorageHealth::failed;
     pending_.clear();
     pending_max_index_ = 0;
-    pending_watermark_ = durable_watermark_;
+    pending_floor_ = durable_floor_;
     return;
   }
   health_ = StorageHealth::degraded;
@@ -207,28 +192,26 @@ void DurableStore::schedule_checkpoint() {
 }
 
 void DurableStore::do_checkpoint() {
-  // The snapshot must cover exactly the durable watermarks, so everything
+  // The snapshot must cover exactly the durable floor, so everything
   // buffered goes to disk first.
   flush_now();
   if (!pending_.empty() || health_ != StorageHealth::ok) {
     // The flush failed (or the store is failed): the in-memory chains run
-    // ahead of the durable watermarks, so a snapshot now would advance the
+    // ahead of the durable floor, so a snapshot now would advance the
     // checkpoint past what the log can justify. Defer to a later cycle.
     ++stats_.checkpoints_skipped;
     if (health_ != StorageHealth::failed) schedule_checkpoint();
     return;
   }
 
-  // A cold restart from this checkpoint recovers a floor at least this high
-  // (replay only raises watermarks) and reads no snapshot below it, so each
-  // chain is saved from its newest version at or below the floor: the file
-  // holds the live state, not the history.
-  const TOIndex floor = durable_floor();
-  wal::CheckpointWriter writer(checkpoint_buffer_, durable_watermark_, durable_max_index_);
-  store_.for_each_chain(floor, [&writer](ObjectId obj,
-                                         std::span<const VersionedStore::Version> chain) {
-    writer.add_chain(obj, static_cast<std::uint32_t>(chain.size()));
-    for (const auto& v : chain) writer.add_version(v.index, v.value);
+  // A cold restart rebuilds the state at a floor at least this high and
+  // reads no snapshot below it, so each object is saved at its newest
+  // version at or below the floor: the file holds the live state, not the
+  // history.
+  const TOIndex floor = durable_floor_;
+  wal::CheckpointWriter writer(checkpoint_buffer_, floor);
+  store_.for_each_at(floor, [&writer](ObjectId obj, const VersionedStore::Version& v) {
+    writer.add(obj, v.index, v.value);
   });
   if (!writer.write(dir_ / kCheckpointFile, io())) {
     // Temp-file + rename means the previous checkpoint survives untouched;
@@ -244,12 +227,6 @@ void DurableStore::do_checkpoint() {
   // everything written so far.
   roll_segment();
   truncate_below(floor);
-}
-
-TOIndex DurableStore::durable_floor() const {
-  TOIndex floor = durable_max_index_;
-  for (TOIndex w : durable_watermark_) floor = std::min(floor, w);
-  return floor;
 }
 
 void DurableStore::truncate_below(TOIndex floor) {
@@ -279,7 +256,7 @@ void DurableStore::reopen() {
   if (!pending_.empty()) schedule_flush();
 }
 
-RecoveredState DurableStore::restart_from_disk() {
+TOIndex DurableStore::restart_from_disk() {
   down_ = false;
   // RAM is gone: the unflushed tail and the in-memory chains are lost.
   pending_.clear();
@@ -296,27 +273,15 @@ RecoveredState DurableStore::restart_from_disk() {
   store_.reset_in_place();
   sealed_.clear();
   active_max_index_ = 0;
-  const std::size_t n_classes = durable_watermark_.size();
-  std::vector<TOIndex> watermarks(n_classes, 0);
-  TOIndex max_index = 0;
 
-  wal::CheckpointData ckpt;
-  if (wal::read_checkpoint(dir_ / kCheckpointFile, ckpt)) {
-    ++stats_.checkpoint_restores;
-    for (const auto& [obj, versions] : ckpt.chains) {
-      for (const auto& [index, value] : versions) store_.install_version(obj, index, value);
-    }
-    for (std::size_t c = 0; c < std::min(n_classes, ckpt.class_watermarks.size()); ++c) {
-      watermarks[c] = ckpt.class_watermarks[c];
-    }
-    max_index = ckpt.max_index;
-  }
-  const std::vector<TOIndex> ckpt_watermarks = watermarks;
+  wal::CheckpointData ckpt;  // floor 0 and no versions when there is none
+  if (wal::read_checkpoint(dir_ / kCheckpointFile, ckpt)) ++stats_.checkpoint_restores;
 
-  // Replay segments in sequence order. The scan stops at the first torn or
-  // corrupt frame; from that point on NOTHING later may be applied (later
-  // segments would leave a hole in the definitive order), so the bad tail is
-  // cut off and all later segments are deleted.
+  // The valid log: segments in sequence order up to the first torn or
+  // corrupt frame. NOTHING after that frame may be applied (later segments
+  // would leave a hole in the definitive order), so the bad tail is cut off
+  // and all later segments are deleted. The floor D is the highest one the
+  // checkpoint or a valid record carries.
   std::vector<std::uint64_t> seqs;
   {
     std::error_code ec;
@@ -326,40 +291,39 @@ RecoveredState DurableStore::restart_from_disk() {
     }
   }
   std::sort(seqs.begin(), seqs.end());
-
-  wal::ScanCallbacks callbacks;
-  callbacks.on_load = [&](const wal::LoadRecord& rec) {
-    store_.install_version(rec.object, 0, rec.value);
-  };
-  callbacks.on_commit = [&](const wal::CommitRecord& rec) {
-    for (const auto& [obj, value] : rec.writes) store_.install_version(obj, rec.index, value);
-    bool beyond_checkpoint = false;
-    for (ClassId c : rec.classes) {
-      if (c >= n_classes) continue;
-      if (rec.index > ckpt_watermarks[c]) beyond_checkpoint = true;
-      watermarks[c] = std::max(watermarks[c], rec.index);
-    }
-    max_index = std::max(max_index, rec.index);
-    if (beyond_checkpoint) ++stats_.replayed_commits;
-  };
-
-  std::uint64_t last_seq = 0;
+  TOIndex floor = ckpt.floor;
   for (std::size_t i = 0; i < seqs.size(); ++i) {
-    const std::uint64_t seq = seqs[i];
-    const wal::ScanResult scan = wal::scan_segment(segment_path(seq), callbacks);
-    last_seq = seq;
-    sealed_.push_back(SealedSegment{seq, scan.max_index});
+    const wal::ScanResult scan = wal::scan_segment(segment_path(seqs[i]), {});
+    floor = std::max(floor, scan.max_floor);
+    sealed_.push_back(SealedSegment{seqs[i], scan.max_index});
     if (!scan.clean) {
-      wal::truncate_file(segment_path(seq), scan.valid_bytes);
+      wal::truncate_file(segment_path(seqs[i]), scan.valid_bytes);
       for (std::size_t j = i + 1; j < seqs.size(); ++j) {
         std::error_code ec;
         std::filesystem::remove(segment_path(seqs[j]), ec);
       }
+      seqs.resize(i + 1);
       break;
     }
   }
 
-  active_seq_ = last_seq + 1;
+  // The committed state at D: the checkpoint, then the records in
+  // (checkpoint floor, D] in log order (per object that is index order).
+  for (const wal::CheckpointVersion& v : ckpt.versions) {
+    store_.install_version(v.object, v.index, v.value);
+  }
+  wal::ScanCallbacks replay;
+  replay.on_load = [this](const wal::LoadRecord& rec) {
+    store_.install_version(rec.object, 0, rec.value);
+  };
+  replay.on_commit = [this, &ckpt, floor](const wal::CommitRecord& rec) {
+    if (rec.index <= ckpt.floor || rec.index > floor) return;
+    for (const auto& [obj, value] : rec.writes) store_.install_version(obj, rec.index, value);
+    ++stats_.replayed_commits;
+  };
+  for (const std::uint64_t seq : seqs) wal::scan_segment(segment_path(seq), replay);
+
+  active_seq_ = seqs.empty() ? 1 : seqs.back() + 1;
   // A cold restart is the operator's "fresh disk" moment: reset the health
   // ladder and try again (the injector, if armed, keeps drawing - the first
   // open can fail right here and the first flush will retry it).
@@ -370,15 +334,9 @@ RecoveredState DurableStore::restart_from_disk() {
     health_ = StorageHealth::degraded;
   }
 
-  durable_watermark_ = watermarks;
-  pending_watermark_ = watermarks;
-  durable_max_index_ = max_index;
-
-  RecoveredState rs;
-  rs.class_watermarks = std::move(watermarks);
-  rs.max_index = max_index;
-  rs.durable_floor = durable_floor();
-  return rs;
+  pending_floor_ = floor;
+  durable_floor_ = floor;
+  return floor;
 }
 
 }  // namespace otpdb

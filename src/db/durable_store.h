@@ -2,12 +2,23 @@
 //
 // The definitive delivery order is the log order (ROADMAP direction 2), so
 // the commit path is embarrassingly simple: encode the write-set under its
-// TOIndex, buffer it, and let one fsync cover every commit that arrived
-// within the flush window. Commits are NOT gated on durability - the engine
-// proceeds the moment the in-memory store is updated, exactly like the
-// paper's in-memory processing - so durability lags visibility by at most
-// flush_window + fsync_latency. What the site can lose in a crash is only
-// that unflushed tail, and recovery re-fetches it from peers.
+// TOIndex, with the engine's committed floor, buffer it, and let one fsync
+// cover every commit that arrived within the flush window. Commits are NOT
+// gated on durability - the engine proceeds the moment the in-memory store
+// is updated, exactly like the paper's in-memory processing - so durability
+// lags visibility by at most flush_window + fsync_latency. What the site can
+// lose in a crash is only that unflushed tail, and recovery re-fetches it
+// from peers.
+//
+// One durable floor: the floor carried by the last flushed record. Every
+// definitive index at or below it is committed at the site and logged, so a
+// cold restart rebuilds exactly the committed state there - the checkpoint
+// plus the records whose index lies in (checkpoint floor, D], where D is the
+// highest floor on disk. Records above D are skipped and re-executed through
+// peer catch-up; a later restart may meet such a record again beside its
+// re-execution, which commits the same writes at the same index (writes are
+// a function of the definitive order; see Cluster::restart_site_from_disk
+// for deadline drops), so the store installs the first and skips the second.
 //
 // Timing is simulated: the fsync itself executes for real (POSIX write +
 // fsync on the segment fd) but *when* flushes happen is driven by
@@ -20,11 +31,10 @@
 // Lifecycle per segment directory (site-<id>/):
 //   wal-<seq>.log ...   sealed + active segments
 //   checkpoint.bin      latest durable snapshot (atomic rename)
-// A checkpoint flushes the pending buffer, saves the per-class watermarks
-// and, per object, the versions a snapshot at or above the durable floor can
-// read (the live state, not the history - see do_checkpoint), rolls the
-// active segment, then deletes every sealed segment whose records all fall
-// at or below the floor.
+// A checkpoint flushes the pending buffer, saves the durable floor and each
+// object's newest version at or below it (the live state at the floor, not
+// the history - see do_checkpoint), rolls the active segment, then deletes
+// every sealed segment whose records all fall at or below the floor.
 //
 // I/O failure policy (all I/O goes through an IoEnv - injectable, see
 // db/io_shim.h): a failed write or fsync may have persisted a garbage prefix
@@ -36,10 +46,10 @@
 // appended after un-truncated garbage. After two consecutive failures the
 // segment is sealed at its valid prefix and a fresh file is tried (bad-block
 // model); if the tail cannot be cleaned or retries exhaust io_max_retries,
-// the store goes `failed`: it stops logging, freezes the durable watermarks,
-// and keeps serving from memory - surfaced, never silent. Checkpoints are
+// the store goes `failed`: it stops logging, freezes the durable floor, and
+// keeps serving from memory - surfaced, never silent. Checkpoints are
 // skipped while a flush failure is pending (the snapshot must not outrun the
-// durable watermarks) and rescheduled.
+// durable floor) and rescheduled.
 #pragma once
 
 #include <cstdint>
@@ -76,26 +86,22 @@ class DurableStore final : public StorageBackend {
   /// If the directory already holds state this does NOT replay it - a fresh
   /// cluster starts empty; call restart_from_disk() to recover.
   DurableStore(Simulator& sim, const StorageConfig& config, std::filesystem::path dir,
-               std::size_t n_classes, std::uint64_t dense_objects);
+               std::uint64_t dense_objects);
   ~DurableStore() override;
 
   void load(ObjectId obj, Value value) override;
-  void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
-              TOIndex horizon) override;
+  void commit(TxnId txn, TOIndex index, TOIndex floor, TOIndex horizon) override;
   void crash() override;
   void reopen() override;
-  RecoveredState restart_from_disk() override;
-  /// min(durable_max_index_, per-class durable watermarks): every index at
-  /// or below it is fsynced, so it bounds checkpoints and WAL truncation.
-  TOIndex durable_floor() const override;
+  TOIndex restart_from_disk() override;
+  /// The floor of the last flushed record: every index at or below it is
+  /// fsynced, so it bounds checkpoints and WAL truncation.
+  TOIndex durable_floor() const override { return durable_floor_; }
   const WalStats* wal_stats() const override { return &stats_; }
   StorageHealth health() const override { return health_; }
   const IoFaultStats* io_fault_stats() const override {
     return faulty_io_ ? &faulty_io_->stats() : nullptr;
   }
-
-  /// Durable watermark for one class (commits <= this index are fsynced).
-  TOIndex durable_watermark(ClassId klass) const { return durable_watermark_[klass]; }
 
  private:
   struct SealedSegment {
@@ -108,7 +114,7 @@ class DurableStore final : public StorageBackend {
   void flush();
   /// Bookkeeping after a failed flush attempt: degrade (retry with doubled
   /// backoff) while attempts remain and the tail is clean, else fail hard
-  /// (stop logging, drop the buffer, freeze the watermarks).
+  /// (stop logging, drop the buffer, freeze the durable floor).
   void note_flush_failure(bool tail_clean);
   void schedule_checkpoint();
   void do_checkpoint();
@@ -129,10 +135,9 @@ class DurableStore final : public StorageBackend {
 
   std::vector<std::uint8_t> pending_;     ///< encoded, unflushed records
   std::vector<std::uint8_t> checkpoint_buffer_;  ///< the last checkpoint image, reused
-  std::vector<TOIndex> pending_watermark_;  ///< per-class, incl. unflushed
-  std::vector<TOIndex> durable_watermark_;  ///< per-class, fsynced only
+  TOIndex pending_floor_ = 0;             ///< highest floor logged, incl. unflushed
+  TOIndex durable_floor_ = 0;             ///< highest floor fsynced
   TOIndex pending_max_index_ = 0;
-  TOIndex durable_max_index_ = 0;
 
   bool flush_scheduled_ = false;
   EventId flush_event_;

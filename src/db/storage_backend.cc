@@ -6,7 +6,6 @@ namespace otpdb {
 
 std::unique_ptr<StorageBackend> make_storage_backend(const StorageConfig& config,
                                                      Simulator& sim, SiteId site,
-                                                     std::size_t n_classes,
                                                      std::uint64_t dense_objects,
                                                      const std::filesystem::path& root) {
   switch (config.backend) {
@@ -17,8 +16,9 @@ std::unique_ptr<StorageBackend> make_storage_backend(const StorageConfig& config
       // faults land at different sites at different times.
       StorageConfig per_site = config;
       per_site.faults.seed = config.faults.seed + 0x9e3779b97f4a7c15ull * (site + 1);
-      return std::make_unique<DurableStore>(
-          sim, per_site, root / ("site-" + std::to_string(site)), n_classes, dense_objects);
+      return std::make_unique<DurableStore>(sim, per_site,
+                                            root / ("site-" + std::to_string(site)),
+                                            dense_objects);
     }
   }
   OTPDB_UNREACHABLE();

@@ -9,8 +9,8 @@
 //   DurableStore   - additionally encodes each commit into a TO-ordered
 //                    write-ahead log with group-commit fsync batching,
 //                    periodic checkpoints and log truncation, and can
-//                    rebuild the committed state from disk after a cold
-//                    restart (see db/durable_store.h).
+//                    rebuild the committed state at its durable floor from
+//                    disk after a cold restart (see db/durable_store.h).
 //
 // Backends are per-site objects owned by the Cluster; the engine sees only
 // this interface plus the embedded VersionedStore.
@@ -19,8 +19,6 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "db/io_shim.h"
 #include "db/versioned_store.h"
@@ -41,7 +39,7 @@ enum class StorageBackendKind { memory, durable };
 ///              byte and retries with backoff are in flight. Commits remain
 ///              visible (the paper's in-memory processing), durability lags.
 ///   failed   - retries exhausted or the tail could not be cleaned; logging
-///              has stopped and the durable watermarks are frozen. The site
+///              has stopped and the durable floor is frozen. The site
 ///              keeps serving from memory; a cold restart_from_disk() (after
 ///              the operator replaces the device) starts a fresh attempt.
 enum class StorageHealth { ok, degraded, failed };
@@ -72,18 +70,6 @@ struct StorageConfig {
   StorageFaults faults;
 };
 
-/// What restart_from_disk() recovered; the Cluster feeds this to the replica
-/// and broadcast layers so peer replay starts at the durable tail.
-struct RecoveredState {
-  /// Per-class durable commit watermark (index into [0, n_classes)).
-  std::vector<TOIndex> class_watermarks;
-  /// min over class_watermarks: every definitive index <= this floor is
-  /// durably applied at this site, so peers need not resend those bodies.
-  TOIndex durable_floor = 0;
-  /// Highest commit index seen on disk (checkpoint or WAL).
-  TOIndex max_index = 0;
-};
-
 class StorageBackend {
  public:
   explicit StorageBackend(std::uint64_t dense_objects) : store_(dense_objects) {}
@@ -101,13 +87,13 @@ class StorageBackend {
   virtual void load(ObjectId obj, Value value) { store_.load(obj, std::move(value)); }
 
   /// Promotes `txn`'s provisional writes to committed versions at `index`.
-  /// `classes` names the conflict classes the transaction covers (ascending)
-  /// - the durable backend advances one watermark per class. `horizon` is
-  /// the engine's GC horizon (see VersionedStore::commit); the durable
-  /// backend caps it so checkpoints still find what they save.
-  virtual void commit(TxnId txn, TOIndex index, std::span<const ClassId> classes,
-                      TOIndex horizon) {
-    (void)classes;
+  /// `floor` is the engine's committed floor, at most `index`: every
+  /// definitive index at or below it is committed here - the durable backend
+  /// logs it with the commit. `horizon` is the engine's GC horizon (see
+  /// VersionedStore::commit); the durable backend caps it so checkpoints
+  /// still find what they save.
+  virtual void commit(TxnId txn, TOIndex index, TOIndex floor, TOIndex horizon) {
+    (void)floor;
     store_.commit(txn, index, horizon);
   }
 
@@ -123,12 +109,12 @@ class StorageBackend {
   /// Warm recovery - RAM survived; resume logging where the crash left off.
   virtual void reopen() {}
 
-  /// Cold restart - RAM lost. Rebuilds the committed state in place from
-  /// checkpoint + WAL and reports how far the durable state reaches.
-  /// Memory backends cannot do this.
-  virtual RecoveredState restart_from_disk() {
+  /// Cold restart - RAM lost. Rebuilds, in place from checkpoint + WAL,
+  /// exactly the committed state at the durable floor, and returns that
+  /// floor. Memory backends cannot do this.
+  virtual TOIndex restart_from_disk() {
     OTPDB_CHECK_MSG(false, "cold restart requires the durable storage backend");
-    return {};
+    return 0;
   }
 
   /// Every definitive index at or below this is durable: a cold restart
@@ -159,7 +145,6 @@ class MemoryBackend final : public StorageBackend {
 /// `root`/site-<id>; `root` must be the (existing) cluster data directory.
 std::unique_ptr<StorageBackend> make_storage_backend(const StorageConfig& config,
                                                      Simulator& sim, SiteId site,
-                                                     std::size_t n_classes,
                                                      std::uint64_t dense_objects,
                                                      const std::filesystem::path& root);
 

@@ -113,10 +113,11 @@ void VersionedStore::install_version(ObjectId obj, TOIndex index, Value value) {
   chain.push_back(Version{index, std::move(value)});
 }
 
-void VersionedStore::for_each_chain(
-    TOIndex floor, const std::function<void(ObjectId, std::span<const Version>)>& fn) const {
-  const auto visit = [&](ObjectId obj, std::span<const Version> chain) {
-    fn(obj, chain.subspan(dead_prefix(chain, floor)));
+void VersionedStore::for_each_at(TOIndex floor,
+                                 const std::function<void(ObjectId, const Version&)>& fn) const {
+  const auto visit = [&](ObjectId obj, const Chain& chain) {
+    const Version& v = chain[dead_prefix(chain, floor)];
+    if (v.index <= floor) fn(obj, v);  // else born after the floor
   };
   for (ObjectId obj = 0; obj < dense_chains_.size(); ++obj) {
     if (!dense_chains_[obj].empty()) visit(obj, dense_chains_[obj]);

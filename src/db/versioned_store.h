@@ -105,13 +105,12 @@ class VersionedStore {
   /// overlaps the checkpoint re-applies harmlessly.
   void install_version(ObjectId obj, TOIndex index, Value value);
 
-  /// Visits every non-empty committed chain in ascending ObjectId order,
-  /// trimmed to the versions a snapshot at or above `floor` can read
-  /// (ascending by index; floor 0 = whole chains). The durable checkpoint
-  /// writer saves exactly this.
-  void for_each_chain(
-      TOIndex floor,
-      const std::function<void(ObjectId, std::span<const Version>)>& fn) const;
+  /// Visits, in ascending ObjectId order, each object's newest committed
+  /// version at or below `floor` - what a snapshot at `floor` reads. Objects
+  /// born after it are skipped. The durable checkpoint writer saves exactly
+  /// this.
+  void for_each_at(TOIndex floor,
+                   const std::function<void(ObjectId, const Version&)>& fn) const;
 
   /// Drops all committed and provisional state, keeping allocations and -
   /// critically - the object's identity: references to this store held by

@@ -13,8 +13,8 @@
 namespace otpdb::wal {
 namespace {
 
-constexpr char kSegmentMagic[8] = {'O', 'T', 'P', 'W', 'A', 'L', '1', '\n'};
-constexpr char kCheckpointMagic[8] = {'O', 'T', 'P', 'C', 'K', 'P', '1', '\n'};
+constexpr char kSegmentMagic[8] = {'O', 'T', 'P', 'W', 'A', 'L', '2', '\n'};
+constexpr char kCheckpointMagic[8] = {'O', 'T', 'P', 'C', 'K', 'P', '2', '\n'};
 constexpr std::uint8_t kRecordCommit = 1;
 constexpr std::uint8_t kRecordLoad = 2;
 constexpr std::uint8_t kTagInt64 = 0;
@@ -65,7 +65,6 @@ void put_le(std::vector<std::uint8_t>& out, U v) {
   out.insert(out.end(), bytes, bytes + sizeof(U));
 }
 
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) { put_le(out, v); }
 void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) { put_le(out, v); }
 void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) { put_le(out, v); }
 
@@ -93,12 +92,6 @@ struct Cursor {
   bool get_u8(std::uint8_t& v) {
     if (end - p < 1) return false;
     v = *p++;
-    return true;
-  }
-  bool get_u16(std::uint16_t& v) {
-    if (end - p < 2) return false;
-    v = static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-    p += 2;
     return true;
   }
   bool get_u32(std::uint32_t& v) {
@@ -132,19 +125,11 @@ struct Cursor {
 };
 
 bool decode_commit(Cursor& cur, CommitRecord& rec) {
-  std::uint64_t index;
-  std::uint16_t n_classes;
-  if (!cur.get_u64(index) || !cur.get_u16(n_classes)) return false;
-  rec.index = index;
-  rec.classes.clear();
-  rec.classes.reserve(n_classes);
-  for (std::uint16_t i = 0; i < n_classes; ++i) {
-    std::uint32_t klass;
-    if (!cur.get_u32(klass)) return false;
-    rec.classes.push_back(klass);
-  }
+  std::uint64_t index, floor;
   std::uint32_t n_writes;
-  if (!cur.get_u32(n_writes)) return false;
+  if (!cur.get_u64(index) || !cur.get_u64(floor) || !cur.get_u32(n_writes)) return false;
+  rec.index = index;
+  rec.floor = floor;
   rec.writes.clear();
   rec.writes.reserve(n_writes);
   for (std::uint32_t i = 0; i < n_writes; ++i) {
@@ -221,6 +206,7 @@ ScanResult scan_frames(std::span<const std::uint8_t> bytes, const ScanCallbacks&
       ok = decode_commit(cur, commit);
       if (ok) {
         result.max_index = std::max(result.max_index, commit.index);
+        result.max_floor = std::max(result.max_floor, commit.floor);
         if (callbacks.on_commit) callbacks.on_commit(commit);
       }
     } else if (ok && type == kRecordLoad) {
@@ -256,15 +242,13 @@ std::uint32_t crc32(const void* data, std::size_t n) {
   return c ^ 0xffffffffu;
 }
 
-void append_commit(std::vector<std::uint8_t>& out, TOIndex index,
-                   std::span<const ClassId> classes,
+void append_commit(std::vector<std::uint8_t>& out, TOIndex index, TOIndex floor,
                    std::span<const std::pair<ObjectId, Value>> writes) {
-  OTPDB_CHECK_MSG(!classes.empty(), "commit record needs at least one class");
+  OTPDB_CHECK_MSG(floor <= index, "a commit record's floor lies at or below its index");
   const std::size_t frame = begin_frame(out);
   put_u8(out, kRecordCommit);
   put_u64(out, index);
-  put_u16(out, static_cast<std::uint16_t>(classes.size()));
-  for (ClassId c : classes) put_u32(out, c);
+  put_u64(out, floor);
   put_u32(out, static_cast<std::uint32_t>(writes.size()));
   for (const auto& [object, value] : writes) {
     put_u64(out, object);
@@ -347,32 +331,25 @@ bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
   return io.truncate(path.c_str(), static_cast<off_t>(valid_bytes)) == 0;
 }
 
-CheckpointWriter::CheckpointWriter(std::vector<std::uint8_t>& buffer,
-                                   std::span<const TOIndex> class_watermarks, TOIndex max_index)
+CheckpointWriter::CheckpointWriter(std::vector<std::uint8_t>& buffer, TOIndex floor)
     : buffer_(buffer) {
   buffer_.assign(kCheckpointMagic, kCheckpointMagic + sizeof(kCheckpointMagic));
   begin_frame(buffer_);
-  put_u32(buffer_, static_cast<std::uint32_t>(class_watermarks.size()));
-  for (TOIndex w : class_watermarks) put_u64(buffer_, w);
-  put_u64(buffer_, max_index);
+  put_u64(buffer_, floor);
   n_objects_at_ = buffer_.size();
   put_u64(buffer_, 0);  // n_objects, patched by write()
 }
 
-void CheckpointWriter::add_chain(ObjectId object, std::uint32_t n_versions) {
-  ++chains_;
+void CheckpointWriter::add(ObjectId object, TOIndex index, const Value& value) {
+  ++objects_;
   put_u64(buffer_, object);
-  put_u32(buffer_, n_versions);
-}
-
-void CheckpointWriter::add_version(TOIndex index, const Value& value) {
   put_u64(buffer_, index);
   put_value(buffer_, value);
 }
 
 bool CheckpointWriter::write(const std::filesystem::path& path, IoEnv& io) {
-  patch_u32(buffer_, n_objects_at_, static_cast<std::uint32_t>(chains_));
-  patch_u32(buffer_, n_objects_at_ + 4, static_cast<std::uint32_t>(chains_ >> 32));
+  patch_u32(buffer_, n_objects_at_, static_cast<std::uint32_t>(objects_));
+  patch_u32(buffer_, n_objects_at_ + 4, static_cast<std::uint32_t>(objects_ >> 32));
   end_frame(buffer_, sizeof(kCheckpointMagic));
 
   const std::filesystem::path tmp = path.string() + ".tmp";
@@ -413,31 +390,17 @@ bool read_checkpoint(const std::filesystem::path& path, CheckpointData& out) {
   if (crc32(payload, len) != crc) return false;
 
   Cursor cur{payload, payload + len};
-  std::uint32_t n_classes;
-  if (!cur.get_u32(n_classes)) return false;
-  out.class_watermarks.resize(n_classes);
-  for (std::uint32_t i = 0; i < n_classes; ++i) {
-    std::uint64_t w;
-    if (!cur.get_u64(w)) { out = {}; return false; }
-    out.class_watermarks[i] = w;
-  }
-  std::uint64_t max_index, n_objects;
-  if (!cur.get_u64(max_index) || !cur.get_u64(n_objects)) { out = {}; return false; }
-  out.max_index = max_index;
-  out.chains.reserve(n_objects);
+  std::uint64_t floor, n_objects;
+  if (!cur.get_u64(floor) || !cur.get_u64(n_objects)) return false;
+  out.floor = floor;
   for (std::uint64_t i = 0; i < n_objects; ++i) {
-    std::uint64_t object;
-    std::uint32_t n_versions;
-    if (!cur.get_u64(object) || !cur.get_u32(n_versions)) { out = {}; return false; }
-    std::vector<std::pair<TOIndex, Value>> versions;
-    versions.reserve(n_versions);
-    for (std::uint32_t v = 0; v < n_versions; ++v) {
-      std::uint64_t index;
-      Value value;
-      if (!cur.get_u64(index) || !cur.get_value(value)) { out = {}; return false; }
-      versions.emplace_back(index, value);
+    CheckpointVersion version;
+    if (!cur.get_u64(version.object) || !cur.get_u64(version.index) ||
+        !cur.get_value(version.value) || version.index > floor) {
+      out = {};
+      return false;
     }
-    out.chains.emplace_back(object, std::move(versions));
+    out.versions.push_back(version);
   }
   if (cur.p != cur.end) { out = {}; return false; }
   return true;

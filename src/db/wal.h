@@ -2,21 +2,22 @@
 //
 // The TO-delivered order is identical at every site, so the log needs no
 // LSNs of its own: a commit record's definitive index IS its log position in
-// the total order, and per-class index watermarks fully describe how far the
-// durable state reaches (commits within a class follow the definitive order
-// with no holes). This module is pure format + file I/O - the group-commit
-// scheduling, checkpointing and truncation policy live in DurableStore.
+// the total order. Each commit record also carries a floor, at most its
+// index: every definitive index at or below it was committed (or dropped)
+// at the site, so its record is this one or precedes it in the log. The
+// highest floor on disk says how far the durable state reaches. This
+// module is pure format + file I/O - the group-commit scheduling,
+// checkpointing and truncation policy live in DurableStore.
 //
 // On-disk layout (all integers little-endian):
 //
 //   segment file  wal-<seq>.log:
-//     8-byte magic "OTPWAL1\n", then framed records back to back.
+//     8-byte magic "OTPWAL2\n", then framed records back to back.
 //   record frame:
 //     u32 payload_len | u32 crc32(payload) | payload
 //   record payload:
 //     u8 type (1=commit, 2=load)
-//     commit: u64 index, u16 n_classes, n*u32 class,
-//             u32 n_writes, n*(u64 object, value)
+//     commit: u64 index, u64 floor, u32 n_writes, n*(u64 object, value)
 //     load:   u64 object, value
 //   value:
 //     u8 tag (0=int64, 1=double), then u64 payload (double = bit pattern).
@@ -24,9 +25,13 @@
 //     checkpoint that carries it is malformed and the reader rejects it.
 //
 //   checkpoint file  checkpoint.bin (written to a temp name, then renamed):
-//     8-byte magic "OTPCKP1\n", one frame whose payload is
-//     u32 n_classes, n*u64 watermark, u64 max_index,
-//     u64 n_objects, n*(u64 object, u32 n_versions, n*(u64 index, value)).
+//     8-byte magic "OTPCKP2\n", one frame whose payload is
+//     u64 floor, u64 n_objects, n*(u64 object, u64 index, value):
+//     each object's newest version at or below the floor.
+//
+// The magics of the earlier layout, which logged each commit's classes and
+// checkpointed per-class watermarks (OTPWAL1, OTPCKP1), are refused: such a
+// segment scans as a bad magic and such a checkpoint does not read.
 //
 // Readers stop cleanly at the first torn, truncated or checksum-corrupt
 // frame: everything before it is valid, everything after is discarded. That
@@ -38,7 +43,7 @@
 // are patched in once the payload is complete. The buffers keep their
 // capacity, so a steady log appends without allocating. The CRC is computed
 // slice-by-8 (eight 256-entry tables, eight bytes per step) over the same
-// polynomial as the bytewise form, so the files are unchanged.
+// polynomial as the bytewise form.
 #pragma once
 
 #include <cstdint>
@@ -61,8 +66,8 @@ std::uint32_t crc32(const void* data, std::size_t n);
 /// One decoded commit record.
 struct CommitRecord {
   TOIndex index = 0;
-  std::vector<ClassId> classes;                     // covered classes, ascending
-  std::vector<std::pair<ObjectId, Value>> writes;   // sorted by object
+  TOIndex floor = 0;  // every index at or below it is logged by now
+  std::vector<std::pair<ObjectId, Value>> writes;  // sorted by object
 };
 
 /// One decoded initial-load record (an index-0 version).
@@ -71,10 +76,11 @@ struct LoadRecord {
   Value value;
 };
 
-/// Appends a framed commit record to `out`. `classes` must be non-empty;
-/// `writes` is the transaction's write-set sorted by object.
-void append_commit(std::vector<std::uint8_t>& out, TOIndex index,
-                   std::span<const ClassId> classes,
+/// Appends a framed commit record to `out`. `floor` is at most `index`: every
+/// definitive index at or below it is committed, and logged by this record
+/// or an earlier one. `writes` is the transaction's write-set sorted by
+/// object.
+void append_commit(std::vector<std::uint8_t>& out, TOIndex index, TOIndex floor,
                    std::span<const std::pair<ObjectId, Value>> writes);
 
 /// Appends a framed load record to `out`.
@@ -92,6 +98,7 @@ struct ScanResult {
   std::uint64_t records = 0;      ///< records decoded from the valid prefix
   bool clean = true;              ///< false when a torn/corrupt tail was cut off
   TOIndex max_index = 0;          ///< highest commit index in the valid prefix
+  TOIndex max_floor = 0;          ///< highest floor a valid commit record carries
 };
 
 /// Scans a segment, invoking `callbacks` per valid record in file order, and
@@ -137,21 +144,16 @@ class SegmentWriter {
 bool truncate_file(const std::filesystem::path& path, std::uint64_t valid_bytes,
                    IoEnv& io = IoEnv::real());
 
-/// Builds a checkpoint image - per-class watermarks, then per-object version
-/// chains ascending by index - in a caller-owned buffer, straight from the
-/// caller's chains, and writes it out. The buffer keeps its capacity from one
-/// checkpoint to the next. DurableStore writes only the versions readable at
-/// or above its durable floor; whole chains restore just the same.
+/// Builds a checkpoint image - its floor, then each object's newest version
+/// at or below it, ascending by object - in a caller-owned buffer, and writes
+/// it out. The buffer keeps its capacity from one checkpoint to the next.
 class CheckpointWriter {
  public:
-  /// Starts an image in `buffer`, replacing what it held.
-  CheckpointWriter(std::vector<std::uint8_t>& buffer, std::span<const TOIndex> class_watermarks,
-                   TOIndex max_index);
+  /// Starts an image at `floor` in `buffer`, replacing what it held.
+  CheckpointWriter(std::vector<std::uint8_t>& buffer, TOIndex floor);
 
-  /// Starts the chain of `object`; the next `n_versions` add_version() calls
-  /// fill it, ascending by index.
-  void add_chain(ObjectId object, std::uint32_t n_versions);
-  void add_version(TOIndex index, const Value& value);
+  /// Adds `object`'s version at `index` (at or below the floor).
+  void add(ObjectId object, TOIndex index, const Value& value);
 
   /// Seals the image and atomically replaces `path` with it: writes a temp
   /// file in the same directory, fsyncs it, then renames over `path`.
@@ -160,20 +162,27 @@ class CheckpointWriter {
 
  private:
   std::vector<std::uint8_t>& buffer_;
-  std::size_t n_objects_at_ = 0;  // where write() patches in the chain count
-  std::uint64_t chains_ = 0;
+  std::size_t n_objects_at_ = 0;  // where write() patches in the object count
+  std::uint64_t objects_ = 0;
+};
+
+/// One object's version in a checkpoint.
+struct CheckpointVersion {
+  ObjectId object = 0;
+  TOIndex index = 0;
+  Value value;
+  bool operator==(const CheckpointVersion&) const = default;
 };
 
 /// A decoded checkpoint.
 struct CheckpointData {
-  std::vector<TOIndex> class_watermarks;
-  TOIndex max_index = 0;
-  std::vector<std::pair<ObjectId, std::vector<std::pair<TOIndex, Value>>>> chains;
+  TOIndex floor = 0;
+  std::vector<CheckpointVersion> versions;  // ascending by object
 };
 
 /// Reads and validates a checkpoint. Returns false (and leaves `out` empty)
-/// when the file is missing, torn or checksum-corrupt - the caller then
-/// replays the WAL from scratch.
+/// when the file is missing, torn, checksum-corrupt or holds a version above
+/// its floor - the caller then replays the WAL from scratch.
 bool read_checkpoint(const std::filesystem::path& path, CheckpointData& out);
 
 }  // namespace otpdb::wal

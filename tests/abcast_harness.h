@@ -54,8 +54,7 @@ class AbcastHarness {
         endpoints_.push_back(
             std::make_unique<OptAbcast>(sim_, net_, *fds_[s], s, opt_config));
       } else {
-        endpoints_.push_back(
-            std::make_unique<SequencerAbcast>(sim_, net_, s, SequencerAbcastConfig{}));
+        endpoints_.push_back(std::make_unique<SequencerAbcast>(sim_, net_, s));
       }
       DeliveryLog& log = logs_[s];
       endpoints_[s]->set_callbacks(AbcastCallbacks{

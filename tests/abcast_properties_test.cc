@@ -205,7 +205,7 @@ TEST(AbcastTentative, SequencerSiteTentativeOrderMatchesDefinitive) {
   AbcastHarness h(Protocol::sequencer, 4, stormy_network(), 17);
   h.broadcast_stream(60, 1 * kMillisecond);
   h.sim().run_until(10 * kSecond);
-  const auto& log = h.log(0);  // site 0 is the default sequencer
+  const auto& log = h.log(0);  // site 0 is the sequencer
   ASSERT_EQ(log.opt.size(), log.to.size());
   for (std::size_t i = 0; i < log.to.size(); ++i) {
     EXPECT_EQ(log.opt[i], log.to[i].first) << "sequencer tentative order diverged at " << i;

@@ -12,7 +12,8 @@
 // A second identical cluster in the same process must allocate exactly as
 // the first: recycled storage belongs to one cluster's objects. The
 // DenseDeque cases check the recycled storage under the ordering layer's
-// tables: a sliding key window allocates nothing.
+// tables: a sliding key window allocates nothing. So does a warm loop of
+// snapshot queries, each at a newer snapshot than the last.
 //
 // This TU includes util/counting_new.h (the global counting operator new),
 // so it must stay the binary's only TU that does.
@@ -27,6 +28,7 @@
 #include "baseline/conservative_replica.h"
 #include "core/cluster.h"
 #include "core/lock_table_replica.h"
+#include "core/query_engine.h"
 #include "util/counting_new.h"
 #include "util/dense_deque.h"
 #include "workload/workload.h"
@@ -108,6 +110,37 @@ TEST(AllocBudget, IdenticalClustersAllocateIdentically) {
   const Window second = steady_window(nullptr);
   EXPECT_EQ(first.commits, second.commits);
   EXPECT_EQ(first.allocs, second.allocs);
+}
+
+TEST(AllocBudget, WarmQueryLoopAllocatesNothing) {
+  // Each step TO-delivers and commits one index, then submits a query at it:
+  // about five queries are live at a time, each pinning a newer snapshot.
+  // The live snapshots are counted in recycled storage, so once warm the
+  // loop allocates nothing.
+  Simulator sim;
+  VersionedStore store(16);
+  const PartitionCatalog catalog(2, 8);
+  ReplicaMetrics metrics;
+  QueryEngine queries(sim, store, catalog, metrics);
+  store.load(0, Value{std::int64_t{1}});
+  std::uint64_t answered = 0;
+  TOIndex index = 0;
+  const auto step = [&] {
+    ++index;
+    queries.advance_to_index(index);
+    queries.note_to_delivered(0, index);
+    queries.note_committed(0, index);
+    queries.finish_commit(index);
+    queries.submit([](QueryContext& ctx) { (void)ctx.read(0); }, kMillisecond,
+                   [&answered](const QueryReport&) { ++answered; });
+    sim.run_until(sim.now() + 200 * kMicrosecond);
+  };
+  for (int i = 0; i < 1'000; ++i) step();  // warm-up
+  const std::uint64_t before = heap_alloc_count.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100'000; ++i) step();
+  EXPECT_EQ(heap_alloc_count.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_GT(answered, 100'000u);
+  EXPECT_LE(metrics.queries_in_flight(), 6u);
 }
 
 TEST(AllocBudget, DenseDequeWindowSlidesWithoutAllocating) {

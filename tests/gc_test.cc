@@ -1,8 +1,9 @@
 // Tests for multi-version garbage collection. Every engine prunes each chain
 // it writes at commit, below its QueryEngine's GC horizon (the oldest live
-// query snapshot, capped by the committed floor): chains stay bounded with
-// no GC call, a running query still reads its pinned snapshot, and the
-// sites agree.
+// query snapshot, capped by the committed floor and, on the durable backend,
+// by the durable floor): chains stay bounded with no GC call, an idle class
+// included, a running query still reads its pinned snapshot, and the sites
+// agree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -143,13 +144,17 @@ ReplicaFactory lock_table_factory() {
 /// Continuous updates on every class but the last, snapshot queries over all
 /// classes (the idle one included), and no GC call: the versions every site
 /// holds must plateau near the object count, and every query must read what
-/// the committed history says its snapshot holds.
-void expect_bounded_chains(ReplicaFactory factory) {
+/// the committed history says its snapshot holds. On the durable backend the
+/// horizon is also capped by the durable floor, which trails the committed
+/// floor by the group-commit delay; the idle class holds neither back.
+void expect_bounded_chains(ReplicaFactory factory,
+                           StorageBackendKind backend = StorageBackendKind::memory) {
   ClusterConfig config;
   config.n_sites = 3;
   config.n_classes = 4;
   config.objects_per_class = 8;
   config.seed = 9;
+  config.storage.backend = backend;
   Cluster cluster(config, std::move(factory));
   const PartitionCatalog& catalog = cluster.catalog();
   const ProcId rmw = register_rmw_procedure(cluster.procedures(), catalog);
@@ -200,8 +205,13 @@ void expect_bounded_chains(ReplicaFactory factory) {
   const auto half = samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
   const std::size_t first_max = *std::max_element(samples.begin(), half);
   const std::size_t second_max = *std::max_element(half, samples.end());
-  EXPECT_LE(second_max, first_max) << "version count must plateau";
+  if (backend == StorageBackendKind::memory) {
+    EXPECT_LE(second_max, first_max) << "version count must plateau";
+  }
+  // The durable horizon moves with the flush timing, so its count jitters;
+  // it plateaus under the same bound.
   EXPECT_LE(first_max, 2 * catalog.object_count()) << "about two versions per object";
+  EXPECT_LE(second_max, 2 * catalog.object_count()) << "about two versions per object";
 
   // Ground truth: site 0's commit log. Each object reads the newest write at
   // or below the snapshot; never-written objects (the idle class) read as 0.
@@ -228,6 +238,14 @@ TEST(VersionGc, BoundedChainsOtp) { expect_bounded_chains(otp_factory()); }
 TEST(VersionGc, BoundedChainsConservative) { expect_bounded_chains(conservative_factory()); }
 
 TEST(VersionGc, BoundedChainsLockTable) { expect_bounded_chains(lock_table_factory()); }
+
+TEST(VersionGc, BoundedChainsDurableOtp) {
+  expect_bounded_chains(otp_factory(), StorageBackendKind::durable);
+}
+
+TEST(VersionGc, BoundedChainsDurableLockTable) {
+  expect_bounded_chains(lock_table_factory(), StorageBackendKind::durable);
+}
 
 }  // namespace
 }  // namespace otpdb

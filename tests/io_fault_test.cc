@@ -5,8 +5,8 @@
 // max_faults bound). The DurableStore tests drive the online failure policy
 // end to end: degraded-with-retries back to ok, sealing a segment at its
 // valid prefix after consecutive failures, the hard `failed` state freezing
-// the watermarks while memory keeps serving, and a cold restart recovering
-// exactly the synced prefix afterwards.
+// the durable floor while memory keeps serving, and a cold restart
+// recovering exactly the synced prefix afterwards.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -143,9 +143,9 @@ void commit_n(Simulator& sim, DurableStore& store, int n, SimTime spacing, int f
     const int i = first + k;
     sim.schedule_at((k + 1) * spacing, [&store, i] {
       const TxnId txn = 0;
+      const auto index = static_cast<TOIndex>(i);
       store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i * 3}});
-      const ClassId klass = 0;
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
+      store.commit(txn, index, index, 0);  // commits in order: each index is the floor
     });
   }
 }
@@ -155,7 +155,7 @@ TEST(DurableStoreFaults, RetriesThroughTransientErrorsAndRecovers) {
   Simulator sim;
   // A burst of early faults, then a healthy device: the store must end ok
   // with every commit durable.
-  DurableStore store(sim, faulty_config(0.5, 0.2, 0.5, 6), tmp.dir / "site-0", 1, 16);
+  DurableStore store(sim, faulty_config(0.5, 0.2, 0.5, 6), tmp.dir / "site-0", 16);
   commit_n(sim, store, 40, 5 * kMillisecond);
   sim.run_until(sim.now() + 10 * kSecond);
 
@@ -166,12 +166,11 @@ TEST(DurableStoreFaults, RetriesThroughTransientErrorsAndRecovers) {
   EXPECT_GT(stats->io_errors, 0u);
   EXPECT_GT(stats->io_retries, 0u);
   EXPECT_EQ(store.health(), StorageHealth::ok) << "transient faults must heal";
-  EXPECT_EQ(store.durable_watermark(0), 40u) << "every commit durable after retries";
+  EXPECT_EQ(store.durable_floor(), 40u) << "every commit durable after retries";
 
   // The disk image is clean: a cold restart rebuilds the full state.
   store.crash();
-  const RecoveredState recovered = store.restart_from_disk();
-  EXPECT_EQ(recovered.durable_floor, 40u);
+  EXPECT_EQ(store.restart_from_disk(), 40u);
 }
 
 TEST(DurableStoreFaults, SealsSegmentAfterConsecutiveFailures) {
@@ -181,18 +180,17 @@ TEST(DurableStoreFaults, SealsSegmentAfterConsecutiveFailures) {
   // row: the first failure truncates + retries, the second seals the segment
   // at its valid prefix and rolls a fresh file (bad-block model). After
   // max_faults the healthy device catches up.
-  DurableStore store(sim, faulty_config(0.6, 0.0, 0.0, 24), tmp.dir / "site-0", 1, 16);
+  DurableStore store(sim, faulty_config(0.6, 0.0, 0.0, 24), tmp.dir / "site-0", 16);
   commit_n(sim, store, 40, 5 * kMillisecond);
   sim.run_until(sim.now() + 30 * kSecond);
 
   const WalStats* stats = store.wal_stats();
   EXPECT_GE(stats->segments_sealed_on_error, 1u);
   EXPECT_EQ(store.health(), StorageHealth::ok);
-  EXPECT_EQ(store.durable_watermark(0), 40u);
+  EXPECT_EQ(store.durable_floor(), 40u);
 
   store.crash();
-  const RecoveredState recovered = store.restart_from_disk();
-  EXPECT_EQ(recovered.durable_floor, 40u) << "sealed + rolled segments all replay";
+  EXPECT_EQ(store.restart_from_disk(), 40u) << "sealed + rolled segments all replay";
 }
 
 TEST(DurableStoreFaults, ExhaustedRetriesFailHardButMemoryKeepsServing) {
@@ -200,24 +198,23 @@ TEST(DurableStoreFaults, ExhaustedRetriesFailHardButMemoryKeepsServing) {
   Simulator sim;
   StorageConfig config = faulty_config(1.0, 0.0, 1.0, UINT64_MAX);  // device never heals
   config.io_max_retries = 3;
-  DurableStore store(sim, config, tmp.dir / "site-0", 1, 16);
+  DurableStore store(sim, config, tmp.dir / "site-0", 16);
   commit_n(sim, store, 30, 5 * kMillisecond);
   sim.run_until(sim.now() + 30 * kSecond);
 
   EXPECT_EQ(store.health(), StorageHealth::failed);
-  const TOIndex frozen = store.durable_watermark(0);
+  const TOIndex frozen = store.durable_floor();
   // Memory still serves every committed write even though logging stopped.
   for (ObjectId obj = 1; obj < 16; ++obj) {
     EXPECT_TRUE(store.memory().read_latest(obj).has_value()) << "object " << obj;
   }
-  // No further durable progress: watermarks are frozen, commits keep landing
+  // No further durable progress: the floor is frozen, commits keep landing
   // in memory only.
   const TxnId txn = 0;
   store.memory().write(txn, 3, Value{std::int64_t{999}});
-  const ClassId klass = 0;
-  store.commit(txn, 31, std::span<const ClassId>(&klass, 1), 0);
+  store.commit(txn, 31, 31, 0);
   sim.run_until(sim.now() + 5 * kSecond);
-  EXPECT_EQ(store.durable_watermark(0), frozen);
+  EXPECT_EQ(store.durable_floor(), frozen);
   EXPECT_EQ(store.health(), StorageHealth::failed);
 }
 
@@ -229,10 +226,10 @@ TEST(DurableStoreFaults, ColdRestartAfterHardFailureRecoversSyncedPrefix) {
     Simulator sim;
     StorageConfig config;
     config.backend = StorageBackendKind::durable;
-    DurableStore healthy(sim, config, dir, 1, 16);
+    DurableStore healthy(sim, config, dir, 16);
     commit_n(sim, healthy, 10, 5 * kMillisecond);
     sim.run_until(sim.now() + kSecond);
-    ASSERT_EQ(healthy.durable_watermark(0), 10u);
+    ASSERT_EQ(healthy.durable_floor(), 10u);
   }
   {
     // Phase 2: the device dies for good - the store reopens the directory,
@@ -240,7 +237,7 @@ TEST(DurableStoreFaults, ColdRestartAfterHardFailureRecoversSyncedPrefix) {
     Simulator sim;
     StorageConfig config = faulty_config(1.0, 0.0, 1.0, UINT64_MAX);
     config.io_max_retries = 2;
-    DurableStore broken(sim, config, dir, 1, 16);
+    DurableStore broken(sim, config, dir, 16);
     broken.reopen();
     commit_n(sim, broken, 5, 5 * kMillisecond, /*first=*/11);
     sim.run_until(sim.now() + 10 * kSecond);
@@ -251,14 +248,13 @@ TEST(DurableStoreFaults, ColdRestartAfterHardFailureRecoversSyncedPrefix) {
   Simulator sim;
   StorageConfig config;
   config.backend = StorageBackendKind::durable;
-  DurableStore store(sim, config, dir, 1, 16);
-  const RecoveredState recovered = store.restart_from_disk();
-  EXPECT_EQ(recovered.durable_floor, 10u);
+  DurableStore store(sim, config, dir, 16);
+  EXPECT_EQ(store.restart_from_disk(), 10u);
   EXPECT_EQ(store.health(), StorageHealth::ok);
   // And the restarted store logs normally again, past the recovered tail.
   commit_n(sim, store, 12, 5 * kMillisecond, /*first=*/11);
   sim.run_until(sim.now() + kSecond);
-  EXPECT_EQ(store.durable_watermark(0), 22u);
+  EXPECT_EQ(store.durable_floor(), 22u);
 }
 
 TEST(DurableStoreFaults, CheckpointsSkippedWhileFlushFailurePending) {
@@ -270,7 +266,7 @@ TEST(DurableStoreFaults, CheckpointsSkippedWhileFlushFailurePending) {
   // store to `failed` (that ladder leg is ExhaustedRetriesFailHard's job);
   // here we want it to stay degraded and recover.
   config.io_max_retries = 1000;
-  DurableStore store(sim, config, tmp.dir / "site-0", 1, 16);
+  DurableStore store(sim, config, tmp.dir / "site-0", 16);
   commit_n(sim, store, 60, 5 * kMillisecond);
   sim.run_until(sim.now() + 20 * kSecond);
 
@@ -279,7 +275,7 @@ TEST(DurableStoreFaults, CheckpointsSkippedWhileFlushFailurePending) {
       << "the aggressive cadence must collide with the fault burst";
   EXPECT_GT(stats->checkpoints, 0u) << "checkpoints resume once healthy";
   EXPECT_EQ(store.health(), StorageHealth::ok);
-  EXPECT_EQ(store.durable_watermark(0), 60u);
+  EXPECT_EQ(store.durable_floor(), 60u);
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Tests for the fine-granularity lock-table OTP engine (paper Section 6 /
 // [13]): object-level queues, hold-all-locks execution, the generalized
 // correctness check, concurrency gains over the class model, and
-// object-level 1-copy-serializability.
+// object-level 1-copy-serializability, across a cold restart too.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "abcast/abcast.h"
 #include "abcast/channels.h"
+#include "abcast/opt_abcast.h"
 #include "checker/history.h"
 #include "core/cluster.h"
 #include "core/lock_table_replica.h"
+#include "db/durable_store.h"
 #include "workload/workload.h"
 
 namespace otpdb {
@@ -198,15 +200,6 @@ TEST(LockTable, DuplicateDeclaredObjectDies) {
                "declares an object twice");
 }
 
-TEST(LockTable, ColdRestartIsRefused) {
-  // The durable tier's per-class watermarks are maxima, not the committed
-  // prefix of each object, so object keys cannot restart from them.
-  LockSite site;
-  const std::vector<TOIndex> class_watermarks(2, 0);
-  EXPECT_DEATH(site.replica->restart_from_disk(class_watermarks, 0),
-               "object keys have no durable restart path");
-}
-
 TEST(LockTable, ChainedWaitsResolveInDefinitiveOrder) {
   // Chain: T1={a,b}, T2={b,c}, T3={c,d} with reversed definitive order.
   LockSite site;
@@ -269,6 +262,53 @@ TEST(LockTableCluster, ObjectLevelSerializableUnderLoad) {
     const CheckResult convergence = compare_final_states(stores, cluster.catalog());
     EXPECT_TRUE(convergence.ok()) << convergence.summary();
   }
+}
+
+TEST(LockTableCluster, ColdRestartUnderLoadConverges) {
+  // Site 2 loses its RAM under load and rebuilds from its own checkpoint +
+  // WAL: the store comes back as the committed state at its durable floor,
+  // every object's query domain restarts there, and catch-up re-executes
+  // everything above it. The histories stay object-level serializable (the
+  // restarted site's log repeats what it re-executed) and the stores agree.
+  ClusterConfig config;
+  config.n_sites = 4;
+  config.n_classes = 2;
+  config.objects_per_class = 32;
+  config.seed = 14;
+  config.storage.backend = StorageBackendKind::durable;
+  config.storage.checkpoint_interval = 100 * kMillisecond;
+  Cluster cluster(config, lock_table_factory());
+  HistoryRecorder recorder(cluster);
+  WorkloadConfig wl;
+  wl.updates_per_second_per_site = 120;
+  wl.mean_exec_time = 2 * kMillisecond;
+  wl.ops_per_txn = 3;
+  wl.duration = 1200 * kMillisecond;
+  WorkloadDriver driver(cluster, wl, 14);
+  driver.start();
+  TOIndex recovered = 0;
+  cluster.sim().schedule_at(450 * kMillisecond, [&] { cluster.crash_site(2); });
+  cluster.sim().schedule_at(650 * kMillisecond,
+                            [&] { recovered = cluster.restart_site_from_disk(2); });
+  cluster.run_for(wl.duration);
+  ASSERT_TRUE(cluster.quiesce(120 * kSecond));
+  cluster.run_for(kSecond);
+
+  EXPECT_GT(recovered, 0u) << "checkpoints must have advanced the floor";
+  EXPECT_EQ(cluster.wal_stats(2)->checkpoint_restores, 1u);
+  EXPECT_GT(dynamic_cast<OptAbcast&>(cluster.abcast(2)).stats().recovery_tombstones, 0u);
+  for (SiteId s = 0; s < cluster.site_count(); ++s) {
+    EXPECT_EQ(cluster.replica(s).in_flight(), 0u) << "site " << s;
+  }
+  const auto logs = last_commit_per_index(recorder.site_logs());
+  EXPECT_LT(logs[2].size(), recorder.site_logs()[2].size())
+      << "commits above the durable floor are re-executed after the restart";
+  const CheckResult check = check_object_level_serializability(logs);
+  EXPECT_TRUE(check.ok()) << check.summary();
+  std::vector<const VersionedStore*> stores;
+  for (SiteId s = 0; s < cluster.site_count(); ++s) stores.push_back(&cluster.store(s));
+  const CheckResult convergence = compare_final_states(stores, cluster.catalog());
+  EXPECT_TRUE(convergence.ok()) << convergence.summary();
 }
 
 TEST(LockTableCluster, OutperformsClassQueuesOnHotClasses) {

@@ -2,7 +2,7 @@
 // always recover). A recovered site loses all volatile state and catches up
 // by redo replay: decisions from peers' logs, missing bodies fetched on
 // demand, transactions re-executed through the normal OTP modules, commits
-// below the durable watermark suppressed.
+// at or below the committed (warm) or durable (cold) floor suppressed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "baseline/conservative_replica.h"
 #include "checker/history.h"
 #include "core/cluster.h"
+#include "core/lock_table_replica.h"
 #include "core/otp_replica.h"
 #include "db/durable_store.h"
 #include "workload/workload.h"
@@ -429,6 +430,13 @@ ReplicaFactory otp_factory() {
   };
 }
 
+ReplicaFactory lock_table_factory() {
+  return [](const ReplicaDeps& d) {
+    return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog, d.registry,
+                                              d.site, rmw_access_extractor(d.catalog));
+  };
+}
+
 /// Checks a query's reads against a site's commit log: each object reads the
 /// newest write at or below the snapshot (never-written objects read as 0).
 void expect_reads_match_log(const QueryReport& report, const std::vector<CommitRecord>& log) {
@@ -474,7 +482,7 @@ void expect_cold_restart_queries_start_at_floor(ReplicaFactory factory, std::uin
                                     });
   });
   cluster.sim().schedule_at(600 * kMillisecond, [&] { cluster.crash_site(2); });
-  RecoveredState recovered;
+  TOIndex recovered = 0;
   std::vector<QueryReport> reports;
   cluster.sim().schedule_at(800 * kMillisecond, [&] {
     recovered = cluster.restart_site_from_disk(2);
@@ -485,10 +493,10 @@ void expect_cold_restart_queries_start_at_floor(ReplicaFactory factory, std::uin
   ASSERT_TRUE(cluster.quiesce(120 * kSecond));
 
   ASSERT_EQ(cluster.wal_stats(2)->checkpoint_restores, 1u);
-  ASSERT_GT(recovered.durable_floor, 0u) << "checkpoints must have advanced the floor";
+  ASSERT_GT(recovered, 0u) << "checkpoints must have advanced the floor";
   ASSERT_EQ(reports.size(), 1u);
   const QueryReport& report = reports.front();
-  EXPECT_GE(report.snapshot_index, recovered.durable_floor);
+  EXPECT_GE(report.snapshot_index, recovered);
   ASSERT_EQ(report.reads.size(), cluster.catalog().class_count() * 4);
   expect_reads_match_log(report, recorder.site_logs()[0]);
   EXPECT_FALSE(stale_answered) << "a query in flight across the restart must not answer";
@@ -502,6 +510,10 @@ TEST(Recovery, ColdRestartQueriesStartAtDurableFloorOtp) {
 
 TEST(Recovery, ColdRestartQueriesStartAtDurableFloorConservative) {
   expect_cold_restart_queries_start_at_floor(conservative_factory(), 26);
+}
+
+TEST(Recovery, ColdRestartQueriesStartAtDurableFloorLockTable) {
+  expect_cold_restart_queries_start_at_floor(lock_table_factory(), 27);
 }
 
 /// Warm-recovers site 2 under load. A query submitted right after

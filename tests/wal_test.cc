@@ -1,8 +1,8 @@
 // WAL format + DurableStore tests: encode/decode round-trips, corruption
 // hardening (torn writes, truncated tails, bit flips, bad checksums, the
 // reserved value tag - the scan must stop cleanly at the first bad frame,
-// never crash or overread), group-commit batching, and checkpoint/restart
-// round-trips.
+// never crash or overread), the earlier layout's refused magics, group-commit
+// batching, and checkpoint/restart round-trips at the durable floor.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -51,19 +52,18 @@ void write_file(const fs::path& p, const std::vector<std::uint8_t>& bytes) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Encodes a small segment: a load plus `n` commit records over two classes.
+/// Encodes a small segment: a load plus `n` commit records, record i at
+/// floor i - 1.
 std::vector<std::uint8_t> sample_records(int n) {
   std::vector<std::uint8_t> bytes;
   wal::append_load(bytes, 7, Value{std::int64_t{100}});
   for (int i = 1; i <= n; ++i) {
-    const ClassId classes[] = {0, 1};
     const std::pair<ObjectId, Value> writes[] = {
         {static_cast<ObjectId>(i), Value{std::int64_t{i * 10}}},
         {static_cast<ObjectId>(i + 1000), Value{3.25 * i}},
         {static_cast<ObjectId>(i + 2000), Value{std::int64_t{-i}}},
     };
-    wal::append_commit(bytes, static_cast<TOIndex>(i),
-                       std::span<const ClassId>(classes, i % 2 == 0 ? 2 : 1),
+    wal::append_commit(bytes, static_cast<TOIndex>(i), static_cast<TOIndex>(i - 1),
                        std::span<const std::pair<ObjectId, Value>>(writes, 3));
   }
   return bytes;
@@ -72,11 +72,8 @@ std::vector<std::uint8_t> sample_records(int n) {
 /// Writes `data` through the checkpoint writer.
 bool write_checkpoint(const fs::path& path, const wal::CheckpointData& data) {
   std::vector<std::uint8_t> buffer;
-  wal::CheckpointWriter writer(buffer, data.class_watermarks, data.max_index);
-  for (const auto& [object, versions] : data.chains) {
-    writer.add_chain(object, static_cast<std::uint32_t>(versions.size()));
-    for (const auto& [index, value] : versions) writer.add_version(index, value);
-  }
+  wal::CheckpointWriter writer(buffer, data.floor);
+  for (const wal::CheckpointVersion& v : data.versions) writer.add(v.object, v.index, v.value);
   return writer.write(path);
 }
 
@@ -120,31 +117,28 @@ void append_frame(std::vector<std::uint8_t>& out, const std::vector<std::uint8_t
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
-/// A commit record at `index` in class 0 that writes `value` to `object`.
+/// A commit record at `index` and floor `index - 1` that writes `value` to
+/// `object`.
 std::vector<std::uint8_t> commit_payload(TOIndex index, ObjectId object,
                                          const std::vector<std::uint8_t>& value) {
   std::vector<std::uint8_t> out{1};
   put_le(out, index, 8);
-  put_le(out, 1, 2);  // one class: 0
-  put_le(out, 0, 4);
-  put_le(out, 1, 4);  // one write
+  put_le(out, index - 1, 8);  // its floor
+  put_le(out, 1, 4);          // one write
   put_le(out, object, 8);
   out.insert(out.end(), value.begin(), value.end());
   return out;
 }
 
-/// A checkpoint image: one class, one chain of one version holding `value`.
+/// A checkpoint image at floor 3 holding one version, `value` at index 3.
 std::vector<std::uint8_t> checkpoint_image(const std::vector<std::uint8_t>& value) {
   std::vector<std::uint8_t> payload;
-  put_le(payload, 1, 4);   // one class
-  put_le(payload, 3, 8);   // its watermark
-  put_le(payload, 3, 8);   // max index
-  put_le(payload, 1, 8);   // one chain
-  put_le(payload, 11, 8);  // its object
-  put_le(payload, 1, 4);   // one version
-  put_le(payload, 3, 8);   // at index 3
+  put_le(payload, 3, 8);   // the floor
+  put_le(payload, 1, 8);   // one object
+  put_le(payload, 11, 8);  // its id
+  put_le(payload, 3, 8);   // its version's index
   payload.insert(payload.end(), value.begin(), value.end());
-  std::vector<std::uint8_t> out{'O', 'T', 'P', 'C', 'K', 'P', '1', '\n'};
+  std::vector<std::uint8_t> out{'O', 'T', 'P', 'C', 'K', 'P', '2', '\n'};
   append_frame(out, payload);
   return out;
 }
@@ -191,13 +185,14 @@ TEST(Wal, CommitAndLoadRoundTrip) {
   EXPECT_TRUE(scan.clean);
   EXPECT_EQ(scan.records, 21u);
   EXPECT_EQ(scan.max_index, 20u);
+  EXPECT_EQ(scan.max_floor, 19u);
   ASSERT_EQ(loads.size(), 1u);
   EXPECT_EQ(loads[0].object, 7u);
   EXPECT_EQ(as_int(loads[0].value), 100);
   ASSERT_EQ(commits.size(), 20u);
   EXPECT_EQ(commits[4].index, 5u);
-  EXPECT_EQ(commits[4].classes.size(), 1u);
-  EXPECT_EQ(commits[5].classes.size(), 2u);
+  EXPECT_EQ(commits[4].floor, 4u);
+  EXPECT_EQ(commits[5].floor, 5u);
   ASSERT_EQ(commits[4].writes.size(), 3u);
   EXPECT_EQ(as_int(commits[4].writes[0].second), 50);
   EXPECT_DOUBLE_EQ(std::get<double>(commits[4].writes[1].second), 3.25 * 5);
@@ -298,29 +293,37 @@ TEST(Wal, CheckpointRoundTrip) {
   TempDir tmp;
   const fs::path path = tmp.dir / "checkpoint.bin";
   wal::CheckpointData data;
-  data.class_watermarks = {4, 9, 0};
-  data.max_index = 9;
-  data.chains.push_back({11, {{2, Value{std::int64_t{5}}}, {9, Value{-0.5}}}});
-  data.chains.push_back({12, {{4, Value{2.5}}}});
+  data.floor = 9;
+  data.versions.push_back({11, 9, Value{-0.5}});
+  data.versions.push_back({12, 4, Value{2.5}});
+  data.versions.push_back({13, 0, Value{std::int64_t{5}}});
   ASSERT_TRUE(write_checkpoint(path, data));
 
   wal::CheckpointData out;
   ASSERT_TRUE(wal::read_checkpoint(path, out));
-  EXPECT_EQ(out.class_watermarks, data.class_watermarks);
-  EXPECT_EQ(out.max_index, 9u);
-  ASSERT_EQ(out.chains.size(), 2u);
-  EXPECT_EQ(out.chains[0].first, 11u);
-  ASSERT_EQ(out.chains[0].second.size(), 2u);
-  EXPECT_DOUBLE_EQ(std::get<double>(out.chains[0].second[1].second), -0.5);
+  EXPECT_EQ(out.floor, 9u);
+  EXPECT_EQ(out.versions, data.versions);
+  EXPECT_DOUBLE_EQ(std::get<double>(out.versions[0].value), -0.5);
+}
+
+TEST(Wal, CheckpointVersionAboveItsFloorIsRefused) {
+  TempDir tmp;
+  const fs::path path = tmp.dir / "checkpoint.bin";
+  wal::CheckpointData data;
+  data.floor = 9;
+  data.versions.push_back({11, 10, Value{std::int64_t{1}}});
+  ASSERT_TRUE(write_checkpoint(path, data));
+  wal::CheckpointData out;
+  EXPECT_FALSE(wal::read_checkpoint(path, out));
+  EXPECT_TRUE(out.versions.empty());
 }
 
 TEST(Wal, CorruptCheckpointIsRejected) {
   TempDir tmp;
   const fs::path path = tmp.dir / "checkpoint.bin";
   wal::CheckpointData data;
-  data.class_watermarks = {1};
-  data.max_index = 1;
-  data.chains.push_back({3, {{1, Value{std::int64_t{30}}}}});
+  data.floor = 1;
+  data.versions.push_back({3, 1, Value{std::int64_t{30}}});
   ASSERT_TRUE(write_checkpoint(path, data));
   std::vector<std::uint8_t> bytes = read_file(path);
   // Flip every byte position in turn: read_checkpoint must reject or parse,
@@ -336,7 +339,7 @@ TEST(Wal, CorruptCheckpointIsRejected) {
   write_file(path, std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + bytes.size() / 2));
   wal::CheckpointData out;
   EXPECT_FALSE(wal::read_checkpoint(path, out));
-  EXPECT_TRUE(out.chains.empty());
+  EXPECT_TRUE(out.versions.empty());
 }
 
 TEST(Wal, ReservedTextTagEndsTheScan) {
@@ -346,13 +349,12 @@ TEST(Wal, ReservedTextTagEndsTheScan) {
   // scans clean, so the tag alone decides.
   std::vector<std::uint8_t> head;
   wal::append_load(head, 7, Value{std::int64_t{100}});
-  const ClassId klass = 0;
   const std::pair<ObjectId, Value> first{8, Value{std::int64_t{1}}};
-  wal::append_commit(head, 1, {&klass, 1}, {&first, 1});
+  wal::append_commit(head, 1, 0, {&first, 1});
 
   std::vector<std::uint8_t> written = head;
   const std::pair<ObjectId, Value> third{9, Value{std::int64_t{5}}};
-  wal::append_commit(written, 2, {&klass, 1}, {&third, 1});
+  wal::append_commit(written, 2, 1, {&third, 1});
   std::vector<std::uint8_t> with_int = head;
   append_frame(with_int, commit_payload(2, 9, int_value(5)));
   ASSERT_EQ(with_int, written);
@@ -379,17 +381,59 @@ TEST(Wal, CheckpointWithReservedTextTagIsRefused) {
   TempDir tmp;
   const fs::path path = tmp.dir / "checkpoint.bin";
   wal::CheckpointData data;
-  data.class_watermarks = {3};
-  data.max_index = 3;
-  data.chains.push_back({11, {{3, Value{std::int64_t{5}}}}});
+  data.floor = 3;
+  data.versions.push_back({11, 3, Value{std::int64_t{5}}});
   ASSERT_TRUE(write_checkpoint(path, data));
   ASSERT_EQ(read_file(path), checkpoint_image(int_value(5)));
 
   write_file(path, checkpoint_image(text_value("abcd")));
   wal::CheckpointData out;
   EXPECT_FALSE(wal::read_checkpoint(path, out));
-  EXPECT_TRUE(out.chains.empty());
-  EXPECT_TRUE(out.class_watermarks.empty());
+  EXPECT_TRUE(out.versions.empty());
+  EXPECT_EQ(out.floor, 0u);
+}
+
+TEST(Wal, EarlierLayoutMagicsAreRefused) {
+  // The layout before one durable floor logged each commit's classes and
+  // checkpointed per-class watermarks under the magics OTPWAL1 / OTPCKP1.
+  // Files in it are refused, never decoded under the current layout.
+  TempDir tmp;
+  std::vector<std::uint8_t> commit{1};  // index 1, class 0, one write to 8
+  put_le(commit, 1, 8);
+  put_le(commit, 1, 2);
+  put_le(commit, 0, 4);
+  put_le(commit, 1, 4);
+  put_le(commit, 8, 8);
+  const std::vector<std::uint8_t> value = int_value(1);
+  commit.insert(commit.end(), value.begin(), value.end());
+  std::vector<std::uint8_t> segment{'O', 'T', 'P', 'W', 'A', 'L', '1', '\n'};
+  append_frame(segment, commit);
+  const fs::path log = tmp.dir / wal::segment_name(1);
+  write_file(log, segment);
+  std::uint64_t decoded = 0;
+  wal::ScanCallbacks count;
+  count.on_commit = [&decoded](const wal::CommitRecord&) { ++decoded; };
+  const wal::ScanResult scan = wal::scan_segment(log, count);
+  EXPECT_FALSE(scan.clean);
+  EXPECT_EQ(scan.records, 0u);
+  EXPECT_EQ(decoded, 0u);
+
+  std::vector<std::uint8_t> payload;
+  put_le(payload, 1, 4);  // one class
+  put_le(payload, 3, 8);  // its watermark
+  put_le(payload, 3, 8);  // max index
+  put_le(payload, 1, 8);  // one chain
+  put_le(payload, 11, 8);
+  put_le(payload, 1, 4);  // of one version
+  put_le(payload, 3, 8);
+  payload.insert(payload.end(), value.begin(), value.end());
+  std::vector<std::uint8_t> image{'O', 'T', 'P', 'C', 'K', 'P', '1', '\n'};
+  append_frame(image, payload);
+  const fs::path checkpoint = tmp.dir / "checkpoint.bin";
+  write_file(checkpoint, image);
+  wal::CheckpointData out;
+  EXPECT_FALSE(wal::read_checkpoint(checkpoint, out));
+  EXPECT_TRUE(out.versions.empty());
 }
 
 // --- DurableStore ------------------------------------------------------------
@@ -400,17 +444,34 @@ StorageConfig durable_config() {
   return config;
 }
 
+/// Commits one transaction writing `value` to `obj` at `index`, logged with
+/// `floor` (every index at or below it committed).
+void commit_one(DurableStore& store, ObjectId obj, std::int64_t value, TOIndex index,
+                TOIndex floor, TOIndex horizon = 0) {
+  const TxnId txn = 0;
+  store.memory().write(txn, obj, Value{value});
+  store.commit(txn, index, floor, horizon);
+}
+
+/// The newest version index any object holds.
+TOIndex newest_version(const DurableStore& store) {
+  TOIndex newest = 0;
+  store.memory().for_each_at(std::numeric_limits<TOIndex>::max(),
+                             [&newest](ObjectId, const VersionedStore::Version& v) {
+                               newest = std::max(newest, v.index);
+                             });
+  return newest;
+}
+
 TEST(DurableStore, GroupCommitBatchesMultipleCommitsPerFsync) {
   TempDir tmp;
   Simulator sim;
-  DurableStore store(sim, durable_config(), tmp.dir / "site-0", 2, 16);
+  DurableStore store(sim, durable_config(), tmp.dir / "site-0", 16);
   // 10 commits within one flush window -> one fsync covers them all.
   for (int i = 1; i <= 10; ++i) {
     sim.schedule_at(i * 50 * kMicrosecond, [&store, i] {
-      const TxnId txn = 0;
-      store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i}});
-      const ClassId klass = static_cast<ClassId>(i % 2);
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
+      const auto index = static_cast<TOIndex>(i);
+      commit_one(store, static_cast<ObjectId>(i % 16), i, index, index);
     });
   }
   sim.run_until(sim.now() + kSecond);
@@ -418,21 +479,18 @@ TEST(DurableStore, GroupCommitBatchesMultipleCommitsPerFsync) {
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->commits_logged, 10u);
   EXPECT_EQ(stats->fsyncs, 1u) << "one group-commit flush covers the burst";
-  EXPECT_EQ(store.durable_watermark(0), 10u);
-  EXPECT_EQ(store.durable_watermark(1), 9u);
+  EXPECT_EQ(store.durable_floor(), 10u);
 }
 
 TEST(DurableStore, RestartRebuildsExactCommittedState) {
   TempDir tmp;
   Simulator sim;
-  DurableStore store(sim, durable_config(), tmp.dir / "site-0", 2, 16);
+  DurableStore store(sim, durable_config(), tmp.dir / "site-0", 16);
   store.load(0, Value{std::int64_t{1000}});
   for (int i = 1; i <= 30; ++i) {
     sim.schedule_at(i * kMillisecond, [&store, i] {
-      const TxnId txn = 0;
-      store.memory().write(txn, static_cast<ObjectId>(i % 16), Value{std::int64_t{i * 7}});
-      const ClassId klass = static_cast<ClassId>(i % 2);
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
+      const auto index = static_cast<TOIndex>(i);
+      commit_one(store, static_cast<ObjectId>(i % 16), i * 7, index, index);
     });
   }
   sim.run_until(sim.now() + kSecond);
@@ -444,13 +502,55 @@ TEST(DurableStore, RestartRebuildsExactCommittedState) {
     if (v) before.emplace_back(obj, *v);
   }
   store.crash();
-  const RecoveredState recovered = store.restart_from_disk();
-  EXPECT_EQ(recovered.max_index, 30u);
-  EXPECT_EQ(recovered.durable_floor, 29u) << "min(class watermarks 30, 29)";
+  EXPECT_EQ(store.restart_from_disk(), 30u);
   for (const auto& [obj, value] : before) {
     const auto v = store.memory().read_latest(obj);
     ASSERT_TRUE(v.has_value()) << "object " << obj;
     EXPECT_EQ(*v, value) << "object " << obj;
+  }
+}
+
+TEST(DurableStore, RestartRebuildsTheCommittedStateAtItsFloor) {
+  // Commits arrive in swapped pairs (2, 1, 4, 3, ...), as under object keys
+  // or across classes, each logged with the committed floor it found: the
+  // pair 2k, 2k-1 carries floor 2k-2. The last pair on disk (40, 39) thus
+  // carries floor 38, and a restart rebuilds exactly the state at 38: the
+  // two records above it are skipped, no version above 38 survives, and a
+  // snapshot at 38 reads what the committed history holds there.
+  TempDir tmp;
+  Simulator sim;
+  DurableStore store(sim, durable_config(), tmp.dir / "site-0", 8);
+  std::map<ObjectId, std::vector<std::pair<TOIndex, Value>>> truth;
+  for (ObjectId obj = 0; obj < 8; ++obj) {
+    store.load(obj, Value{std::int64_t{0}});
+    truth[obj].emplace_back(0, Value{std::int64_t{0}});
+  }
+  for (TOIndex index = 1; index <= 40; ++index) {
+    truth[index % 8].emplace_back(index, Value{static_cast<std::int64_t>(index * 3)});
+  }
+  TOIndex floor = 0;
+  for (int i = 1; i <= 40; ++i) {
+    const auto index = static_cast<TOIndex>(i % 2 == 1 ? i + 1 : i - 1);
+    sim.schedule_at(i * kMillisecond, [&store, &floor, index] {
+      commit_one(store, index % 8, static_cast<std::int64_t>(index * 3), index, floor);
+      if (index % 2 == 1) floor = index + 1;  // both of the pair are committed
+    });
+  }
+  sim.run_until(sim.now() + 100 * kMillisecond);  // every record flushed
+  ASSERT_EQ(store.durable_floor(), 38u);
+  ASSERT_EQ(newest_version(store), 40u);
+
+  store.crash();
+  const TOIndex recovered = store.restart_from_disk();
+  EXPECT_EQ(recovered, 38u);
+  EXPECT_EQ(store.durable_floor(), recovered);
+  EXPECT_EQ(store.wal_stats()->replayed_commits, 38u) << "records 39 and 40 are skipped";
+  EXPECT_EQ(newest_version(store), recovered) << "no version above the floor";
+  for (const auto& [obj, chain] : truth) {
+    auto at = std::upper_bound(chain.begin(), chain.end(), recovered,
+                               [](TOIndex s, const auto& v) { return s < v.first; });
+    EXPECT_EQ(store.memory().read_snapshot(obj, recovered), std::prev(at)->second)
+        << "object " << obj;
   }
 }
 
@@ -462,17 +562,15 @@ TEST(DurableStore, RestartSurvivesTornTailAndDropsLaterSegments) {
     Simulator sim;
     StorageConfig config = durable_config();
     config.segment_bytes = 256;  // force several segment rolls
-    DurableStore store(sim, config, dir, 1, 8);
+    DurableStore store(sim, config, dir, 8);
     for (int i = 1; i <= 40; ++i) {
       sim.schedule_at(i * kMillisecond, [&store, i] {
-        const TxnId txn = 0;
-        store.memory().write(txn, static_cast<ObjectId>(i % 8), Value{std::int64_t{i}});
-        const ClassId klass = 0;
-        store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
+        const auto index = static_cast<TOIndex>(i);
+        commit_one(store, static_cast<ObjectId>(i % 8), i, index, index);
       });
     }
     sim.run_until(sim.now() + kSecond);
-    durable_before = store.durable_watermark(0);
+    durable_before = store.durable_floor();
     ASSERT_EQ(durable_before, 40u);
   }
   // Tear the tail of the FIRST multi-record segment on disk: recovery must
@@ -489,9 +587,9 @@ TEST(DurableStore, RestartSurvivesTornTailAndDropsLaterSegments) {
   write_file(victim, std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + bytes.size() - 3));
 
   Simulator sim;
-  DurableStore store(sim, durable_config(), dir, 1, 8);
-  const RecoveredState recovered = store.restart_from_disk();
-  EXPECT_LT(recovered.durable_floor, durable_before);
+  DurableStore store(sim, durable_config(), dir, 8);
+  const TOIndex recovered = store.restart_from_disk();
+  EXPECT_LT(recovered, durable_before);
   // Later segments are gone from disk (the freshly opened, magic-only active
   // segment reuses the next sequence number - exclude it by content).
   std::size_t later = 0;
@@ -505,7 +603,7 @@ TEST(DurableStore, RestartSurvivesTornTailAndDropsLaterSegments) {
   EXPECT_EQ(later, 0u) << "segments after the torn one must be deleted";
   // The rebuilt state is exactly the valid prefix: the highest surviving
   // version is the recovered floor's write.
-  EXPECT_EQ(recovered.max_index, recovered.durable_floor);
+  EXPECT_EQ(newest_version(store), recovered);
 }
 
 TEST(DurableStore, CheckpointTruncatesSealedSegments) {
@@ -514,13 +612,11 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
   StorageConfig config = durable_config();
   config.segment_bytes = 256;
   config.checkpoint_interval = 100 * kMillisecond;
-  DurableStore store(sim, config, tmp.dir / "site-0", 1, 8);
+  DurableStore store(sim, config, tmp.dir / "site-0", 8);
   for (int i = 1; i <= 60; ++i) {
     sim.schedule_at(i * 10 * kMillisecond, [&store, i] {
-      const TxnId txn = 0;
-      store.memory().write(txn, static_cast<ObjectId>(i % 8), Value{std::int64_t{i}});
-      const ClassId klass = 0;
-      store.commit(txn, static_cast<TOIndex>(i), std::span<const ClassId>(&klass, 1), 0);
+      const auto index = static_cast<TOIndex>(i);
+      commit_one(store, static_cast<ObjectId>(i % 8), i, index, index);
     });
   }
   sim.run_until(sim.now() + 5 * kSecond);
@@ -531,8 +627,7 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
   // Restart prefers the checkpoint: nearly all committed state comes from the
   // snapshot rather than WAL replay.
   store.crash();
-  const RecoveredState recovered = store.restart_from_disk();
-  EXPECT_EQ(recovered.durable_floor, 60u);
+  EXPECT_EQ(store.restart_from_disk(), 60u);
   EXPECT_EQ(stats->checkpoint_restores, 1u);
 }
 
@@ -540,10 +635,11 @@ TEST(DurableStore, CheckpointTruncatesSealedSegments) {
 using History = std::map<ObjectId, std::vector<std::pair<TOIndex, Value>>>;
 
 /// Loads 8 objects, then commits `rounds` single-write transactions, one per
-/// millisecond, over checkpoints every 50 ms. Class 0 (objects 0-3) takes
-/// four indices in five, class 1 (objects 4-7) every fifth, so the durable
-/// floor is class 1's watermark and class 0's newer versions sit above it.
-/// With `gc`, every commit passes the most aggressive engine GC horizon (keep
+/// millisecond, over checkpoints every 50 ms. Objects 0-3 take four indices
+/// in five, objects 4-7 every fifth. Each commit is logged with the floor
+/// three indices below it, as from an engine whose commits run ahead of its
+/// committed floor, so the newest versions sit above the durable floor. With
+/// `gc`, every commit passes the most aggressive engine GC horizon (keep
 /// only the newest version). Returns the ground truth of what was committed.
 History commit_rounds(Simulator& sim, DurableStore& store, int rounds, bool gc = false) {
   History truth;
@@ -552,14 +648,11 @@ History commit_rounds(Simulator& sim, DurableStore& store, int rounds, bool gc =
     truth[obj].emplace_back(0, Value{std::int64_t{0}});
   }
   for (int i = 1; i <= rounds; ++i) {
-    const ClassId klass = i % 5 == 0 ? 1 : 0;
-    const ObjectId obj = klass == 1 ? 4 + (i / 5) % 4 : i % 4;
+    const ObjectId obj = i % 5 == 0 ? 4 + (i / 5) % 4 : i % 4;
     truth[obj].emplace_back(i, Value{std::int64_t{i}});
-    sim.schedule_at(i * kMillisecond, [&store, i, klass, obj, gc] {
-      const TxnId txn = 0;
+    sim.schedule_at(i * kMillisecond, [&store, i, obj, gc] {
       const auto index = static_cast<TOIndex>(i);
-      store.memory().write(txn, obj, Value{std::int64_t{i}});
-      store.commit(txn, index, std::span<const ClassId>(&klass, 1), gc ? index + 1 : 0);
+      commit_one(store, obj, i, index, index < 3 ? 0 : index - 3, gc ? index + 1 : 0);
     });
   }
   sim.run_until(sim.now() + (rounds + 200) * kMillisecond);  // incl. a final checkpoint
@@ -573,60 +666,43 @@ StorageConfig frequent_checkpoints() {
 }
 
 /// The newest version of `chain` with index <= `snapshot`.
-const Value& truth_at(const std::vector<std::pair<TOIndex, Value>>& chain, TOIndex snapshot) {
+const std::pair<TOIndex, Value>& truth_at(const std::vector<std::pair<TOIndex, Value>>& chain,
+                                          TOIndex snapshot) {
   auto it = std::upper_bound(chain.begin(), chain.end(), snapshot,
                              [](TOIndex s, const auto& v) { return s < v.first; });
-  return std::prev(it)->second;
+  return *std::prev(it);
 }
 
 TEST(DurableStore, CheckpointHoldsOnlyVersionsReadableAtItsFloor) {
   TempDir tmp;
   const fs::path dir = tmp.dir / "site-0";
   Simulator sim;
-  DurableStore store(sim, frequent_checkpoints(), dir, 2, 8);
+  DurableStore store(sim, frequent_checkpoints(), dir, 8);
   const History truth = commit_rounds(sim, store, 403);
   EXPECT_GE(store.wal_stats()->checkpoints, 5u);
 
   wal::CheckpointData ckpt;
   ASSERT_TRUE(wal::read_checkpoint(dir / "checkpoint.bin", ckpt));
-  ASSERT_EQ(ckpt.class_watermarks, (std::vector<TOIndex>{403, 400}));
-  const TOIndex floor = 400;  // min(max_index, class watermarks)
-  ASSERT_EQ(ckpt.max_index, 403u);
-  ASSERT_EQ(ckpt.chains.size(), truth.size());
-  std::size_t above_floor = 0;
-  for (const auto& [obj, versions] : ckpt.chains) {
-    // Expected: the newest version at or below the floor, then every later one.
-    const auto& all = truth.at(obj);
-    auto later = std::upper_bound(all.begin(), all.end(), floor,
-                                  [](TOIndex f, const auto& v) { return f < v.first; });
-    const std::vector<std::pair<TOIndex, Value>> expected(std::prev(later), all.end());
-    EXPECT_EQ(versions, expected) << "object " << obj;
-    above_floor += static_cast<std::size_t>(all.end() - later);
-  }
-  EXPECT_EQ(above_floor, 3u) << "indices 401-403 sit above the floor";
-
-  // Restarting from the trimmed checkpoint serves every snapshot from the
-  // floor up exactly as the full history would.
-  store.crash();
-  EXPECT_EQ(store.restart_from_disk().durable_floor, floor);
+  const TOIndex floor = 400;  // record 403's floor
+  ASSERT_EQ(ckpt.floor, floor);
+  // Each object's newest version at or below the floor, and nothing else:
+  // indices 401-403 sit above it.
+  std::vector<wal::CheckpointVersion> expected;
   for (const auto& [obj, chain] : truth) {
-    for (TOIndex s = floor; s <= 403; ++s) {
-      EXPECT_EQ(store.memory().read_snapshot(obj, s), truth_at(chain, s))
-          << "object " << obj << " snapshot " << s;
-    }
+    const auto& [index, value] = truth_at(chain, floor);
+    expected.push_back({obj, index, value});
   }
+  EXPECT_EQ(ckpt.versions, expected);
 
-  // A checkpoint written before trimming holds whole chains in the same
-  // format; restarting from one restores every snapshot.
-  ckpt.chains.assign(truth.begin(), truth.end());
-  ASSERT_TRUE(write_checkpoint(dir / "checkpoint.bin", ckpt));
+  // Restarting from the checkpoint rebuilds the state at the floor: versions
+  // 401-403 are not restored, and a snapshot at the floor reads exactly what
+  // the full history holds there.
   store.crash();
-  EXPECT_EQ(store.restart_from_disk().durable_floor, floor);
+  EXPECT_EQ(store.restart_from_disk(), floor);
+  EXPECT_EQ(newest_version(store), floor) << "index 400 is the floor's own write";
   for (const auto& [obj, chain] : truth) {
-    for (TOIndex s = 0; s <= 403; ++s) {
-      EXPECT_EQ(store.memory().read_snapshot(obj, s), truth_at(chain, s))
-          << "object " << obj << " snapshot " << s;
-    }
+    EXPECT_EQ(store.memory().read_snapshot(obj, floor), truth_at(chain, floor).second)
+        << "object " << obj;
   }
 }
 
@@ -641,7 +717,7 @@ TEST(DurableStore, GcHorizonLeavesCheckpointBytesUnchanged) {
   const auto run = [](bool gc) {
     TempDir tmp;
     Simulator sim;
-    DurableStore store(sim, frequent_checkpoints(), tmp.dir / "site-0", 2, 8);
+    DurableStore store(sim, frequent_checkpoints(), tmp.dir / "site-0", 8);
     commit_rounds(sim, store, 403, gc);
     return Outcome{read_file(tmp.dir / "site-0" / "checkpoint.bin"),
                    store.memory().total_versions()};
@@ -658,7 +734,7 @@ TEST(DurableStore, CheckpointSizeDoesNotGrowWithHistory) {
   const auto checkpoint_bytes = [](int rounds) {
     TempDir tmp;
     Simulator sim;
-    DurableStore store(sim, frequent_checkpoints(), tmp.dir / "site-0", 2, 8);
+    DurableStore store(sim, frequent_checkpoints(), tmp.dir / "site-0", 8);
     commit_rounds(sim, store, rounds);
     return fs::file_size(tmp.dir / "site-0" / "checkpoint.bin");
   };
