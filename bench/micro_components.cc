@@ -19,9 +19,9 @@
 #include "workload/workload.h"
 
 // Defines the counting global operator new (one TU per binary): lets
-// BM_SimulatorSteadyStateChurn report allocations per event (expected: 0.0 —
-// InlineAction turns an oversized capture into a compile error, so the cost
-// cannot silently reappear).
+// BM_SimulatorSteadyStateChurn and BM_SimulatorProtocolShape report
+// allocations per event (expected: 0.0 — an oversized event capture is a
+// compile error, so the cost cannot silently reappear).
 #include "util/counting_new.h"
 
 namespace otpdb::bench {
@@ -53,7 +53,7 @@ BENCHMARK(BM_SimulatorScheduleAndRun);
 /// Steady-state event churn with the allocation counter attached: a pool of
 /// self-rescheduling events (the hot-path closure shape: a pointer or two)
 /// runs with constant pending count. allocs_per_event must be 0.0 — the
-/// proof that InlineAction keeps per-event heap allocations off the path.
+/// proof that per-event heap allocations stay off the path.
 void BM_SimulatorSteadyStateChurn(benchmark::State& state) {
   struct Recur {
     Simulator* sim;
@@ -61,7 +61,7 @@ void BM_SimulatorSteadyStateChurn(benchmark::State& state) {
   };
   Simulator sim;
   for (int i = 0; i < 64; ++i) sim.schedule_at(i, Recur{&sim});
-  sim.run(8 * 1024);  // warm-up: slot pool and heap vector reach steady size
+  sim.run(8 * 1024);  // warm-up: slot store and queue reach their working size
   const std::uint64_t allocs_before = heap_alloc_count.load(std::memory_order_relaxed);
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -74,6 +74,53 @@ void BM_SimulatorSteadyStateChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_SimulatorSteadyStateChurn);
+
+/// The event shape of a protocol run: about 45 live events whose delays
+/// spread over 50 us - 3 ms (network deliveries, executions), and a 30 ms
+/// round timer that is armed and cancelled about once per 5 events, as
+/// each consensus instance's timer is at its decision. Times are out of
+/// order and cancelled timers linger, unlike BM_SimulatorScheduleAndRun's
+/// monotone schedule. Reports the time and the allocations per event.
+void BM_SimulatorProtocolShape(benchmark::State& state) {
+  struct World {
+    Simulator sim;
+    std::vector<SimTime> delays;
+    std::size_t next_delay = 0;
+    std::uint64_t hops = 0;
+    EventId timer{};
+  };
+  struct Hop {
+    World* w;
+    void operator()() const {
+      if (++w->hops % 5 == 0) {
+        w->sim.cancel(w->timer);
+        w->timer = w->sim.schedule_after(30 * kMillisecond, [] {});
+      }
+      const SimTime delay = w->delays[w->next_delay++ % w->delays.size()];
+      w->sim.schedule_after(delay, Hop{w});
+    }
+  };
+  World w;
+  Rng rng(11);
+  w.delays.resize(4096);
+  for (SimTime& d : w.delays) d = rng.uniform_int(50 * kMicrosecond, 3 * kMillisecond);
+  for (int i = 0; i < 45; ++i) w.sim.schedule_after(w.delays[static_cast<std::size_t>(i)], Hop{&w});
+  w.sim.run(64 * 1024);  // warm-up: slot store and queue reach their working size
+  const std::uint64_t allocs_before = heap_alloc_count.load(std::memory_order_relaxed);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    constexpr std::uint64_t kChunk = 4096;
+    events += w.sim.run(kChunk);
+  }
+  const std::uint64_t allocs = heap_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs_per_event"] =
+      events ? static_cast<double>(allocs) / static_cast<double>(events) : 0.0;
+  // Seconds per event, printed with an SI prefix (25n is 25 ns).
+  state.counters["time_per_event"] = benchmark::Counter(
+      static_cast<double>(events), benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_SimulatorProtocolShape);
 
 void BM_StoreWriteCommit(benchmark::State& state) {
   VersionedStore store(128);
@@ -140,8 +187,9 @@ void BM_ClassQueueReorder(benchmark::State& state) {
     txns.back()->id = MsgId{0, i};
     txns.back()->deliv = DeliveryState::pending;
   }
+  FreeBlocks blocks;
   for (auto _ : state) {
-    ClassQueue q;
+    ClassQueue q(0, &blocks);
     for (auto& t : txns) {
       t->deliv = DeliveryState::pending;
       q.append(t.get());

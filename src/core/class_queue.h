@@ -16,21 +16,27 @@
 // transaction touches several queues, so the old O(n) pointer scans compound.
 // The committable prefix length is tracked directly (committable_), so CC10
 // needs no scan for the first pending transaction either.
+//
+// The queue's deque blocks recycle through its engine's FreeBlocks (shared by
+// all of the engine's queues, util/recycling.h), so a queue that slides as
+// transactions commit allocates nothing once the list is warm.
 #pragma once
 
 #include <deque>
 
 #include "core/txn.h"
 #include "util/assert.h"
+#include "util/recycling.h"
 
 namespace otpdb {
 
 class ClassQueue {
  public:
-  ClassQueue() = default;
   /// `id` is the queue's index in its engine's queue table: a conflict
-  /// class, or a pooled slot under object keys.
-  explicit ClassQueue(ClassId id) : id_(id) {}
+  /// class, or a pooled slot under object keys. `blocks` recycles the
+  /// queue's deque blocks and must outlive the queue.
+  ClassQueue(ClassId id, FreeBlocks* blocks)
+      : queue_(RecyclingAllocator<TxnRecord*>(blocks)), id_(id) {}
 
   bool empty() const { return queue_.empty(); }
   std::size_t size() const { return queue_.size(); }
@@ -81,7 +87,7 @@ class ClassQueue {
     return static_cast<std::size_t>(pos.ticket - base_);
   }
 
-  std::deque<TxnRecord*> queue_;
+  std::deque<TxnRecord*, RecyclingAllocator<TxnRecord*>> queue_;
   ClassId id_ = 0;
   std::uint64_t base_ = 0;        ///< head removals so far (ticket of the head)
   std::size_t committable_ = 0;   ///< length of the committable prefix

@@ -42,7 +42,7 @@ OtpReplica::OtpReplica(Simulator& sim, AtomicBroadcast& abcast, StorageBackend& 
   } else {
     queues_.reserve(catalog.class_count());
     for (std::size_t c = 0; c < catalog.class_count(); ++c) {
-      queues_.emplace_back(static_cast<ClassId>(c));
+      queues_.emplace_back(static_cast<ClassId>(c), &queue_blocks_);
     }
   }
   abcast_.set_callbacks(AbcastCallbacks{
@@ -316,7 +316,7 @@ void OtpReplica::crash_recover_reset() {
     std::fill(queue_slot_.begin(), queue_slot_.end(), kIdle);
   } else {
     for (std::size_t c = 0; c < queues_.size(); ++c) {
-      queues_[c] = ClassQueue(static_cast<ClassId>(c));
+      queues_[c] = ClassQueue(static_cast<ClassId>(c), &queue_blocks_);
     }
   }
   backend_.clear_provisional();
@@ -393,7 +393,7 @@ ClassQueue& OtpReplica::bind_queue(QueueKey key) {
     if (queue_slot_[key] == kIdle) {
       if (free_slots_.empty()) {
         free_slots_.push_back(static_cast<std::uint32_t>(queues_.size()));
-        queues_.emplace_back(static_cast<ClassId>(queues_.size()));
+        queues_.emplace_back(static_cast<ClassId>(queues_.size()), &queue_blocks_);
       }
       queue_slot_[key] = free_slots_.back();
       free_slots_.pop_back();

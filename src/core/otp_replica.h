@@ -219,6 +219,9 @@ class OtpReplica : public ReplicaBase {
 
   /// Class keys: one queue per class. Object keys: the pool of queues bound
   /// to objects with waiters (queue_slot_), and the unbound ones (free_slots_).
+  /// The queues' deque blocks recycle through queue_blocks_ (declared first,
+  /// so it outlives them).
+  FreeBlocks queue_blocks_;
   std::vector<ClassQueue> queues_;
   std::vector<std::uint32_t> queue_slot_;  // per object: its queue, or kIdle
   std::vector<std::uint32_t> free_slots_;

@@ -23,7 +23,13 @@ class TxnTable {
   TxnRecord* acquire(const MsgId& id, std::shared_ptr<const TxnRequest> request) {
     const TxnId tid = interner_.intern(id);
     if (tid >= records_.size()) records_.resize(tid + 1);
-    if (!records_[tid]) records_[tid] = std::make_unique<TxnRecord>();
+    if (!records_[tid]) {
+      records_[tid] = std::make_unique<TxnRecord>();
+      // Room up front for the queue positions of a transaction covering up
+      // to kQueueKeysReserved queues: the record, recycled from then on,
+      // takes a later multi-class transaction without regrowing.
+      records_[tid]->queue_pos.reserve(kQueueKeysReserved);
+    }
     TxnRecord* txn = records_[tid].get();
     txn->reset(id, tid, std::move(request));
     ++live_;
@@ -70,6 +76,9 @@ class TxnTable {
   }
 
  private:
+  /// Queue positions a fresh record has room for (TxnRecord::queue_pos).
+  static constexpr std::size_t kQueueKeysReserved = 4;
+
   TxnIdInterner interner_;
   std::vector<std::unique_ptr<TxnRecord>> records_;  // indexed by TxnId
   std::size_t live_ = 0;

@@ -88,7 +88,7 @@ void Network::begin_site_window(SiteId32 site, Simulator& shard) {
     auto& buf = cell.buf[read];
     for (auto& staged : buf) {
       shard.schedule_at(staged.at, [this, site, msg = std::move(staged.msg)]() mutable {
-        receive(site, std::move(msg));
+        receive(site, msg);
       });
     }
     buf.clear();
@@ -173,11 +173,11 @@ void Network::route(SiteId from, SiteId to, Message msg, SimTime fire_at) {
 void Network::schedule_delivery(SiteId to, Message msg, SimTime fire_at) {
   Simulator& target = engine_ != nullptr ? engine_->site(to) : sim_;
   target.schedule_at(fire_at, [this, to, msg = std::move(msg)]() mutable {
-    receive(to, std::move(msg));
+    receive(to, msg);
   });
 }
 
-void Network::receive(SiteId to, Message msg) {
+void Network::receive(SiteId to, Message& msg) {
   // Fault checks at fire time on the receiver's shard. A crash loses the
   // message (the paper's crash model; recovery replays from peers); a
   // partition merely delays it - channels stay reliable ("a message sent by

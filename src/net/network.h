@@ -191,8 +191,9 @@ class Network final : public SharedMedium {
   void route(SiteId from, SiteId to, Message msg, SimTime fire_at);
   void schedule_delivery(SiteId to, Message msg, SimTime fire_at);
   /// Receiver-side delivery: fault checks at fire time on the receiver's
-  /// shard, then arrival log + handler dispatch.
-  void receive(SiteId to, Message msg);
+  /// shard, then arrival log + handler dispatch. `msg` is the delivery
+  /// event's own capture; a parked message is moved out of it.
+  void receive(SiteId to, Message& msg);
 
   void dispatch(SiteId to, const Message& msg);
   SimTime send_clock() const;

@@ -1,97 +1,143 @@
 #include "sim/simulator.h"
 
-#include <utility>
+#include <algorithm>
 
 namespace otpdb {
 
 namespace {
-// EventId value layout: (generation << 32 | slot) + 1, so the default-built
-// EventId{0} never names a real event.
-inline std::uint64_t encode(std::uint32_t slot, std::uint32_t generation) {
-  return ((static_cast<std::uint64_t>(generation) << 32) | slot) + 1;
-}
+constexpr std::size_t kArity = 4;  // children per heap node
 }  // namespace
 
-EventId Simulator::schedule_at(SimTime at, Action action) {
-  OTPDB_CHECK_MSG(at >= now_, "cannot schedule an event in the simulated past");
-  OTPDB_CHECK(action != nullptr);
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+Simulator::~Simulator() {
+  for (const Key key : heap_) {
+    if (!live(key)) continue;
+    Slot& s = slot(slot_of(tag_of(key)));
+    if (s.drop != nullptr) s.drop(s.buf);
   }
-  Slot& s = slots_[slot];
-  s.action = std::move(action);
-  s.armed = true;
-  heap_.push(Entry{at, next_seq_++, slot, s.generation});
-  ++live_;
-  return EventId{encode(slot, s.generation)};
 }
 
-EventId Simulator::schedule_after(SimTime delay, Action action) {
-  OTPDB_CHECK(delay >= 0);
-  return schedule_at(now_ + delay, std::move(action));
+std::uint32_t Simulator::grow_slots() {
+  if (slot_count_ == chunks_.size() * kChunkSlots) {
+    OTPDB_CHECK_MSG(slot_count_ < kSlotMask, "too many pending events");
+    // Default-initialized: a slot's fields are written when it is armed.
+    chunks_.push_back(std::unique_ptr<Chunk>(new Chunk));
+  }
+  return slot_count_++;
+}
+
+EventId Simulator::arm(std::uint32_t index, SimTime at) {
+  OTPDB_CHECK_MSG(next_seq_ < kSeqLimit, "event sequence numbers exhausted");
+  const std::uint64_t tag = next_seq_++ << kSlotBits | index;
+  slot(index).tag = tag;
+  push(static_cast<Key>(static_cast<std::uint64_t>(at)) << 64 | tag);
+  ++live_;
+  return EventId{tag};
 }
 
 bool Simulator::cancel(EventId id) {
-  if (id.value == 0) return false;
-  const std::uint64_t v = id.value - 1;
-  const auto slot = static_cast<std::uint32_t>(v & 0xffffffffu);
-  const auto generation = static_cast<std::uint32_t>(v >> 32);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (!s.armed || s.generation != generation) return false;  // already fired/cancelled
-  s.armed = false;
-  s.action = nullptr;
-  ++s.generation;  // stale heap entry is skipped on pop
-  free_slots_.push_back(slot);
+  const std::uint64_t tag = id.value;
+  const std::uint32_t index = slot_of(tag);
+  if (tag == 0 || index >= slot_count_) return false;
+  Slot& s = slot(index);
+  if (s.tag != tag) return false;  // fired, running or cancelled
+  s.tag = 0;
+  if (s.drop != nullptr) s.drop(s.buf);
+  release_slot(index);
   --live_;
+  ++stale_;
+  if (tag_of(heap_.front()) == tag) {
+    drop_stale_tops();
+  } else if (stale_ > live_) {
+    compact();
+  }
   return true;
 }
 
-SimTime Simulator::next_event_time() {
-  return settle_top() ? heap_.top().at : kSimTimeMax;
-}
-
-bool Simulator::settle_top() {
-  while (!heap_.empty()) {
-    const Entry& top = heap_.top();
-    const Slot& s = slots_[top.slot];
-    if (s.armed && s.generation == top.generation) return true;
-    heap_.pop();  // cancelled or recycled; drop the stale entry
-  }
-  return false;
+void Simulator::fire_top() {
+  const Key top = heap_.front();
+  pop_top();
+  drop_stale_tops();
+  const std::uint32_t index = slot_of(tag_of(top));
+  Slot& s = slot(index);
+  s.tag = 0;  // cancel() of a running event fails
+  --live_;
+  now_ = time_of(top);
+  ++executed_;
+  s.run(s.buf);
+  release_slot(index);
 }
 
 bool Simulator::step() {
-  if (!settle_top()) return false;
-  const Entry top = heap_.top();
-  heap_.pop();
-  Slot& s = slots_[top.slot];
-  Action action = std::move(s.action);
-  s.action = nullptr;
-  s.armed = false;
-  ++s.generation;
-  free_slots_.push_back(top.slot);
-  --live_;
-  now_ = top.at;
-  ++executed_;
-  action();
+  if (heap_.empty()) return false;
+  fire_top();
   return true;
 }
 
 std::uint64_t Simulator::run(std::uint64_t limit) {
   std::uint64_t n = 0;
-  while (n < limit && step()) ++n;
+  for (; n < limit && !heap_.empty(); ++n) fire_top();
   return n;
 }
 
 void Simulator::run_until(SimTime deadline) {
-  while (settle_top() && heap_.top().at <= deadline) step();
+  while (!heap_.empty() && time_of(heap_.front()) <= deadline) fire_top();
   now_ = std::max(now_, deadline);
+}
+
+void Simulator::push(Key key) {
+  std::size_t hole = heap_.size();
+  heap_.push_back(key);
+  Key* h = heap_.data();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
+    if (h[parent] < key) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = key;
+}
+
+void Simulator::pop_top() {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+void Simulator::sift_down(std::size_t hole, Key key) {
+  Key* h = heap_.data();
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = kArity * hole + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t least = first;
+    Key least_key = h[first];
+    for (std::size_t c = first + 1; c < end; ++c) {
+      const Key k = h[c];
+      const bool less = k < least_key;
+      least = less ? c : least;
+      least_key = less ? k : least_key;
+    }
+    if (key < least_key) break;
+    h[hole] = least_key;
+    hole = least;
+  }
+  h[hole] = key;
+}
+
+void Simulator::drop_stale_tops() {
+  while (!heap_.empty() && !live(heap_.front())) {
+    pop_top();
+    --stale_;
+  }
+}
+
+void Simulator::compact() {
+  std::erase_if(heap_, [this](Key key) { return !live(key); });
+  stale_ = 0;
+  const std::size_t n = heap_.size();
+  if (n < 2) return;
+  for (std::size_t i = (n - 2) / kArity + 1; i-- > 0;) sift_down(i, heap_[i]);
 }
 
 }  // namespace otpdb

@@ -1,5 +1,5 @@
 // Counting global operator new/delete for allocation-regression tests and
-// bench counters (the InlineAction zero-alloc-per-event guarantee).
+// bench counters (the simulator's zero-alloc-per-event guarantee).
 //
 // This header DEFINES the global replacement allocation functions, which the
 // standard requires to be non-inline: include it in EXACTLY ONE translation

@@ -45,8 +45,8 @@ void RetryingClient::submit(SiteId site, PendingUpdate pending) {
           site_rngs_[site].uniform_int(0, static_cast<std::int64_t>(kBackoffJitter)));
   ++pending.attempts;
   ++counters_.retries;
-  // Boxed: the event capture must stay within InlineAction::kCapacity, and a
-  // PendingUpdate (two vectors + scalars) does not.
+  // Boxed: the event capture must stay within Simulator::kActionCapacity, and
+  // a PendingUpdate (two vectors + scalars) does not.
   cluster_.site_sim(site).schedule_after(
       delay, [this, site, boxed = std::make_unique<PendingUpdate>(std::move(pending))]() {
         submit(site, std::move(*boxed));

@@ -83,14 +83,14 @@ double allocs_per_commit(const ReplicaFactory& factory) {
 // which absorbs other standard-library versions.
 constexpr double kHeadroom = 1.25;
 
-TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 5.20 * kHeadroom); }
+TEST(AllocBudget, OtpEngine) { EXPECT_LT(allocs_per_commit(nullptr), 5.13 * kHeadroom); }
 
 TEST(AllocBudget, ConservativeEngine) {
   const double measured = allocs_per_commit([](const ReplicaDeps& d) {
     return std::make_unique<ConservativeReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                                  d.registry, d.site);
   });
-  EXPECT_LT(measured, 5.22 * kHeadroom);
+  EXPECT_LT(measured, 5.15 * kHeadroom);
 }
 
 TEST(AllocBudget, LockTableEngine) {
@@ -98,7 +98,7 @@ TEST(AllocBudget, LockTableEngine) {
     return std::make_unique<LockTableReplica>(d.sim, d.abcast, d.storage, d.catalog,
                                               d.registry, d.site, rmw_access_extractor(d.catalog));
   });
-  EXPECT_LT(measured, 6.67 * kHeadroom);
+  EXPECT_LT(measured, 6.38 * kHeadroom);
 }
 
 TEST(AllocBudget, IdenticalClustersAllocateIdentically) {

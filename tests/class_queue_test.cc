@@ -17,7 +17,8 @@ std::unique_ptr<TxnRecord> make_txn(std::uint64_t seq, DeliveryState deliv) {
 }
 
 TEST(ClassQueue, AppendAndHead) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.head(), nullptr);
   auto t1 = make_txn(1, DeliveryState::pending);
@@ -28,7 +29,8 @@ TEST(ClassQueue, AppendAndHead) {
 }
 
 TEST(ClassQueue, RemoveHead) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::pending);
   auto t2 = make_txn(2, DeliveryState::pending);
   q.append(t1.get());
@@ -39,7 +41,8 @@ TEST(ClassQueue, RemoveHead) {
 }
 
 TEST(ClassQueue, RemoveNonHeadDies) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::pending);
   auto t2 = make_txn(2, DeliveryState::pending);
   q.append(t1.get());
@@ -50,7 +53,8 @@ TEST(ClassQueue, RemoveNonHeadDies) {
 TEST(ClassQueue, ReorderToFrontWhenAllPending) {
   // Paper CC10 with an all-pending queue: the newly committable transaction
   // moves to the head.
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::pending);
   auto t2 = make_txn(2, DeliveryState::pending);
   auto t3 = make_txn(3, DeliveryState::pending);
@@ -68,7 +72,8 @@ TEST(ClassQueue, ReorderToFrontWhenAllPending) {
 TEST(ClassQueue, ReorderAfterCommittablePrefix) {
   // Paper example 1: CQ = T1[a,c], T2[a,p], T3[a,p]; T3 TO-delivered next
   // slots in between T1 and T2.
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::committable);
   auto t2 = make_txn(2, DeliveryState::pending);
   auto t3 = make_txn(3, DeliveryState::pending);
@@ -85,7 +90,8 @@ TEST(ClassQueue, ReorderAfterCommittablePrefix) {
 
 TEST(ClassQueue, ReorderNoopWhenAlreadyPlaced) {
   // A transaction TO-delivered in tentative order does not move.
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::committable);
   auto t2 = make_txn(2, DeliveryState::pending);
   q.append(t1.get());
@@ -97,7 +103,8 @@ TEST(ClassQueue, ReorderNoopWhenAlreadyPlaced) {
 }
 
 TEST(ClassQueue, ReorderHeadIsNoop) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::pending);
   auto t2 = make_txn(2, DeliveryState::pending);
   q.append(t1.get());
@@ -108,13 +115,15 @@ TEST(ClassQueue, ReorderHeadIsNoop) {
 }
 
 TEST(ClassQueue, ReorderMissingTxnDies) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::committable);
   EXPECT_DEATH(q.reorder_before_first_pending(t1.get()), "missing");
 }
 
 TEST(ClassQueue, InvariantViolationCommittableSuffixDies) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::pending);
   auto t2 = make_txn(2, DeliveryState::committable);
   q.append(t1.get());
@@ -123,7 +132,8 @@ TEST(ClassQueue, InvariantViolationCommittableSuffixDies) {
 }
 
 TEST(ClassQueue, InvariantViolationNonHeadRunningDies) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   auto t1 = make_txn(1, DeliveryState::committable);
   auto t2 = make_txn(2, DeliveryState::pending);
   t2->running = true;
@@ -137,7 +147,8 @@ TEST(ClassQueue, CachedPositionsSurviveChurn) {
   // entries staying exact through appends, reorders (which shift the pending
   // prefix) and head removals (which advance the base). check_invariants()
   // cross-checks every cached position against the actual layout.
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   std::vector<std::unique_ptr<TxnRecord>> txns;
   for (std::uint64_t i = 0; i < 6; ++i) {
     txns.push_back(make_txn(i, DeliveryState::pending));
@@ -169,7 +180,8 @@ TEST(ClassQueue, CachedPositionsSurviveChurn) {
 TEST(ClassQueue, SameRecordInTwoQueues) {
   // A multi-class record holds one cached position per covered queue; the
   // queues must not clobber each other's entries.
-  ClassQueue qa(0), qb(1);
+  FreeBlocks blocks;
+  ClassQueue qa(0, &blocks), qb(1, &blocks);
   auto t = make_txn(1, DeliveryState::pending);
   auto blocker = make_txn(2, DeliveryState::pending);
   qa.append(blocker.get());
@@ -191,7 +203,8 @@ TEST(ClassQueue, SameRecordInTwoQueues) {
 }
 
 TEST(ClassQueue, IterationOrder) {
-  ClassQueue q;
+  FreeBlocks blocks;
+  ClassQueue q(0, &blocks);
   std::vector<std::unique_ptr<TxnRecord>> txns;
   for (std::uint64_t i = 0; i < 5; ++i) {
     txns.push_back(make_txn(i, DeliveryState::pending));
